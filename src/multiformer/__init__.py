@@ -1,40 +1,4 @@
 """Multiformer: a seq2seq transformer whose encoder self-attention mixes
 full, local, and conv-compressed attention mechanisms per head."""
 
-from .attention import (AttentionMask, ConvParams, LocalParams, OpCounter,
-                        conv_attention, conv_compress, full_attention,
-                        local_attention)
-from .analysis import (ContributionReport, aggregate_contributions,
-                       emit_report, head_contribution)
-from .checkpoint import (CheckpointError, config_hash, load_checkpoint,
-                         load_into, save_checkpoint)
-from .config import (ArchitectureError, format_architecture, parse_architecture,
-                     parse_task, toy_model_config)
-from .mhma import (AttentionOutput, HeadSpec, MHMAWeights, init_mhma_weights,
-                   mhma_forward, recompose_check)
-from .model import (ModelConfig, ModelWeights, Seq2SeqBatch, encode,
-                    forward_loss, init_model_weights, named_parameters,
-                    subsample, token_accuracy)
-from .tensor import Parameter, Tensor, grad_check, using_dtype
-from .training import (AdamState, SyntheticTaskSpec, TrainConfig,
-                       TrainingDiverged, adam_step, average_checkpoints,
-                       gen_synthetic_batch, inv_sqrt_lr, select_around_best,
-                       train)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttentionMask", "ConvParams", "LocalParams", "OpCounter",
-    "conv_attention", "conv_compress", "full_attention", "local_attention",
-    "ContributionReport", "aggregate_contributions", "emit_report",
-    "head_contribution", "CheckpointError", "config_hash", "load_checkpoint",
-    "load_into", "save_checkpoint", "ArchitectureError", "format_architecture",
-    "parse_architecture", "parse_task", "toy_model_config", "AttentionOutput",
-    "HeadSpec", "MHMAWeights", "init_mhma_weights", "mhma_forward",
-    "recompose_check", "ModelConfig", "ModelWeights", "Seq2SeqBatch", "encode",
-    "forward_loss", "init_model_weights", "named_parameters", "subsample",
-    "token_accuracy", "Parameter", "Tensor", "grad_check", "using_dtype",
-    "AdamState", "SyntheticTaskSpec", "TrainConfig", "TrainingDiverged",
-    "adam_step", "average_checkpoints", "gen_synthetic_batch", "inv_sqrt_lr",
-    "select_around_best", "train",
-]

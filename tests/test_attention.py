@@ -6,8 +6,8 @@ import pytest
 
 from multiformer.attention import (AttentionMask, BandedWeights, ConvParams,
                                    LocalParams, OpCounter, band_to_dense,
-                                   conv_attention, conv_compress,
-                                   full_attention, local_attention)
+                                   conv_compress, full_attention,
+                                   local_attention)
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer.tensor import Tensor, using_dtype
 
@@ -238,56 +238,3 @@ class TestConvCompress:
             ConvParams(kernel=4, stride=2, weights=Tensor(np.zeros((4, 2, 2))),
                        bias=Tensor(np.zeros(2)))
 
-
-class TestConvAttention:
-    def test_matches_composed_oracle(self):
-        rng = np.random.default_rng(10)
-        n, d = 13, 6
-        x = rng.normal(size=(n, d))
-        keep = np.ones(n, dtype=bool)
-        keep[10:] = False
-        params = ConvParams(kernel=3, stride=2,
-                            weights=Tensor(rng.normal(size=(3, d, d))),
-                            bias=Tensor(rng.normal(size=d)))
-        kp = rng.normal(size=(d, d))
-        vp = rng.normal(size=(d, d))
-        with using_dtype("float64"):
-            q = Tensor(rng.normal(size=(n, d)))
-            z, a = conv_attention(q, Tensor(x), Tensor(kp), Tensor(vp),
-                                  params, keep)
-        xc = naive_conv1d(np.where(keep[:, None], x, 0.0),
-                          params.weights.data, params.bias.data, 2, 1)
-        centers = np.minimum(np.arange(xc.shape[0]) * 2, n - 1)
-        zr, ar = naive_attention(q.data, xc @ kp, xc @ vp, valid=keep[centers])
-        np.testing.assert_allclose(z.data, zr, atol=1e-11)
-        np.testing.assert_allclose(a.data, ar, atol=1e-12)
-
-    def test_counter_uses_compressed_width(self):
-        rng = np.random.default_rng(11)
-        n, d = 16, 4
-        params = ConvParams(kernel=5, stride=2,
-                            weights=Tensor(rng.normal(size=(5, d, d))),
-                            bias=Tensor(np.zeros(d)))
-        c = OpCounter()
-        x = Tensor(rng.normal(size=(n, d)))
-        conv_attention(x, x, Tensor(np.eye(d)), Tensor(np.eye(d)), params,
-                       counter=c)
-        assert c.score_products == n * 8  # ceil(16/2) = 8 compressed keys
-
-    def test_identity_kernel_reduces_to_full_attention(self):
-        """K=1, stride 1, identity weights, zero bias: compression is a
-        no-op, so the result must equal plain full attention bit for bit."""
-        rng = np.random.default_rng(12)
-        n, d = 10, 5
-        x = rng.normal(size=(n, d))
-        q = rng.normal(size=(n, d))
-        kp, vp = rng.normal(size=(d, d)), rng.normal(size=(d, d))
-        ident = ConvParams(kernel=1, stride=1,
-                           weights=Tensor(np.eye(d)[None]),
-                           bias=Tensor(np.zeros(d)))
-        zc, ac = conv_attention(Tensor(q), Tensor(x), Tensor(kp), Tensor(vp),
-                                ident)
-        zf, af = full_attention(Tensor(q), Tensor(x) @ Tensor(kp),
-                                Tensor(x) @ Tensor(vp), None)
-        assert np.array_equal(ac.data, af.data)
-        assert np.array_equal(zc.data, zf.data)

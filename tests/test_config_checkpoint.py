@@ -261,6 +261,37 @@ class TestCheckpointRoundTrip:
             np.testing.assert_array_equal(p.tensor.data, before[p.name])
         assert data.meta_dict()["train_seed"] == "1"
 
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        import multiformer.checkpoint as ckpt
+        path = tmp_path / "ckpt.mfck"
+        save_arrays(path, "feed" * 4, {"w": np.ones(3, dtype="<f4")})
+        before = path.read_bytes()
+
+        class DiesAfterHeader:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:  # magic, length, header, then payload
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(ckpt, "open",
+                            lambda p, mode: DiesAfterHeader(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_arrays(path, "feed" * 4, {"w": np.zeros(3, dtype="<f4")})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).arrays["w"].tolist() == [1.0, 1.0, 1.0]
+
     def test_meta_order_preserved(self, tmp_path):
         meta = [("zeta", "1"), ("alpha", "2"), ("mid", "x y z")]
         save_arrays(tmp_path / "m.mfck", "feed" * 4,
@@ -334,6 +365,16 @@ class TestCheckpointErrors:
         p = tmp_path / "x.mfck"
         write_raw(p, self.header(params="param w 2x2 3\n"), b"\x00" * 12)
         with pytest.raises(HeaderError, match="count 3"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("header,match", [
+        (b"version 1\narch \xff\xfe\n", "not UTF-8"),
+        (b"version 1\narch feedfeed\nparam w 2 two\n", "bad count field"),
+    ], ids=["not-utf8", "non-integer-count"])
+    def test_malformed_header_raises_header_error(self, tmp_path, header, match):
+        p = tmp_path / "x.mfck"
+        write_raw(p, header, b"\x00" * 8)
+        with pytest.raises(HeaderError, match=match):
             load_checkpoint(p)
 
     def test_unsorted_names_rejected(self, tmp_path):

@@ -4,11 +4,11 @@ recomposition identity, weight sharing, and gradients."""
 import numpy as np
 import pytest
 
-from multiformer.mhma import (HeadSpec, init_mhma_weights, mhma_forward,
-                              mhma_parameters, recompose_check)
-from multiformer.oracles import reference_mhsa
+from multiformer.mhma import (HeadSpec, MHMAWeights, init_mhma_weights,
+                              mhma_forward, mhma_parameters, recompose_check)
+from multiformer.oracles import naive_attention, naive_conv1d, reference_mhsa
 from multiformer.tensor import Parameter, Tensor, grad_check, using_dtype
-from multiformer.attention import OpCounter
+from multiformer.attention import ConvParams, OpCounter
 
 MIXED = [HeadSpec("full"), HeadSpec("local", window=4),
          HeadSpec("conv", kernel=3, stride=2),
@@ -190,3 +190,101 @@ class TestForward:
 
             report = grad_check(f, params, max_samples=8, seed=0)
         assert report.ok, [e.name for e in report.failures()]
+
+
+class TestCrossAttention:
+    """Decoder cross-attention is mhma_forward with all-full heads, queries
+    from one sequence and keys/values from another (kv_in)."""
+
+    def test_matches_per_sequence_reference_under_padding(self):
+        rng = np.random.default_rng(12)
+        d, heads, u, m = 8, 2, 5, 7
+        specs = [HeadSpec("full")] * heads
+        w = init_mhma_weights(d, specs, rng)
+        q_in = rng.normal(size=(3, u, d))
+        mem = rng.normal(size=(3, m, d))
+        mem_mask = np.ones((3, m), dtype=bool)
+        mem_mask[0, 4:] = False
+        mem_mask[2, 1:] = False
+        with using_dtype("float64"):
+            out = mhma_forward(Tensor(q_in), specs, w, mem_mask,
+                               kv_in=Tensor(mem))
+        d_h = d // heads
+        for b in range(3):
+            zs = [naive_attention(q_in[b] @ w.wq[h].data, mem[b] @ w.wk[h].data,
+                                  mem[b] @ w.wv[h].data, valid=mem_mask[b])[0]
+                  for h in range(heads)]
+            ref = np.concatenate(zs, axis=-1) @ w.wo.data.T + w.bo.data
+            assert ref.shape == (u, heads * d_h)
+            np.testing.assert_allclose(out.y.data[b], ref, atol=1e-12)
+
+    def test_appended_memory_padding_leaves_outputs_unchanged(self):
+        rng = np.random.default_rng(13)
+        d, u, m, extra = 8, 4, 6, 5
+        specs = [HeadSpec("full")] * 4
+        w = init_mhma_weights(d, specs, rng)
+        q_in = Tensor(rng.normal(size=(2, u, d)))
+        mem = rng.normal(size=(2, m, d))
+        mem_mask = np.ones((2, m), dtype=bool)
+        mem_mask[1, 3:] = False
+        junk = rng.normal(size=(2, extra, d)) * 50.0
+        longer_mask = np.concatenate([mem_mask, np.zeros((2, extra), bool)], axis=1)
+        with using_dtype("float64"):
+            alone = mhma_forward(q_in, specs, w, mem_mask, kv_in=Tensor(mem))
+            padded = mhma_forward(q_in, specs, w, longer_mask,
+                                  kv_in=Tensor(np.concatenate([mem, junk], axis=1)))
+        np.testing.assert_allclose(padded.y.data, alone.y.data, rtol=0, atol=1e-12)
+
+
+class TestConvHeads:
+    """Conv heads inside mhma_forward against the composed oracles: a
+    strided conv over masked input, then dense attention."""
+
+    def test_matches_composed_oracle(self):
+        rng = np.random.default_rng(10)
+        n, d = 13, 6
+        specs = [HeadSpec("conv", kernel=3, stride=2)] * 2
+        x = rng.normal(size=(n, d))
+        keep = np.ones(n, dtype=bool)
+        keep[10:] = False
+        with using_dtype("float64"):
+            w = init_mhma_weights(d, specs, rng)
+            cp = w.conv_params[(3, 2)]
+            cp.bias.data = rng.normal(size=d)
+            out = mhma_forward(Tensor(x), specs, w, keep, capture=True)
+        xc = naive_conv1d(np.where(keep[:, None], x, 0.0),
+                          cp.weights.data, cp.bias.data, 2, 1)
+        centers = np.minimum(np.arange(xc.shape[0]) * 2, n - 1)
+        for h in range(2):
+            zr, ar = naive_attention(x @ w.wq[h].data, xc @ w.wk[h].data,
+                                     xc @ w.wv[h].data, valid=keep[centers])
+            np.testing.assert_allclose(out.z[h].data, zr, atol=1e-11)
+            np.testing.assert_allclose(out.weights[h].data, ar, atol=1e-12)
+
+    def test_counter_uses_compressed_width(self):
+        rng = np.random.default_rng(11)
+        n, d = 16, 4
+        specs = [HeadSpec("conv", kernel=5, stride=2)]
+        w = init_mhma_weights(d, specs, rng)
+        c = OpCounter()
+        mhma_forward(Tensor(rng.normal(size=(n, d))), specs, w, counter=c)
+        assert c.score_products == n * 8  # ceil(16/2) = 8 compressed keys
+
+    def test_identity_kernel_reduces_to_full_attention(self):
+        """K=1, stride 1, identity weights, zero bias: compression is a
+        no-op, so conv heads must equal full heads bit for bit."""
+        rng = np.random.default_rng(12)
+        n, d = 10, 6
+        w = init_mhma_weights(d, [HeadSpec("full")] * 2, rng)
+        ident = ConvParams(kernel=1, stride=1,
+                           weights=Tensor(np.eye(d, dtype=np.float32)[None]),
+                           bias=Tensor(np.zeros(d, dtype=np.float32)))
+        w_conv = MHMAWeights(w.wq, w.wk, w.wv, w.wo, w.bo, {(1, 1): ident})
+        x = Tensor(rng.normal(size=(n, d)))
+        conv = mhma_forward(x, [HeadSpec("conv", kernel=1, stride=1)] * 2,
+                            w_conv, capture=True)
+        full = mhma_forward(x, [HeadSpec("full")] * 2, w, capture=True)
+        for h in range(2):
+            assert np.array_equal(conv.weights[h].data, full.weights[h].data)
+            assert np.array_equal(conv.z[h].data, full.z[h].data)
+        assert np.array_equal(conv.y.data, full.y.data)
