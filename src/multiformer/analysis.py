@@ -11,6 +11,7 @@ contribute equally).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -85,10 +86,11 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
 
     Sequences are processed in fixed-size batches from a seeded stream,
     so the pooled multiset (and hence every median) is reproducible
-    bit for bit.
+    bit for bit.  Runs in inference mode (dropout off).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    config = dataclasses.replace(config, dropout=0.0)
     rng = np.random.default_rng(seed)
     l_count = len(config.encoder_layers)
     h_count = config.heads

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, conv1d, masked_softmax, matmul, mul, pad_time, stack_last
+from .tensor import (Tensor, band_apply, band_scores, conv1d, masked_softmax,
+                     matmul, mul)
 
 
 @dataclass
@@ -193,28 +194,13 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: LocalParams,
             counter.add(int(keep.sum()) * n)
         return z, BandedWeights(a, params.window, banded=False)
 
-    kp = pad_time(k, half, half)
-    vp = pad_time(v, half, half)
     pad_width = [(0, 0)] * keep.ndim
     pad_width[-1] = (half, half)
-    keep_pad = np.pad(keep, pad_width)
-
-    cols = []
-    col_masks = []
-    for delta in range(-half, half + 1):
-        lo = delta + half
-        ks = kp[..., lo:lo + n, :]
-        cols.append(mul(q, ks).sum(axis=-1))
-        col_masks.append(keep_pad[..., lo:lo + n])
-    band_mask = np.stack(col_masks, axis=-1)
-    logits = mul(stack_last(cols), scale)
+    band_mask = np.lib.stride_tricks.sliding_window_view(
+        np.pad(keep, pad_width), 2 * half + 1, axis=-1)
+    logits = mul(band_scores(q, k, half), scale)
     a = masked_softmax(logits, band_mask, empty_rows="zero")
-
-    z = None
-    for c, delta in enumerate(range(-half, half + 1)):
-        lo = delta + half
-        term = mul(a[..., :, c:c + 1], vp[..., lo:lo + n, :])
-        z = term if z is None else z + term
+    z = band_apply(a, v, half)
     if counter is not None:
         counter.add(int(band_mask.sum()))
     return z, BandedWeights(a, params.window, banded=True)

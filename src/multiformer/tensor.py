@@ -1,11 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Implements exactly the operations the model needs: matmul, masked softmax,
-1-D convolution, layer normalization, elementwise arithmetic, embedding
-lookup, concatenation and basic slicing.  Storage is a row-major numpy
-array in a global precision mode: float32 by default (training), float64
-for gradient checks and oracle comparisons, where finite differences are
-actually trustworthy.
+Implements exactly the operations the model needs: matmul, banded
+(sliding-window) products, masked softmax, 1-D convolution, layer
+normalization, elementwise arithmetic, embedding lookup, concatenation and
+basic slicing.  Storage is a row-major numpy array in a global precision
+mode: float32 by default (training), float64 for gradient checks and oracle
+comparisons, where finite differences are actually trustworthy.
 
 Gradients accumulate across backward() calls until explicitly zeroed,
 matching the usual training-loop contract.
@@ -13,12 +13,45 @@ matching the usual training-loop contract.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_MAX = -4
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc's malloc keep freed memory mapped for reuse.
+
+    A training step or encoder pass allocates and frees the same large
+    arrays over and over.  By default glibc serves each one with a fresh
+    mmap and unmaps it on free, or trims the heap top, so every pass
+    page-faults its whole working set back in (tens of thousands of
+    minor faults per paper-scale pass).  Serving large blocks from the
+    heap and never trimming it makes later passes reuse those pages; the
+    heap then stays at the high-water mark the process reached.  Other C
+    libraries are left alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_MAX, 0)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
+_keep_freed_memory()
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _active_dtype = np.float32
@@ -352,31 +385,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(data, tuple(tensors), bw)
 
 
-def stack_last(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new trailing axis."""
-    data = np.stack([t.data for t in tensors], axis=-1)
-
-    def bw(g):
-        return tuple(g[..., i] for i in range(len(tensors)))
-
-    return _make(data, tuple(tensors), bw)
-
-
-def pad_time(a: Tensor, before: int, after: int) -> Tensor:
-    """Zero-pad along the second-to-last (time) axis."""
-    if before == 0 and after == 0:
-        return a
-    width = [(0, 0)] * a.ndim
-    width[-2] = (before, after)
-    data = np.pad(a.data, width)
-    t = a.shape[-2]
-
-    def bw(g):
-        return (g[..., before:before + t, :],)
-
-    return _make(data, (a,), bw)
-
-
 # -- linear algebra ---------------------------------------------------------
 
 
@@ -393,6 +401,82 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make(data, (a, b), bw)
+
+
+# -- banded (sliding-window) products -----------------------------------------
+#
+# Column c of a band row i pairs position i with position i + c - half, for
+# c in [0, 2*half]: the band holds the diagonals |i - j| <= half of an
+# [n, n] matrix.  Positions outside [0, n) read as zeros; callers mask
+# those columns.  Every product, forward and backward, is one batched
+# matmul against a sliding-window view.
+
+
+def _pad_time(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the time axis (-2) by `pad` rows at both ends."""
+    width = [(0, 0)] * x.ndim
+    width[-2] = (pad, pad)
+    return np.pad(x, width)
+
+
+def _windows(x: np.ndarray, half: int) -> np.ndarray:
+    """View [..., n, d] as [..., n, d, 2*half+1]: [..., i, :, c] is row
+    i + c - half of x, zero outside the sequence."""
+    return np.lib.stride_tricks.sliding_window_view(
+        _pad_time(x, half), 2 * half + 1, axis=-2)
+
+
+def _band_transpose(band: np.ndarray, half: int) -> np.ndarray:
+    """The band of the transposed [n, n] matrix: out[..., j, c] =
+    band[..., j + c - half, 2*half - c], zero where that row is outside
+    the sequence.  A strided view of the time-padded band."""
+    bp = _pad_time(band, half)
+    row, col = bp.strides[-2:]
+    # Element (j, c) sits at padded row j + c, column 2*half - c.
+    return np.lib.stride_tricks.as_strided(
+        bp[..., 2 * half:], shape=band.shape, strides=bp.strides[:-2] + (row, row - col),
+        writeable=False)
+
+
+def _band_dot(x: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
+    """s[..., i, c] = x_i · y_{i+c-half}, as one batched matmul."""
+    return np.matmul(x[..., None, :], _windows(y, half))[..., 0, :]
+
+
+def _band_sum(a: np.ndarray, v: np.ndarray, half: int) -> np.ndarray:
+    """z_i = sum_c a[..., i, c] v_{i+c-half} as one batched matmul."""
+    return np.matmul(_windows(v, half), a[..., None])[..., 0]
+
+
+def band_scores(q: Tensor, k: Tensor, half: int) -> Tensor:
+    """Banded dot products s[..., i, c] = q_i · k_{i+c-half}.
+
+    q, k: [..., n, d] -> [..., n, 2*half+1]; keys outside the sequence
+    score 0.
+    """
+    if q.shape != k.shape:
+        raise ValueError(f"band_scores shape mismatch: {q.shape} vs {k.shape}")
+
+    def bw(g):
+        return (_band_sum(g, k.data, half),
+                _band_sum(_band_transpose(g, half), q.data, half))
+
+    return _make(_band_dot(q.data, k.data, half), (q, k), bw)
+
+
+def band_apply(a: Tensor, v: Tensor, half: int) -> Tensor:
+    """Band-weighted sums z_i = sum_c a[..., i, c] v_{i+c-half}.
+
+    a: [..., n, 2*half+1], v: [..., n, d] -> [..., n, d].
+    """
+    if a.shape != v.shape[:-1] + (2 * half + 1,):
+        raise ValueError(f"band_apply shape mismatch: {a.shape} vs {v.shape}, half {half}")
+
+    def bw(g):
+        return (_band_dot(g, v.data, half),
+                _band_sum(_band_transpose(a.data, half), g, half))
+
+    return _make(_band_sum(a.data, v.data, half), (a, v), bw)
 
 
 # -- softmax family ----------------------------------------------------------
@@ -504,13 +588,31 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1,
     if x.shape[-1] != weights.shape[1]:
         raise ValueError(f"conv1d channel mismatch: {x.shape} vs {weights.shape}")
     t_out = (t + 2 * padding - k_size) // stride + 1
-    xp = pad_time(x, padding, padding)
-    out = None
-    for k in range(k_size):
-        xs = xp[..., k:k + stride * (t_out - 1) + 1:stride, :]
-        term = matmul(xs, weights[k])
-        out = term if out is None else out + term
-    return out + bias
+    lead = x.shape[:-2]
+    d_in, d_out = weights.shape[1], weights.shape[2]
+    # im2col: output frame j reads input frames j*stride .. j*stride+K-1,
+    # laid out [K, D_in] to match the weights.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        _pad_time(x.data, padding), k_size, axis=-2)[..., ::stride, :, :]
+    cols = np.swapaxes(windows, -1, -2).reshape(lead + (t_out, k_size * d_in))
+    w2 = weights.data.reshape(k_size * d_in, d_out)
+
+    def bw(g):
+        g2 = g.reshape(-1, d_out)
+        gx = gw = gb = None
+        if x.requires_grad:
+            gcols = np.matmul(g, w2.T).reshape(lead + (t_out, k_size, d_in))
+            gxp = np.zeros(lead + (t + 2 * padding, d_in), dtype=g.dtype)
+            for k in range(k_size):
+                gxp[..., k:k + stride * (t_out - 1) + 1:stride, :] += gcols[..., k, :]
+            gx = gxp[..., padding:padding + t, :]
+        if weights.requires_grad:
+            gw = np.matmul(cols.reshape(-1, k_size * d_in).T, g2).reshape(weights.shape)
+        if bias.requires_grad:
+            gb = g2.sum(axis=0)
+        return gx, gw, gb
+
+    return _make(np.matmul(cols, w2) + bias.data, (x, weights, bias), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -10,6 +10,7 @@ several frames per output token and the subsampler has real work to do.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -197,7 +198,9 @@ def batch_size_for(cfg: TrainConfig, spec: SyntheticTaskSpec) -> int:
 
 def evaluate(config: ModelConfig, weights: ModelWeights, batch: Seq2SeqBatch,
              smoothing: float) -> tuple[float, float]:
-    """Held-out teacher-forced loss and token accuracy."""
+    """Held-out teacher-forced loss and token accuracy, in inference mode
+    (dropout off)."""
+    config = dataclasses.replace(config, dropout=0.0)
     loss = forward_loss(batch, config, weights, smoothing)
     return float(loss.data), token_accuracy(batch, config, weights)
 

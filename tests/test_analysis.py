@@ -2,6 +2,8 @@
 validation and derived shares/entropy, deterministic aggregation over the
 synthetic stream, and the CSV/SVG emitters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from multiformer.analysis import (CSV_HEADER, ContributionReport,
                                   aggregate_contributions, emit_report,
                                   head_contribution, write_report_csv,
                                   write_report_svg)
+from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
 from multiformer.model import ModelConfig, init_model_weights, subsampled_length
 from multiformer.tensor import Tensor
@@ -126,6 +129,20 @@ class TestAggregate:
         a = aggregate_contributions(config, weights, spec, samples=12, seed=0)
         b = aggregate_contributions(config, weights, spec, samples=12, seed=1)
         assert (a.medians != b.medians).any()
+
+    def test_dropout_config_runs_in_inference_mode(self):
+        """A toy preset with dropout 0.1 analyzes without an rng, equal
+        to the same weights with dropout off, and reruns bit for bit."""
+        spec, _, _ = analysis_setup()
+        plain = toy_model_config("multiformer_lc", vocab_size=spec.vocab_size,
+                                 feature_dim=spec.feature_dim)
+        config = dataclasses.replace(plain, dropout=0.1)
+        weights = init_model_weights(plain, seed=0)
+        a = aggregate_contributions(config, weights, spec, samples=5, seed=2)
+        b = aggregate_contributions(config, weights, spec, samples=5, seed=2)
+        ref = aggregate_contributions(plain, weights, spec, samples=5, seed=2)
+        np.testing.assert_array_equal(a.medians, b.medians)
+        np.testing.assert_array_equal(a.medians, ref.medians)
 
     def test_needs_at_least_one_sample(self):
         spec, config, weights = analysis_setup()

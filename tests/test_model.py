@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from multiformer.attention import OpCounter
+from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec
 from multiformer.model import (ModelConfig, Seq2SeqBatch, decode, encode,
                                forward_loss, init_model_weights,
@@ -12,7 +13,9 @@ from multiformer.model import (ModelConfig, Seq2SeqBatch, decode, encode,
                                sinusoidal_positions, subsample,
                                subsampled_length, token_accuracy)
 from multiformer.oracles import reference_encoder_layer
-from multiformer.tensor import Parameter, Tensor, grad_check, using_dtype
+from multiformer.tensor import (Parameter, Tensor, _topo_order, grad_check,
+                                using_dtype)
+from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
 FULL = [HeadSpec("full")] * 2
 MIX = [HeadSpec("local", window=4), HeadSpec("conv", kernel=3, stride=2)]
@@ -321,3 +324,19 @@ class TestEndToEndGradients:
                                 params, max_samples=2, seed=1)
         assert report.ok, [e.name for e in report.failures()]
         assert report.max_rel_err() < 1e-4
+
+
+class TestGraphSize:
+    def test_local_heads_build_no_more_nodes_than_full_heads(self):
+        """Local attention is a fixed handful of autodiff nodes per head,
+        whatever the window, so a toy step's graph is no larger than the
+        all-full baseline's.  Node counts are deterministic."""
+        spec = SyntheticTaskSpec()
+        counts = {}
+        for preset in ("baseline", "local_attention"):
+            cfg = toy_model_config(preset, vocab_size=spec.vocab_size,
+                                   feature_dim=spec.feature_dim)
+            w = init_model_weights(cfg, seed=3)
+            batch = gen_synthetic_batch(spec, 23, np.random.default_rng(3))
+            counts[preset] = len(_topo_order(forward_loss(batch, cfg, w)))
+        assert counts["local_attention"] <= counts["baseline"], counts

@@ -2,15 +2,19 @@
 central finite differences, and the bookkeeping rules (accumulation,
 pruning, precision modes) that the rest of the package relies on."""
 
+import math
+import platform
+
 import numpy as np
 import pytest
 
-from multiformer.oracles import naive_conv1d
-from multiformer.tensor import (Parameter, Tensor, concat, conv1d, dropout,
-                                embedding, gather_last, grad_check, layer_norm,
-                                log_softmax, masked_softmax, matmul, pad_time,
-                                relu, stack_last, texp, tlog, tmean, tsum,
-                                using_dtype, zero_grad, _make)
+from multiformer.attention import band_to_dense
+from multiformer.oracles import naive_attention, naive_conv1d
+from multiformer.tensor import (Parameter, Tensor, band_apply, band_scores,
+                                concat, conv1d, dropout, embedding, gather_last,
+                                grad_check, layer_norm, log_softmax,
+                                masked_softmax, matmul, relu, texp, tlog, tmean,
+                                tsum, using_dtype, zero_grad, _make)
 
 
 def fd_grad(f, x, i, h=1e-6):
@@ -98,24 +102,6 @@ class TestShapeOps:
         np.testing.assert_array_equal(a.grad, np.full((2, 2), 2.0))
         np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
 
-    def test_stack_last_shape_and_grad(self):
-        cols = [Tensor(np.full((2, 3), float(i)), requires_grad=True)
-                for i in range(4)]
-        out = stack_last(cols)
-        assert out.shape == (2, 3, 4)
-        out.sum().backward()
-        for c in cols:
-            np.testing.assert_array_equal(c.grad, np.ones((2, 3)))
-
-    def test_pad_time_roundtrip(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        p = pad_time(x, 2, 1)
-        assert p.shape == (6, 4)
-        np.testing.assert_array_equal(p.data[:2], 0.0)
-        np.testing.assert_array_equal(p.data[2:5], x.data)
-        p.sum().backward()
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
-
     def test_getitem_scatters_gradient(self):
         x = Tensor(np.arange(10.0), requires_grad=True)
         x[3:6].sum().backward()
@@ -202,6 +188,77 @@ class TestSoftmaxFamily:
         np.testing.assert_array_equal(x.grad, expect)
 
 
+BAND_CASES = [(half, n) for half in (1, 3) for n in range(2 * half + 2, 21)]
+
+
+class TestBanded:
+    """band_scores and band_apply on [2, 3, n, d_h] float64 inputs, with n
+    small enough that both band edges are hit."""
+
+    @staticmethod
+    def inputs(half, n, d_h=4):
+        rng = np.random.default_rng(1000 * half + n)
+        q, k, v = (rng.normal(size=(2, 3, n, d_h)) for _ in range(3))
+        a = rng.normal(size=(2, 3, n, 2 * half + 1))
+        keep = rng.random((2, 3, n)) < 0.8
+        keep[..., 0] = True
+        return q, k, v, a, keep
+
+    @pytest.mark.parametrize("half,n", BAND_CASES)
+    def test_values_match_dense_and_naive_oracle(self, half, n):
+        q, k, v, a, keep = self.inputs(half, n)
+        with using_dtype("float64"):
+            s = band_scores(Tensor(q), Tensor(k), half).data
+            z_a = band_apply(Tensor(a), Tensor(v), half).data
+            scale = 1.0 / math.sqrt(q.shape[-1])
+            band_mask = np.lib.stride_tricks.sliding_window_view(
+                np.pad(keep, [(0, 0), (0, 0), (half, half)]), 2 * half + 1, axis=-1)
+            w = masked_softmax(Tensor(s * scale), band_mask, empty_rows="zero")
+            z = band_apply(w, Tensor(v), half).data
+        # scores are the in-band entries of q kᵀ, and 0 off the sequence
+        in_band = band_to_dense(np.ones_like(s), 2 * half).astype(bool)
+        np.testing.assert_allclose(band_to_dense(s, 2 * half),
+                                   np.where(in_band, q @ np.swapaxes(k, -1, -2), 0.0),
+                                   atol=1e-12)
+        on_sequence = np.lib.stride_tricks.sliding_window_view(
+            np.pad(np.ones(n, bool), half), 2 * half + 1)
+        np.testing.assert_array_equal(s[..., ~on_sequence], 0.0)
+        np.testing.assert_allclose(z_a, band_to_dense(a, 2 * half) @ v, atol=1e-12)
+        for b in range(2):
+            for h in range(3):
+                z_ref, a_ref = naive_attention(q[b, h], k[b, h], v[b, h],
+                                               valid=keep[b, h], band_half=half)
+                np.testing.assert_allclose(z[b, h], z_ref, atol=1e-12)
+                np.testing.assert_allclose(band_to_dense(w.data[b, h], 2 * half),
+                                           a_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("half,n", BAND_CASES)
+    def test_gradients_every_entry(self, half, n):
+        q, k, v, a, _ = self.inputs(half, n)
+        rng = np.random.default_rng(n)
+        with using_dtype("float64"):
+            tq, tk, tv, ta = (Tensor(x, requires_grad=True) for x in (q, k, v, a))
+            r_s = rng.normal(size=a.shape)
+            r_z = rng.normal(size=v.shape)
+            scores = grad_check(lambda: (band_scores(tq, tk, half) * r_s).sum(),
+                                [Parameter("q", tq), Parameter("k", tk)],
+                                max_samples=q.size)
+            apply = grad_check(lambda: (band_apply(ta, tv, half) * r_z).sum(),
+                               [Parameter("a", ta), Parameter("v", tv)],
+                               max_samples=a.size + v.size)
+        assert scores.ok, scores.failures()
+        assert apply.ok, apply.failures()
+        assert [e.checked for e in scores.entries + apply.entries] == \
+            [q.size, k.size, a.size, v.size]
+
+    def test_shape_validation(self):
+        x = Tensor(np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="band_scores"):
+            band_scores(x, Tensor(np.zeros((4, 2))), 1)
+        with pytest.raises(ValueError, match="band_apply"):
+            band_apply(Tensor(np.zeros((5, 4))), x, 1)
+
+
 class TestConv1d:
     @pytest.mark.parametrize("t,k,stride,padding", [
         (8, 3, 1, 1), (9, 5, 2, 2), (7, 1, 1, 0), (10, 3, 2, 1), (5, 5, 2, 2),
@@ -226,14 +283,15 @@ class TestConv1d:
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
-        with using_dtype("float64"):
-            x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
-            w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
-            b = Tensor(rng.normal(size=2), requires_grad=True)
-            report = grad_check(
-                lambda: (conv1d(x, w, b, stride=2, padding=1) ** 2).sum(),
-                [Parameter("x", x), Parameter("w", w), Parameter("b", b)])
-        assert report.ok, report.failures()
+        for k, stride, padding in ((3, 2, 1), (5, 2, 2), (1, 2, 0)):
+            with using_dtype("float64"):
+                x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+                w = Tensor(rng.normal(size=(k, 3, 2)), requires_grad=True)
+                b = Tensor(rng.normal(size=2), requires_grad=True)
+                report = grad_check(
+                    lambda: (conv1d(x, w, b, stride=stride, padding=padding) ** 2).sum(),
+                    [Parameter("x", x), Parameter("w", w), Parameter("b", b)])
+            assert report.ok, (k, stride, padding, report.failures())
 
 
 class TestLayerNormAndDropout:
@@ -354,3 +412,22 @@ class TestGradCheckHarness:
                                 [Parameter("x", x)])
         assert not report.ok
         assert report.failures()[0].name == "x"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting applies to glibc's malloc only")
+def test_freed_memory_stays_mapped():
+    """Importing the tensor module keeps freed heap memory mapped, so a
+    second large allocation reuses pages instead of faulting them in."""
+    import resource
+
+    size = 64 << 20
+    first = np.empty(size, dtype=np.uint8)
+    first.fill(1)
+    del first
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    second = np.empty(size, dtype=np.uint8)
+    second.fill(1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    del second
+    assert faults < 64, f"{faults} minor faults refilling a freed 64 MiB block"

@@ -2,10 +2,13 @@
 closed-form constant-gradient oracle, the synthetic task generator, loop
 determinism, warm starts, and checkpoint averaging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from multiformer.checkpoint import load_checkpoint, save_arrays
+from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec
 from multiformer.model import ModelConfig
 from multiformer.tensor import Parameter, Tensor, using_dtype
@@ -203,6 +206,27 @@ class TestTrainLoop:
         res_a = train(tiny_model(spec), run_cfg(seed=0), spec, tmp_path / "a")
         res_b = train(tiny_model(spec), run_cfg(seed=1), spec, tmp_path / "b")
         assert res_a.final_loss != res_b.final_loss
+
+    def test_dropout_config_trains_deterministically(self, tmp_path):
+        """Dropout applies to the updates only: the held-out evaluation
+        runs in inference mode, so a dropout-0.1 toy preset trains, its
+        step-0 row matches the dropout-free model's, and reruns match
+        byte for byte."""
+        spec = tiny_spec()
+        plain = toy_model_config("multiformer_lc", vocab_size=spec.vocab_size,
+                                 feature_dim=spec.feature_dim)
+        config = dataclasses.replace(plain, dropout=0.1)
+        cfg = run_cfg(max_updates=2, log_every=1)
+        a = train(config, cfg, spec, tmp_path / "a")
+        b = train(config, cfg, spec, tmp_path / "b")
+        ref = train(plain, run_cfg(max_updates=0), spec, tmp_path / "ref")
+        assert a.steps == 2
+        for path_a, path_b in ((a.metrics_path, b.metrics_path),
+                               (a.checkpoint_paths[-1], b.checkpoint_paths[-1])):
+            with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+                assert fa.read() == fb.read()
+        with open(a.metrics_path) as fa, open(ref.metrics_path) as fr:
+            assert fa.readlines()[:2] == fr.readlines()[:2]
 
     def test_zero_update_run(self, tmp_path):
         spec = tiny_spec()
