@@ -25,6 +25,7 @@ from importlib import resources
 
 from .mhma import HeadSpec
 from .model import ModelConfig
+from .training import SyntheticTaskSpec
 
 PRESET_NAMES = ("baseline", "local_attention", "conv_attention",
                 "multiformer_lc", "multiformer_v1", "multiformer_v2")
@@ -175,15 +176,12 @@ def format_architecture(config: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TASK_KEYS = {"symbol_count": int, "target_len_min": int, "target_len_max": int,
-              "redundancy": int, "feature_dim": int, "noise": float,
-              "codebook_seed": int}
+_TASK_KEYS = SyntheticTaskSpec.field_types()
 
 
 def parse_task_text(text: str, source: str = "<text>"):
     """Task files are `key = value` lines for SyntheticTaskSpec fields;
     omitted keys keep their defaults."""
-    from .training import SyntheticTaskSpec
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

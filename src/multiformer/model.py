@@ -6,7 +6,7 @@ Conventions the original description leaves open, fixed here: plain
 rectifier nonlinearities (subsampler and FFN), fixed sinusoidal positions
 added after subsampling, post-norm residual blocks, zero-initialized
 biases with seeded Glorot weights.  Dropout defaults to 0 so that forward
-passes are deterministic; training may enable it by passing an rng.
+passes are deterministic; a config with dropout needs an rng to run.
 """
 
 from __future__ import annotations
@@ -261,20 +261,14 @@ def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
         raise ValueError(
             f"source length {source.shape[-2]} exceeds max {config.max_source_len}")
     p = config.dropout
-    if p > 0.0 and rng is None:
-        raise ValueError("dropout enabled but no rng passed")
     h, keep = subsample(source, source_mask, weights.subsampler)
     h = h + Tensor(sinusoidal_positions(h.shape[-2], config.d_model))
-    if p > 0.0:
-        h = dropout(h, p, rng)
+    h = dropout(h, p, rng)
     captures: list[AttentionOutput] | None = [] if capture else None
     for specs, layer in zip(config.encoder_layers, weights.encoder):
         out = mhma_forward(h, specs, layer.mhma, keep, counter, capture)
-        a = dropout(out.y, p, rng) if p > 0.0 else out.y
-        h = layer_norm(h + a, layer.ln1.gain, layer.ln1.bias)
-        f = _ffn(h, layer.ffn)
-        if p > 0.0:
-            f = dropout(f, p, rng)
+        h = layer_norm(h + dropout(out.y, p, rng), layer.ln1.gain, layer.ln1.bias)
+        f = dropout(_ffn(h, layer.ffn), p, rng)
         h = layer_norm(h + f, layer.ln2.gain, layer.ln2.bias)
         if capture:
             captures.append(out)
@@ -294,30 +288,21 @@ def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,
     if u > config.max_target_len:
         raise ValueError(f"target length {u} exceeds max {config.max_target_len}")
     p = config.dropout
-    if p > 0.0 and rng is None:
-        raise ValueError("dropout enabled but no rng passed")
     tmask = (np.ones(target_in.shape, dtype=bool) if target_in_mask is None
              else np.asarray(target_in_mask, bool))
     causal = np.tril(np.ones((u, u), dtype=bool))
     self_keep = np.logical_and(causal, tmask[..., None, :])
     h = mul(embedding(weights.embed, target_in), math.sqrt(config.d_model))
-    h = h + Tensor(sinusoidal_positions(u, config.d_model))
-    if p > 0.0:
-        h = dropout(h, p, rng)
+    h = dropout(h + Tensor(sinusoidal_positions(u, config.d_model)), p, rng)
     full_specs = [HeadSpec("full")] * config.heads
     for layer in weights.decoder:
-        a = mhma_forward(h, full_specs, layer.self_attn, self_keep).y
-        if p > 0.0:
-            a = dropout(a, p, rng)
+        a = dropout(mhma_forward(h, full_specs, layer.self_attn, self_keep).y,
+                    p, rng)
         h = layer_norm(h + a, layer.ln1.gain, layer.ln1.bias)
-        c = mhma_forward(h, full_specs, layer.cross_attn, enc_mask,
-                         kv_in=enc_states).y
-        if p > 0.0:
-            c = dropout(c, p, rng)
+        c = dropout(mhma_forward(h, full_specs, layer.cross_attn, enc_mask,
+                                 kv_in=enc_states).y, p, rng)
         h = layer_norm(h + c, layer.ln2.gain, layer.ln2.bias)
-        f = _ffn(h, layer.ffn)
-        if p > 0.0:
-            f = dropout(f, p, rng)
+        f = dropout(_ffn(h, layer.ffn), p, rng)
         h = layer_norm(h + f, layer.ln3.gain, layer.ln3.bias)
     return matmul(h, weights.out_w) + weights.out_b
 
@@ -340,31 +325,36 @@ def label_smoothed_loss(logits: Tensor, labels: np.ndarray,
     return -picked.sum() / float(count)
 
 
-def forward_loss(batch: Seq2SeqBatch, config: ModelConfig, weights: ModelWeights,
-                 smoothing: float = 0.1, counter: OpCounter | None = None,
-                 rng: np.random.Generator | None = None) -> Tensor:
-    """Teacher-forced label-smoothed cross entropy over non-pad targets."""
+def teacher_forced_logits(batch: Seq2SeqBatch, config: ModelConfig,
+                          weights: ModelWeights, counter: OpCounter | None = None,
+                          rng: np.random.Generator | None = None
+                          ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """One teacher-forced pass: the decoder reads the targets without
+    their last column and predicts them without their first.
+
+    Returns (logits [.., U-1, V], labels [.., U-1], label mask [.., U-1]).
+    """
     if batch.target_tokens.shape[-1] < 2:
         raise ValueError("targets must hold at least a begin and end sentinel")
     enc, enc_mask, _ = encode(batch.source_features, batch.source_mask,
                               config, weights, counter, rng=rng)
-    dec_in = batch.target_tokens[..., :-1]
-    in_mask = batch.target_mask[..., :-1]
-    labels = batch.target_tokens[..., 1:]
-    label_mask = batch.target_mask[..., 1:]
-    logits = decode(dec_in, in_mask, enc, enc_mask, config, weights, rng=rng)
+    logits = decode(batch.target_tokens[..., :-1], batch.target_mask[..., :-1],
+                    enc, enc_mask, config, weights, rng=rng)
+    return logits, batch.target_tokens[..., 1:], batch.target_mask[..., 1:]
+
+
+def forward_loss(batch: Seq2SeqBatch, config: ModelConfig, weights: ModelWeights,
+                 smoothing: float = 0.1, counter: OpCounter | None = None,
+                 rng: np.random.Generator | None = None) -> Tensor:
+    """Teacher-forced label-smoothed cross entropy over non-pad targets."""
+    logits, labels, label_mask = teacher_forced_logits(batch, config, weights,
+                                                       counter, rng)
     return label_smoothed_loss(logits, labels, label_mask, smoothing)
 
 
-def token_accuracy(batch: Seq2SeqBatch, config: ModelConfig,
-                   weights: ModelWeights) -> float:
-    """Teacher-forced argmax accuracy over non-pad target positions."""
-    enc, enc_mask, _ = encode(batch.source_features, batch.source_mask,
-                              config, weights)
-    logits = decode(batch.target_tokens[..., :-1], batch.target_mask[..., :-1],
-                    enc, enc_mask, config, weights)
-    pred = logits.data.argmax(axis=-1)
-    labels = batch.target_tokens[..., 1:]
-    label_mask = np.asarray(batch.target_mask[..., 1:], bool)
-    hits = int(((pred == labels) & label_mask).sum())
+def token_accuracy(logits: np.ndarray, labels: np.ndarray,
+                   label_mask: np.ndarray) -> float:
+    """Argmax accuracy of logits [.., V] over the unmasked labels."""
+    label_mask = np.asarray(label_mask, bool)
+    hits = int(((logits.argmax(axis=-1) == labels) & label_mask).sum())
     return hits / int(label_mask.sum())

@@ -624,10 +624,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered * inv * gain + bias
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when p == 0, without drawing from rng."""
     if p <= 0.0:
         return x
+    if rng is None:
+        raise ValueError("dropout enabled but no rng passed")
     if p >= 1.0:
         raise ValueError("dropout rate must be < 1")
     keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)

@@ -20,7 +20,8 @@ import numpy as np
 from .checkpoint import (CheckpointData, config_hash, load_checkpoint,
                          load_into, save_arrays, save_checkpoint)
 from .model import (ModelConfig, ModelWeights, Seq2SeqBatch, forward_loss,
-                    init_model_weights, named_parameters, token_accuracy)
+                    init_model_weights, label_smoothed_loss, named_parameters,
+                    teacher_forced_logits, token_accuracy)
 from .tensor import Tensor, default_dtype, zero_grad
 
 PAD, BOS, EOS = 0, 1, 2
@@ -31,7 +32,7 @@ CKPT_PATTERN = "ckpt_{step:06d}.mfck"
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite."""
+    """Training or held-out loss became non-finite."""
 
 
 @dataclass
@@ -93,28 +94,19 @@ class SyntheticTaskSpec:
         rng = np.random.default_rng(self.codebook_seed)
         return rng.normal(size=(self.symbol_count, self.feature_dim))
 
+    @classmethod
+    def field_types(cls) -> dict[str, type]:
+        """Field name -> type of its default, in declaration order."""
+        return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+
     def meta(self) -> list[tuple[str, str]]:
-        return [
-            ("task_symbol_count", str(self.symbol_count)),
-            ("task_target_len_min", str(self.target_len_min)),
-            ("task_target_len_max", str(self.target_len_max)),
-            ("task_redundancy", str(self.redundancy)),
-            ("task_feature_dim", str(self.feature_dim)),
-            ("task_noise", repr(self.noise)),
-            ("task_codebook_seed", str(self.codebook_seed)),
-        ]
+        return [(f"task_{name}", str(getattr(self, name)))
+                for name in self.field_types()]
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "SyntheticTaskSpec":
-        return cls(
-            symbol_count=int(meta["task_symbol_count"]),
-            target_len_min=int(meta["task_target_len_min"]),
-            target_len_max=int(meta["task_target_len_max"]),
-            redundancy=int(meta["task_redundancy"]),
-            feature_dim=int(meta["task_feature_dim"]),
-            noise=float(meta["task_noise"]),
-            codebook_seed=int(meta["task_codebook_seed"]),
-        )
+        return cls(**{name: kind(meta[f"task_{name}"])
+                      for name, kind in cls.field_types().items()})
 
 
 def inv_sqrt_lr(step: int, cfg: TrainConfig) -> float:
@@ -198,11 +190,12 @@ def batch_size_for(cfg: TrainConfig, spec: SyntheticTaskSpec) -> int:
 
 def evaluate(config: ModelConfig, weights: ModelWeights, batch: Seq2SeqBatch,
              smoothing: float) -> tuple[float, float]:
-    """Held-out teacher-forced loss and token accuracy, in inference mode
-    (dropout off)."""
+    """Held-out teacher-forced loss and token accuracy from one pass, in
+    inference mode (dropout off)."""
     config = dataclasses.replace(config, dropout=0.0)
-    loss = forward_loss(batch, config, weights, smoothing)
-    return float(loss.data), token_accuracy(batch, config, weights)
+    logits, labels, label_mask = teacher_forced_logits(batch, config, weights)
+    loss = label_smoothed_loss(logits, labels, label_mask, smoothing)
+    return float(loss.data), token_accuracy(logits.data, labels, label_mask)
 
 
 @dataclass
@@ -247,6 +240,8 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
 
     def snapshot(step: int) -> tuple[float, float]:
         loss, acc = evaluate(config, weights, held_out, cfg.smoothing)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"non-finite held-out loss at update {step}")
         path = os.path.join(out_dir, CKPT_PATTERN.format(step=step))
         save_checkpoint(path, config, weights, meta)
         ckpt_paths.append(path)
@@ -271,7 +266,7 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
         for _ in range(cfg.update_freq):
             batch = gen_synthetic_batch(spec, b_size, data_rng)
             loss = forward_loss(batch, config, weights, cfg.smoothing,
-                                rng=drop_rng if config.dropout > 0 else None)
+                                rng=drop_rng)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(
                     f"non-finite loss at update {step} "
@@ -349,6 +344,12 @@ def read_metrics(path) -> tuple[list[int], list[float]]:
         if header != METRICS_HEADER:
             raise ValueError(f"{path}: unexpected metrics header {header}")
         for row in reader:
-            steps.append(int(row[0]))
-            losses.append(float(row[1]))
+            try:
+                if len(row) != len(METRICS_HEADER):
+                    raise ValueError(f"expected {len(METRICS_HEADER)} fields")
+                steps.append(int(row[0]))
+                losses.append(float(row[1]))
+            except ValueError as e:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: bad metrics row {row}: {e}") from None
     return steps, losses

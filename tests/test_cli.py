@@ -150,6 +150,16 @@ class TestAvgCkpt:
                      "--dir", str(ws), "--out", str(ws / "avg.mfck")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("row", ["", "3,1.5", "3,x,1e-05,0.1"],
+                             ids=["blank", "two-fields", "non-numeric"])
+    def test_malformed_metrics_row_is_validation(self, ws, capsys, row):
+        (ws / "bad.csv").write_text(
+            f"step,loss,lr,token_acc\n0,2.0,1e-05,0.1\n{row}\n")
+        code = main(["avg-ckpt", "--metrics", str(ws / "bad.csv"),
+                     "--dir", str(ws), "--out", str(ws / "avg.mfck")])
+        assert code == EXIT_VALIDATION
+        assert "bad.csv:3" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fast_suite_passes(self, capsys):

@@ -11,10 +11,11 @@ from multiformer.model import (ModelConfig, Seq2SeqBatch, decode, encode,
                                forward_loss, init_model_weights,
                                label_smoothed_loss, named_parameters,
                                sinusoidal_positions, subsample,
-                               subsampled_length, token_accuracy)
+                               subsampled_length, teacher_forced_logits,
+                               token_accuracy)
 from multiformer.oracles import reference_encoder_layer
-from multiformer.tensor import (Parameter, Tensor, _topo_order, grad_check,
-                                using_dtype)
+from multiformer.tensor import (Parameter, Tensor, _topo_order, dropout,
+                                grad_check, using_dtype)
 from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
 FULL = [HeadSpec("full")] * 2
@@ -125,6 +126,11 @@ class TestEncoder:
         x = Tensor(np.zeros((8, cfg.input_feature_dim)))
         with pytest.raises(ValueError, match="rng"):
             encode(x, None, cfg, w)
+        enc, enc_mask, _ = encode(x, None, cfg, w, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rng"):
+            decode(np.array([1, 3, 4]), None, enc, enc_mask, cfg, w)
+        with pytest.raises(ValueError, match="rng"):
+            dropout(x, 0.1, None)
 
 
 class TestDecoder:
@@ -261,11 +267,21 @@ class TestLoss:
 
 class TestTokenAccuracy:
     def test_counts_argmax_hits_on_unmasked_labels(self):
+        # argmax per position: 2, 0, 1 | 1, 1, 2
+        logits = np.array([[[0., 1., 5.], [9., 1., 2.], [0., 3., 1.]],
+                           [[1., 4., 0.], [0., 2., 1.], [0., 0., 7.]]])
+        labels = np.array([[2, 1, 1], [1, 0, 0]])
+        # hits at (0, 0), (0, 2), (1, 0); (0, 2) is masked out
+        label_mask = np.array([[1, 1, 0], [1, 1, 0]], bool)
+        assert token_accuracy(logits, labels, label_mask) == 2 / 4
+
+    def test_untrained_model_sits_below_ceiling(self):
         rng = np.random.default_rng(9)
         cfg = tiny_config([MIX])
         w = init_model_weights(cfg, seed=4)
         batch = make_batch(rng, cfg, b=3, t=16, u=5)
-        acc = token_accuracy(batch, cfg, w)
+        logits, labels, label_mask = teacher_forced_logits(batch, cfg, w)
+        acc = token_accuracy(logits.data, labels, label_mask)
         assert 0.0 <= acc <= 1.0
         # an untrained model on 11 symbols should sit well below ceiling
         assert acc < 0.8

@@ -7,15 +7,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+import multiformer.model
 from multiformer.checkpoint import load_checkpoint, save_arrays
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec
-from multiformer.model import ModelConfig
+from multiformer.model import (ModelConfig, forward_loss, init_model_weights,
+                               teacher_forced_logits, token_accuracy)
 from multiformer.tensor import Parameter, Tensor, using_dtype
 from multiformer.training import (BOS, EOS, PAD, SENTINELS, AdamState,
                                   SyntheticTaskSpec, TrainConfig,
                                   TrainingDiverged, adam_step,
-                                  average_checkpoints, batch_size_for,
+                                  average_checkpoints, batch_size_for, evaluate,
                                   gen_synthetic_batch, inv_sqrt_lr,
                                   read_metrics, select_around_best, train)
 
@@ -164,6 +166,14 @@ class TestSyntheticTask:
         spec = tiny_spec(noise=0.125)
         assert SyntheticTaskSpec.from_meta(dict(spec.meta())) == spec
 
+    def test_meta_text_is_fixed(self):
+        # these lines are part of every checkpoint's bytes
+        assert SyntheticTaskSpec(noise=0.1).meta() == [
+            ("task_symbol_count", "32"), ("task_target_len_min", "16"),
+            ("task_target_len_max", "24"), ("task_redundancy", "4"),
+            ("task_feature_dim", "8"), ("task_noise", "0.1"),
+            ("task_codebook_seed", "1234")]
+
     @pytest.mark.parametrize("kw", [dict(symbol_count=1),
                                     dict(redundancy=0),
                                     dict(target_len_min=0),
@@ -276,6 +286,16 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="non-finite"):
             train(tiny_model(spec), cfg, spec, tmp_path / "run")
 
+    def test_diverged_final_update_raises_before_saving(self, tmp_path):
+        """The training loss is taken before the Adam step, so only the
+        held-out loss can see a last update that blew the weights up."""
+        spec = tiny_spec()
+        cfg = run_cfg(max_updates=1, peak_lr=1e39, warmup_updates=1)
+        with pytest.raises(TrainingDiverged, match="held-out loss at update 1"):
+            train(tiny_model(spec), cfg, spec, tmp_path / "run")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+            ["ckpt_000000.mfck", "metrics.csv"]
+
     def test_vocab_mismatch_rejected(self, tmp_path):
         spec = tiny_spec()
         model = tiny_model(tiny_spec(symbol_count=9))
@@ -287,6 +307,32 @@ class TestTrainLoop:
         model = tiny_model(tiny_spec(feature_dim=6))
         with pytest.raises(ValueError, match="feature dim"):
             train(model, run_cfg(), spec, tmp_path / "run")
+
+
+class TestEvaluate:
+    def test_one_pass_gives_loss_and_accuracy(self, monkeypatch):
+        spec = tiny_spec()
+        config = dataclasses.replace(tiny_model(spec), dropout=0.1)
+        weights = init_model_weights(config, seed=3)
+        batch = gen_synthetic_batch(spec, 6, np.random.default_rng(8))
+        calls = []
+
+        def counting(name):
+            fn = getattr(multiformer.model, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("encode", "decode"):
+            monkeypatch.setattr(multiformer.model, name, counting(name))
+        loss, acc = evaluate(config, weights, batch, 0.1)
+        assert calls == ["encode", "decode"]
+        plain = dataclasses.replace(config, dropout=0.0)
+        assert loss == float(forward_loss(batch, plain, weights, 0.1).data)
+        logits, labels, label_mask = teacher_forced_logits(batch, plain, weights)
+        assert acc == token_accuracy(logits.data, labels, label_mask)
 
 
 class TestAveraging:
