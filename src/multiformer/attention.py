@@ -31,24 +31,6 @@ class OpCounter:
 
 
 @dataclass(frozen=True)
-class AttentionMask:
-    """Key-side validity for one sequence: True = real token, False = padding."""
-
-    valid: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.valid, dtype=bool)
-        if v.ndim != 1:
-            raise ValueError(f"AttentionMask wants a 1-d bool array, got shape {v.shape}")
-        if not v.any():
-            raise ValueError("AttentionMask must have at least one valid position")
-        object.__setattr__(self, "valid", v)
-
-    def __len__(self) -> int:
-        return len(self.valid)
-
-
-@dataclass(frozen=True)
 class LocalParams:
     """Sliding-window hyperparameters: each token attends window//2
     neighbors on each side, plus itself."""
@@ -119,11 +101,11 @@ def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
 
 
 def _mask_array(mask, length: int) -> np.ndarray | None:
-    """Normalize an AttentionMask or bool array-like to a bool array whose
-    last axis covers `length` positions, or None for all-valid."""
+    """Normalize a bool array-like to a bool array whose last axis covers
+    `length` positions, or None for all-valid."""
     if mask is None:
         return None
-    keep = mask.valid if isinstance(mask, AttentionMask) else np.asarray(mask, dtype=bool)
+    keep = np.asarray(mask, dtype=bool)
     if keep.shape[-1] != length:
         raise ValueError(f"mask covers {keep.shape[-1]} positions, expected {length}")
     return keep

@@ -12,6 +12,7 @@ Values are stored in 32 bits even when the session computes in 64
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -106,15 +107,21 @@ def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
         blobs.append(arr.tobytes())
     header = ("\n".join(lines) + "\n").encode()
     # Write a sibling file and rename it over path, so a save that dies
-    # partway never leaves a truncated checkpoint under the real name.
+    # partway never leaves a truncated checkpoint under the real name, and
+    # remove the sibling when it does.
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointData:

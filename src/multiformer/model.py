@@ -59,6 +59,8 @@ class ModelConfig:
             raise ValueError("need at least one decoder layer")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
     @property
     def head_dim(self) -> int:

@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Implements exactly the operations the model needs: matmul, banded
-(sliding-window) products, masked softmax, 1-D convolution, layer
-normalization, elementwise arithmetic, embedding lookup, concatenation and
-basic slicing.  Storage is a row-major numpy array in a global precision
-mode: float32 by default (training), float64 for gradient checks and oracle
-comparisons, where finite differences are actually trustworthy.
+Implements exactly the operations the model runs: elementwise add, mul,
+neg and relu; sum; concatenation, basic slicing and the swap of the last
+two axes; matmul; banded (sliding-window) products; masked softmax and
+log-softmax; embedding lookup and a last-axis gather; 1-D convolution,
+layer normalization and dropout.  Storage is a row-major numpy array in a
+global precision mode: float32 by default (training), float64 for gradient
+checks and oracle comparisons, where finite differences are actually
+trustworthy.
 
 Gradients accumulate across backward() calls until explicitly zeroed,
 matching the usual training-loop contract.
@@ -119,13 +121,6 @@ class Tensor:
         return _make(np.swapaxes(self.data, -1, -2), (self,),
                      lambda g: (np.swapaxes(g, -1, -2),))
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detached(self) -> "Tensor":
-        """Same values, no graph connection, no gradient tracking."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -166,12 +161,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
         return add(self, -other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -180,15 +170,10 @@ class Tensor:
         return mul(self, other)
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
         return mul(self, 1.0 / other)
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -205,19 +190,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        src = self.data.shape
-
-        def bw(g):
-            return (g.reshape(src),)
-
-        return _make(self.data.reshape(shape), (self,), bw)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -290,12 +262,6 @@ def add(a: Tensor, b) -> Tensor:
                  lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         return _make(a.data * b, (a,), lambda g: (_unbroadcast(g * b, a.shape),))
@@ -305,33 +271,8 @@ def mul(a: Tensor, b) -> Tensor:
                             _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def bw(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _make(data, (a, b), bw)
-
-
 def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    data = a.data ** p
-    return _make(data, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
-
-def texp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    return _make(e, (a,), lambda g: (g * e,))
-
-
-def tlog(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -349,21 +290,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is None:
             return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=False),)
         gx = g
-        if not keepdims:
-            gx = np.expand_dims(gx, axis)
-        return (np.broadcast_to(gx, a.shape),)
-
-    return _make(data, (a,), bw)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        gx = g / count
-        if axis is None:
-            return (np.broadcast_to(gx, a.shape).astype(a.data.dtype, copy=False),)
         if not keepdims:
             gx = np.expand_dims(gx, axis)
         return (np.broadcast_to(gx, a.shape),)
@@ -616,12 +542,30 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1,
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + eps) ** -0.5
-    return centered * inv * gain + bias
+    """Normalize over the last axis, then scale and shift.
+
+    One autodiff node.  Its backward pass does the arithmetic of the chain
+    mean -> centre -> variance -> rsqrt -> scale -> shift in reverse, step
+    for step and in the order generic mean and elementwise nodes for that
+    chain would, so gradients, and the checkpoints trained with them, are
+    bit for bit those of that chain.
+    """
+    n = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    c = x.data - mu
+    v = (c * c).mean(axis=-1, keepdims=True) + eps
+    inv = v ** -0.5
+    normed = c * inv
+
+    def bw(g):
+        gn = g * gain.data
+        gv = _unbroadcast(gn * c, inv.shape) * -0.5 * v ** -1.5
+        t = gv / n * c
+        gc = gn * inv + t + t  # c*c reaches c twice; 2*t would round differently
+        gx = gc + _unbroadcast(-gc, mu.shape) / n
+        return gx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape)
+
+    return _make(normed * gain.data + bias.data, (x, gain, bias), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:

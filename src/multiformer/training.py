@@ -105,6 +105,10 @@ class SyntheticTaskSpec:
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "SyntheticTaskSpec":
+        missing = [f"task_{name}" for name in cls.field_types()
+                   if f"task_{name}" not in meta]
+        if missing:
+            raise ValueError(f"checkpoint meta lacks task key(s) {', '.join(missing)}")
         return cls(**{name: kind(meta[f"task_{name}"])
                       for name, kind in cls.field_types().items()})
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles as orc
-from .attention import (AttentionMask, ConvParams, LocalParams, OpCounter,
-                        full_attention, local_attention)
+from .attention import (ConvParams, LocalParams, OpCounter, full_attention,
+                        local_attention)
 from .mhma import (HeadSpec, MHMAWeights, init_mhma_weights, mhma_forward,
                    mhma_parameters, recompose_check)
 from .model import (ModelConfig, Seq2SeqBatch, forward_loss, init_model_weights,
@@ -86,7 +86,7 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
             v = Tensor(rng.normal(size=(n, d_h)))
             mask = _random_mask(rng, n)
 
-            z, a = full_attention(q, k, v, AttentionMask(mask))
+            z, a = full_attention(q, k, v, mask)
             z0, a0 = orc.naive_attention(q.data, k.data, v.data, mask)
             worst = max(worst, float(np.abs(z.data - z0).max()),
                         float(np.abs(a.data - a0).max()))
@@ -116,8 +116,7 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
             cp = mw.conv_params[(kernel, stride)]
             cp.bias.data = rng.normal(size=d)
             smask = _suffix_mask(rng, n)
-            out = mhma_forward(Tensor(x), conv_specs, mw, AttentionMask(smask),
-                               capture=True)
+            out = mhma_forward(Tensor(x), conv_specs, mw, smask, capture=True)
             xc0 = orc.naive_conv1d(x * smask[:, None], cp.weights.data,
                                    cp.bias.data, stride=stride,
                                    padding=kernel // 2)
@@ -133,9 +132,8 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
             ident = ConvParams(1, 1, Tensor(np.eye(d)[None]), Tensor(np.zeros(d)))
             iw = MHMAWeights(mw.wq, mw.wk, mw.wv, mw.wo, mw.bo, {(1, 1): ident})
             yi = mhma_forward(Tensor(x), [HeadSpec("conv", kernel=1, stride=1)] * 2,
-                              iw, AttentionMask(smask)).y
-            yf = mhma_forward(Tensor(x), [HeadSpec("full")] * 2, iw,
-                              AttentionMask(smask)).y
+                              iw, smask).y
+            yf = mhma_forward(Tensor(x), [HeadSpec("full")] * 2, iw, smask).y
             worst = max(worst, float(np.abs(yi.data - yf.data).max()))
             ran += 1
     passed = worst < ORACLE_TOL

@@ -4,10 +4,9 @@ score-product accounting and the masking corner cases."""
 import numpy as np
 import pytest
 
-from multiformer.attention import (AttentionMask, BandedWeights, ConvParams,
-                                   LocalParams, OpCounter, band_to_dense,
-                                   conv_compress, full_attention,
-                                   local_attention)
+from multiformer.attention import (BandedWeights, ConvParams, LocalParams,
+                                   OpCounter, band_to_dense, conv_compress,
+                                   full_attention, local_attention)
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer.tensor import Tensor, using_dtype
 
@@ -27,14 +26,6 @@ class TestOpCounter:
         c.add(10)
         c.add(5)
         assert c.score_products == 15
-
-
-class TestAttentionMask:
-    def test_requires_some_valid_position(self):
-        with pytest.raises(ValueError):
-            AttentionMask(np.zeros(4, dtype=bool))
-        m = AttentionMask(np.array([True, False]))
-        assert m.valid.dtype == bool
 
 
 class TestFullAttention:

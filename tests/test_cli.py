@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import multiformer.cli as cli
-from multiformer.checkpoint import load_checkpoint
+from multiformer.checkpoint import load_checkpoint, save_arrays
 from multiformer.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 ARCH = """
@@ -78,6 +78,15 @@ class TestTrain:
                      "--steps", "1", "--out", str(ws / "o")])
         assert code == EXIT_VALIDATION
 
+    def test_out_of_range_dropout_is_validation(self, ws, capsys):
+        (ws / "drop.arch").write_text(ARCH + "dropout = 1.0\n")
+        code = main(["train", "--arch", str(ws / "drop.arch"),
+                     "--task", str(ws / "t.task"), "--seed", "0",
+                     "--steps", "1", "--out", str(ws / "o")])
+        assert code == EXIT_VALIDATION
+        assert "drop.arch" in capsys.readouterr().err
+        assert not (ws / "o").exists()
+
     def test_missing_task_file_is_io(self, ws, capsys):
         code = main(["train", "--arch", str(ws / "m.arch"),
                      "--task", str(ws / "absent.task"), "--seed", "0",
@@ -109,6 +118,19 @@ class TestAnalyze:
                      "--seed", "1", "--csv", str(ws / "r.csv"),
                      "--svg", str(ws / "r.svg")])
         assert code == EXIT_VALIDATION
+
+    def test_checkpoint_missing_a_task_key_is_validation(self, ws, capsys):
+        do_train(ws)
+        data = load_checkpoint(ws / "run" / "ckpt_000006.mfck")
+        meta = [(k, v) for k, v in data.meta if k != "task_noise"]
+        save_arrays(ws / "cut.mfck", data.arch_hash, data.arrays, meta)
+        capsys.readouterr()
+        code = main(["analyze", "--ckpt", str(ws / "cut.mfck"),
+                     "--arch", str(ws / "m.arch"), "--samples", "2",
+                     "--seed", "1", "--csv", str(ws / "r.csv"),
+                     "--svg", str(ws / "r.svg")])
+        assert code == EXIT_VALIDATION
+        assert "task_noise" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_io(self, ws, capsys):
         code = main(["analyze", "--ckpt", str(ws / "absent.mfck"),

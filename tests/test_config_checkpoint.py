@@ -116,6 +116,11 @@ class TestArchitectureParsing:
         with pytest.raises(ArchitectureError, match="divisible"):
             parse_architecture_text(bad)
 
+    @pytest.mark.parametrize("value", ["-0.5", "1.0", "nan"])
+    def test_dropout_outside_unit_interval(self, value):
+        with pytest.raises(ArchitectureError, match=r"arch\.txt:0: dropout must lie in \[0, 1\)"):
+            parse_architecture_text(GOOD + f"dropout = {value}\n", source="arch.txt")
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -290,6 +295,7 @@ class TestCheckpointRoundTrip:
             save_arrays(path, "feed" * 4, {"w": np.zeros(3, dtype="<f4")})
         monkeypatch.undo()
         assert path.read_bytes() == before
+        assert not (tmp_path / "ckpt.mfck.tmp").exists()
         assert load_checkpoint(path).arrays["w"].tolist() == [1.0, 1.0, 1.0]
 
     def test_meta_order_preserved(self, tmp_path):

@@ -15,7 +15,7 @@ from multiformer.model import (ModelConfig, Seq2SeqBatch, decode, encode,
                                token_accuracy)
 from multiformer.oracles import reference_encoder_layer
 from multiformer.tensor import (Parameter, Tensor, _topo_order, dropout,
-                                grad_check, using_dtype)
+                                grad_check, layer_norm, using_dtype)
 from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
 FULL = [HeadSpec("full")] * 2
@@ -356,3 +356,12 @@ class TestGraphSize:
             batch = gen_synthetic_batch(spec, 23, np.random.default_rng(3))
             counts[preset] = len(_topo_order(forward_loss(batch, cfg, w)))
         assert counts["local_attention"] <= counts["baseline"], counts
+
+    def test_layer_norm_is_one_node(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+        g = Tensor(np.ones(8), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        out = layer_norm(x, g, b)
+        assert out._parents == (x, g, b)
+        assert len(_topo_order(out)) == 4
