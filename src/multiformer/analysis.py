@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 

@@ -4,7 +4,6 @@
     mf analyze  --ckpt FILE --arch <file|preset> [--samples N] --seed N --csv F --svg F
     mf avg-ckpt --metrics CSV --dir DIR --out FILE
     mf verify   [--fast]
-    mf bench    --arch <file|preset> --lens 128,256,...
 
 Exit codes: 0 success, 1 validation/parse error, 2 numerical-check
 failure, 3 I/O error.
@@ -15,17 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-
-import numpy as np
 
 from .analysis import aggregate_contributions, emit_report
-from .attention import (ConvParams, LocalParams, OpCounter, conv_compress,
-                        full_attention, local_attention)
-from .checkpoint import CheckpointError, load_checkpoint, load_into
+from .checkpoint import CheckpointError, load_into
 from .config import ArchitectureError, parse_architecture, parse_task
 from .model import init_model_weights
-from .tensor import Tensor, matmul
 from .training import (CKPT_PATTERN, TOY_WARMUP, TrainConfig, TrainingDiverged,
                        SyntheticTaskSpec, average_checkpoints, read_metrics,
                        select_around_best, train)
@@ -100,49 +93,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    config = parse_architecture(args.arch)
-    try:
-        lens = [int(tok) for tok in args.lens.split(",") if tok.strip()]
-    except ValueError:
-        raise ArchitectureError(f"bad --lens value {args.lens!r}")
-    if not lens or any(n < 1 for n in lens):
-        raise ArchitectureError(f"bad --lens value {args.lens!r}")
-    labels: list = []
-    for layer in config.encoder_layers:
-        for s in layer:
-            if s.label() not in [x.label() for x in labels]:
-                labels.append(s)
-    d, d_h = config.d_model, config.head_dim
-    rng = np.random.default_rng(0)
-    print("n,mechanism,score_products,wall_ms")
-    for n in lens:
-        q = Tensor(rng.normal(size=(n, d_h)).astype(np.float32))
-        k = Tensor(rng.normal(size=(n, d_h)).astype(np.float32))
-        v = Tensor(rng.normal(size=(n, d_h)).astype(np.float32))
-        x = Tensor(rng.normal(size=(n, d)).astype(np.float32))
-        kp = Tensor(rng.normal(size=(d, d_h)).astype(np.float32))
-        vp = Tensor(rng.normal(size=(d, d_h)).astype(np.float32))
-        for s in labels:
-            counter = OpCounter()
-            t0 = time.perf_counter()
-            if s.mechanism == "full":
-                full_attention(q, k, v, None, counter)
-            elif s.mechanism == "local":
-                local_attention(q, k, v, LocalParams(s.window), None, counter)
-            else:
-                # the same two calls a conv head makes inside mhma_forward
-                params = ConvParams(
-                    s.kernel, s.stride,
-                    Tensor(rng.normal(size=(s.kernel, d, d)).astype(np.float32)),
-                    Tensor(np.zeros(d, dtype=np.float32)))
-                xc, keep_c = conv_compress(x, params)
-                full_attention(q, matmul(xc, kp), matmul(xc, vp), keep_c, counter)
-            ms = (time.perf_counter() - t0) * 1e3
-            print(f"{n},{s.label()},{counter.score_products},{ms:.3f}")
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     # usage mistakes are validation errors, not argparse's default exit 2
     def error(self, message):
@@ -184,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="score-product counts and wall time")
-    p.add_argument("--arch", required=True)
-    p.add_argument("--lens", required=True, help="comma-separated lengths")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -12,7 +12,7 @@ passes are deterministic; a config with dropout needs an rng to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class ModelConfig:
     max_target_len: int = 1024
 
     def __post_init__(self):
+        for name in ("heads", "d_model", "ffn_dim", "input_feature_dim",
+                     "max_source_len", "max_target_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")

@@ -16,7 +16,6 @@ matching the usual training-loop contract.
 from __future__ import annotations
 
 import ctypes
-import math
 import platform
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -417,28 +416,24 @@ def masked_softmax(logits: Tensor, mask=None, empty_rows: str = "error") -> Tens
     instead yields an all-zero row, which callers use for rows whose
     output is discarded (e.g. queries at padded positions).
     """
+    if empty_rows not in ("error", "zero"):
+        raise ValueError(f"unknown empty_rows mode {empty_rows!r}")
     x = logits.data
-    if mask is None:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=-1, keepdims=True)
-        mask_b = None
-    else:
-        mask_b = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        any_valid = mask_b.any(axis=-1)
+    keep = np.broadcast_to(np.asarray(True if mask is None else mask, dtype=bool),
+                           x.shape)
+    if empty_rows == "error":
+        any_valid = keep.any(axis=-1)
         if not any_valid.all():
-            if empty_rows == "error":
-                rows = np.argwhere(~any_valid)[:5]
-                raise ValueError(
-                    f"softmax row(s) fully masked at index {rows.tolist()}")
-            elif empty_rows != "zero":
-                raise ValueError(f"unknown empty_rows mode {empty_rows!r}")
-        neg = np.where(mask_b, x, -np.inf)
-        rowmax = neg.max(axis=-1, keepdims=True)
-        rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-        e = np.where(mask_b, np.exp(neg - rowmax), 0.0)
-        denom = e.sum(axis=-1, keepdims=True)
-        s = e / np.where(denom == 0.0, 1.0, denom)
+            rows = np.argwhere(~any_valid)[:5]
+            raise ValueError(f"softmax row(s) fully masked at index {rows.tolist()}")
+    # exp(-inf) is exactly 0, so masked positions come out 0; an empty
+    # row's max and sum are replaced by 0 and 1 so that it stays all zero
+    s = np.where(keep, x, -np.inf)
+    rowmax = s.max(axis=-1, keepdims=True)
+    s -= np.where(np.isfinite(rowmax), rowmax, 0.0)
+    np.exp(s, out=s)
+    denom = s.sum(axis=-1, keepdims=True)
+    s /= np.where(denom == 0.0, 1.0, denom)
 
     def bw(g):
         inner = (g * s).sum(axis=-1, keepdims=True)

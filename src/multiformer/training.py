@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import (CheckpointData, config_hash, load_checkpoint,
-                         load_into, save_arrays, save_checkpoint)
+from .checkpoint import load_checkpoint, load_into, save_arrays, save_checkpoint
 from .model import (ModelConfig, ModelWeights, Seq2SeqBatch, forward_loss,
                     init_model_weights, label_smoothed_loss, named_parameters,
                     teacher_forced_logits, token_accuracy)

@@ -201,33 +201,6 @@ class TestVerify:
         assert "FAIL fake_suite" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_counts_reported_per_mechanism(self, ws, capsys):
-        code = main(["bench", "--arch", str(ws / "m.arch"), "--lens", "16,32"])
-        assert code == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "n,mechanism,score_products,wall_ms"
-
-        def fields(line):
-            # mechanism labels may contain commas: conv(3,2)
-            left, count, _ = line.rsplit(",", 2)
-            n, mech = left.split(",", 1)
-            return n, mech, int(count)
-
-        rows = [fields(l) for l in lines[1:]]
-        # three distinct mechanisms in the file, two lengths
-        assert len(rows) == 6
-        assert ("16", "full", 16 * 16) in rows
-        assert ("32", "conv(3,2)", 32 * 16) in rows
-        local32 = next(r for r in rows if r[0] == "32" and r[1] == "local(4)")
-        assert local32[2] <= 32 * 5
-
-    @pytest.mark.parametrize("lens", ["12,x", "0", ""])
-    def test_bad_lens_is_validation(self, ws, lens, capsys):
-        assert main(["bench", "--arch", str(ws / "m.arch"),
-                     "--lens", lens]) == EXIT_VALIDATION
-
-
 class TestUsage:
     def test_no_command(self):
         with pytest.raises(SystemExit) as e:
@@ -235,9 +208,11 @@ class TestUsage:
         assert e.value.code == EXIT_VALIDATION
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit) as e:
-            main(["transmogrify"])
-        assert e.value.code == EXIT_VALIDATION
+        # `bench` was removed; perfbench/run.py times the model instead
+        for argv in (["transmogrify"], ["bench", "--arch", "baseline", "--lens", "16"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == EXIT_VALIDATION
 
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as e:

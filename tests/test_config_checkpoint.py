@@ -1,6 +1,7 @@
 """Architecture/task file parsing, the shipped presets, and the binary
 checkpoint format with its error taxonomy."""
 
+import re
 import struct
 
 import numpy as np
@@ -115,6 +116,16 @@ class TestArchitectureParsing:
         bad = GOOD.replace("d_model = 8", "d_model = 9")
         with pytest.raises(ArchitectureError, match="divisible"):
             parse_architecture_text(bad)
+
+    @pytest.mark.parametrize("key,value", [
+        ("d_model", -8), ("ffn_dim", 0), ("feature_dim", 0),
+        ("max_source_len", 0), ("max_target_len", -3)])
+    def test_non_positive_size(self, key, value):
+        text = GOOD + "max_source_len = 64\nmax_target_len = 16\n"
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        with pytest.raises(ArchitectureError,
+                           match=rf"arch\.txt:0: \w+ must be >= 1, got {value}"):
+            parse_architecture_text(text, source="arch.txt")
 
     @pytest.mark.parametrize("value", ["-0.5", "1.0", "nan"])
     def test_dropout_outside_unit_interval(self, value):

@@ -207,6 +207,51 @@ class TestMaskedSourceInvariance:
         np.testing.assert_allclose(out_b.data, out_a.data, atol=1e-5)
 
 
+class TestBatchedPaddingInvariance:
+    """Padded batches as training builds them: masked junk frames appended
+    to the whole batch leave every valid encoder row and the loss
+    unchanged, and a sequence encoded alone matches its rows in the batch.
+    Full heads regroup their row sums when the padded length grows, so
+    the check is to 1e-12 in float64 rather than bitwise."""
+
+    @pytest.mark.parametrize("preset", ["baseline", "local_attention",
+                                        "conv_attention", "multiformer_lc"])
+    def test_junk_frames_and_batching_leave_outputs_unchanged(self, preset):
+        spec = SyntheticTaskSpec()
+        with using_dtype("float64"):
+            cfg = toy_model_config(preset, vocab_size=spec.vocab_size,
+                                   feature_dim=spec.feature_dim)
+            w = init_model_weights(cfg, seed=3)
+            batch = gen_synthetic_batch(spec, 3, np.random.default_rng(5))
+            src, smask = batch.source_features.data, batch.source_mask
+            b, t, f = src.shape
+            junk = np.random.default_rng(6).normal(size=(b, 13, f)) * 100
+            padded = Seq2SeqBatch(
+                Tensor(np.concatenate([src, junk], axis=1)),
+                np.concatenate([smask, np.zeros((b, 13), bool)], axis=1),
+                batch.target_tokens, batch.target_mask)
+
+            enc, keep, _ = encode(batch.source_features, smask, cfg, w)
+            enc_p, keep_p, _ = encode(padded.source_features, padded.source_mask,
+                                      cfg, w)
+            m = enc.shape[-2]
+            assert np.array_equal(keep_p[:, :m], keep) and not keep_p[:, m:].any()
+            np.testing.assert_allclose(enc_p.data[:, :m][keep], enc.data[keep],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(forward_loss(padded, cfg, w).data,
+                                       forward_loss(batch, cfg, w).data,
+                                       rtol=0, atol=1e-12)
+
+            i = int(np.argmin(smask.sum(axis=-1)))
+            n = int(smask[i].sum())
+            alone, keep_a, _ = encode(Tensor(src[i:i + 1, :n]),
+                                      smask[i:i + 1, :n], cfg, w)
+            ma = alone.shape[-2]
+            assert keep_a.all() and ma < m
+            np.testing.assert_allclose(enc_p.data[i, :ma], alone.data[0],
+                                       rtol=0, atol=1e-12)
+
+
 class TestLoss:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
     def test_uniform_logits_cost_log_v(self, eps):
@@ -326,6 +371,15 @@ class TestWeightsAndNaming:
                         encoder_layers=[[HeadSpec("full")]],
                         decoder_layers=1, ffn_dim=4, vocab_size=5,
                         input_feature_dim=3)
+        sizes = dict(d_model=8, heads=2, encoder_layers=[FULL], decoder_layers=1,
+                     ffn_dim=4, vocab_size=5, input_feature_dim=3)
+        ModelConfig(**sizes)
+        # heads is checked before d_model % heads can divide by it
+        for field, value in [("heads", 0), ("d_model", -8), ("ffn_dim", 0),
+                             ("input_feature_dim", 0), ("max_source_len", 0),
+                             ("max_target_len", -1)]:
+            with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+                ModelConfig(**{**sizes, field: value})
 
 
 class TestEndToEndGradients:

@@ -128,8 +128,15 @@ class TestSoftmaxFamily:
             masked_softmax(logits, mask)
         s = masked_softmax(logits, mask, empty_rows="zero")
         np.testing.assert_array_equal(s.data[1], 0.0)
-        with pytest.raises(ValueError, match="empty_rows"):
-            masked_softmax(logits, mask, empty_rows="wat")
+        # an unknown mode raises whether or not any row is empty
+        for m in (mask, mask[0], None):
+            with pytest.raises(ValueError, match="empty_rows"):
+                masked_softmax(logits, m, empty_rows="wat")
+
+    def test_no_mask_equals_all_true_mask(self):
+        x = np.random.default_rng(10).normal(size=(3, 4, 9))
+        assert (masked_softmax(Tensor(x)).data.tobytes()
+                == masked_softmax(Tensor(x), np.ones(9, dtype=bool)).data.tobytes())
 
     def test_masked_softmax_gradient(self):
         rng = np.random.default_rng(8)
