@@ -11,13 +11,11 @@ batch dimensions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, band_apply, band_scores, conv1d, masked_softmax,
-                     matmul, mul)
+from .tensor import Tensor, attend, conv1d, mul
 
 
 @dataclass
@@ -124,19 +122,13 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     per-query structure such as causal masking).  Counts n*m score
     products per sequence.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape != v.shape:
-        raise ValueError(
-            f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    d_h = q.shape[-1]
     n, m = q.shape[-2], k.shape[-2]
     keep = _mask_array(mask, m)
     if keep is not None and keep.shape == q.shape[:-2] + (m,):
         # Batched per-sequence key mask: insert the query axis so it
         # broadcasts over rows instead of colliding with them.
         keep = keep[..., None, :]
-    scores = mul(matmul(q, k.mT), 1.0 / math.sqrt(d_h))
-    a = masked_softmax(scores, keep)
-    z = matmul(a, v)
+    z, a = attend(q, k, v, keep)
     if counter is not None:
         counter.add(_batch_count(q.shape) * n * m)
     return z, a
@@ -157,21 +149,18 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: LocalParams,
     half = params.window // 2
     if k.shape != q.shape or v.shape != q.shape:
         raise ValueError("local attention is self-attention: q, k, v share one shape")
-    n, d_h = q.shape[-2], q.shape[-1]
+    n = q.shape[-2]
     keep = _mask_array(mask, n)
     if keep is None:
         keep = np.ones(n, dtype=bool)
     if keep.ndim > q.ndim - 1:
         raise ValueError("local attention needs a per-position mask, not a per-query one")
     keep = np.broadcast_to(keep, q.shape[:-1])
-    scale = 1.0 / math.sqrt(d_h)
 
     if half >= n - 1:
         # Window covers every pair: the dense kernel computes exactly the
         # in-band products, and bit-matches full attention.
-        scores = mul(matmul(q, k.mT), scale)
-        a = masked_softmax(scores, keep[..., None, :], empty_rows="zero")
-        z = matmul(a, v)
+        z, a = attend(q, k, v, keep[..., None, :], empty_rows="zero")
         if counter is not None:
             counter.add(int(keep.sum()) * n)
         return z, BandedWeights(a, params.window, banded=False)
@@ -180,9 +169,7 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: LocalParams,
     pad_width[-1] = (half, half)
     band_mask = np.lib.stride_tricks.sliding_window_view(
         np.pad(keep, pad_width), 2 * half + 1, axis=-1)
-    logits = mul(band_scores(q, k, half), scale)
-    a = masked_softmax(logits, band_mask, empty_rows="zero")
-    z = band_apply(a, v, half)
+    z, a = attend(q, k, v, band_mask, half=half, empty_rows="zero")
     if counter is not None:
         counter.add(int(band_mask.sum()))
     return z, BandedWeights(a, params.window, banded=True)

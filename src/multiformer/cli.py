@@ -19,9 +19,9 @@ from .analysis import aggregate_contributions, emit_report
 from .checkpoint import CheckpointError, load_into
 from .config import ArchitectureError, parse_architecture, parse_task
 from .model import init_model_weights
-from .training import (CKPT_PATTERN, TOY_WARMUP, TrainConfig, TrainingDiverged,
-                       SyntheticTaskSpec, average_checkpoints, read_metrics,
-                       select_around_best, train)
+from .training import (CKPT_PATTERN, SENTINELS, TOY_WARMUP, TrainConfig,
+                       TrainingDiverged, SyntheticTaskSpec, average_checkpoints,
+                       read_metrics, select_around_best, train)
 from .verify import run_all
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _cmd_analyze(args) -> int:
         spec = SyntheticTaskSpec.from_meta(meta)
     else:
         spec = SyntheticTaskSpec(feature_dim=config.input_feature_dim,
-                                 symbol_count=config.vocab_size - 3)
+                                 symbol_count=config.vocab_size - SENTINELS)
     report = aggregate_contributions(config, weights, spec,
                                      samples=args.samples, seed=args.seed)
     emit_report(report, args.csv, args.svg)

@@ -63,6 +63,7 @@ def parse_head_spec(token: str, source: str = "<spec>", lineno: int = 0) -> Head
 
 def parse_architecture_text(text: str, source: str = "<text>") -> ModelConfig:
     scalars: dict[str, float] = {}
+    key_lines: dict[str, int] = {}
     blocks: list[tuple[int, list[HeadSpec], int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -93,6 +94,7 @@ def parse_architecture_text(text: str, source: str = "<text>") -> ModelConfig:
                 scalars[key] = float(value) if key == "dropout" else int(value)
             except ValueError:
                 _fail(source, lineno, f"bad value for {key}: {value!r}")
+            key_lines[key] = lineno
         else:
             _fail(source, lineno, f"unrecognized line {raw.strip()!r}")
 
@@ -126,7 +128,10 @@ def parse_architecture_text(text: str, source: str = "<text>") -> ModelConfig:
     try:
         return ModelConfig(**kwargs)
     except ValueError as e:
-        _fail(source, 0, str(e))
+        # ModelConfig names the rejected field first (its input_feature_dim is
+        # the file's feature_dim); report the line that set it.
+        key = re.match(r"\w*", str(e)).group().replace("input_feature_dim", "feature_dim")
+        _fail(source, key_lines.get(key, 0), str(e))
 
 
 def preset_path(name: str):

@@ -98,7 +98,6 @@ class AttentionOutput:
     """
 
     y: Tensor
-    specs: list[HeadSpec]
     z: list[Tensor] | None = None
     weights: list | None = None
     xi: list[Tensor] | None = None
@@ -191,12 +190,12 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     zcat = concat(zs, axis=-1)
     y = matmul(zcat, weights.wo.mT) + weights.bo
     if not capture:
-        return AttentionOutput(y=y, specs=list(specs))
+        return AttentionOutput(y=y)
     xi = []
     for h, z in enumerate(zs):
         wo_h = weights.wo[:, h * d_h:(h + 1) * d_h]
         xi.append(matmul(z, wo_h.mT))
-    return AttentionOutput(y=y, specs=list(specs), z=zs, weights=a_list, xi=xi)
+    return AttentionOutput(y=y, z=zs, weights=a_list, xi=xi)
 
 
 def recompose_check(out: AttentionOutput, weights: MHMAWeights) -> float:

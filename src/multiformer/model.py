@@ -46,23 +46,23 @@ class ModelConfig:
     max_target_len: int = 1024
 
     def __post_init__(self):
-        for name in ("heads", "d_model", "ffn_dim", "input_feature_dim",
-                     "max_source_len", "max_target_len"):
+        # Every message starts with the field it rejects: the arch-file
+        # parser reads it to report the line that set that field.
+        for name in ("heads", "d_model", "decoder_layers", "ffn_dim",
+                     "input_feature_dim", "max_source_len", "max_target_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
         if not self.encoder_layers:
-            raise ValueError("need at least one encoder layer")
+            raise ValueError("encoder_layers must list at least one layer")
         for i, layer in enumerate(self.encoder_layers):
             if len(layer) != self.heads:
-                raise ValueError(
-                    f"encoder layer {i} lists {len(layer)} heads, expected {self.heads}")
-        if self.decoder_layers < 1:
-            raise ValueError("need at least one decoder layer")
+                raise ValueError(f"encoder_layers[{i}] lists {len(layer)} heads, "
+                                 f"expected {self.heads}")
         if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 

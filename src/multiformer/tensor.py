@@ -2,12 +2,12 @@
 
 Implements exactly the operations the model runs: elementwise add, mul,
 neg and relu; sum; concatenation, basic slicing and the swap of the last
-two axes; matmul; banded (sliding-window) products; masked softmax and
-log-softmax; embedding lookup and a last-axis gather; 1-D convolution,
-layer normalization and dropout.  Storage is a row-major numpy array in a
-global precision mode: float32 by default (training), float64 for gradient
-checks and oracle comparisons, where finite differences are actually
-trustworthy.
+two axes; matmul; one attention head, dense or banded (sliding-window),
+as a single node; log-softmax; embedding lookup and a last-axis gather;
+1-D convolution, layer normalization and dropout.  Storage is a
+row-major numpy array in a global precision mode: float32 by default
+(training), float64 for gradient checks and oracle comparisons, where
+finite differences are actually trustworthy.
 
 Gradients accumulate across backward() calls until explicitly zeroed,
 matching the usual training-loop contract.
@@ -16,9 +16,11 @@ matching the usual training-loop contract.
 from __future__ import annotations
 
 import ctypes
+import math
 import platform
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,7 +89,8 @@ class Tensor:
 
     Tensors built from operations remember their parents and a backward
     rule; calling backward() on a scalar result fills .grad on every
-    reachable tensor that has requires_grad set.
+    reachable leaf that has requires_grad set.  Tensors built by
+    operations keep no .grad, so a graph holds no gradient arrays.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -126,8 +129,8 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar.
 
-        Contributions are added into .grad, so repeated calls without
-        zeroing accumulate.
+        Contributions are added into the leaves' .grad, so repeated calls
+        without zeroing accumulate.
         """
         if self.data.ndim != 0:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
@@ -139,8 +142,8 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -373,73 +376,63 @@ def _band_sum(a: np.ndarray, v: np.ndarray, half: int) -> np.ndarray:
     return np.matmul(_windows(v, half), a[..., None])[..., 0]
 
 
-def band_scores(q: Tensor, k: Tensor, half: int) -> Tensor:
-    """Banded dot products s[..., i, c] = q_i · k_{i+c-half}.
-
-    q, k: [..., n, d] -> [..., n, 2*half+1]; keys outside the sequence
-    score 0.
-    """
-    if q.shape != k.shape:
-        raise ValueError(f"band_scores shape mismatch: {q.shape} vs {k.shape}")
-
-    def bw(g):
-        return (_band_sum(g, k.data, half),
-                _band_sum(_band_transpose(g, half), q.data, half))
-
-    return _make(_band_dot(q.data, k.data, half), (q, k), bw)
+# -- attention ---------------------------------------------------------------
 
 
-def band_apply(a: Tensor, v: Tensor, half: int) -> Tensor:
-    """Band-weighted sums z_i = sum_c a[..., i, c] v_{i+c-half}.
+def attend(q: Tensor, k: Tensor, v: Tensor, keep, half: int | None = None,
+           empty_rows: str = "error") -> tuple[Tensor, Tensor]:
+    """softmax(q kᵀ / sqrt(d_h)) v over the (query, key) pairs keep admits,
+    as one node over (q, k, v); returns z and the weights, outside the graph.
 
-    a: [..., n, 2*half+1], v: [..., n, d] -> [..., n, d].
-    """
-    if a.shape != v.shape[:-1] + (2 * half + 1,):
-        raise ValueError(f"band_apply shape mismatch: {a.shape} vs {v.shape}, half {half}")
-
-    def bw(g):
-        return (_band_dot(g, v.data, half),
-                _band_sum(_band_transpose(a.data, half), g, half))
-
-    return _make(_band_sum(a.data, v.data, half), (a, v), bw)
-
-
-# -- softmax family ----------------------------------------------------------
-
-
-def masked_softmax(logits: Tensor, mask=None, empty_rows: str = "error") -> Tensor:
-    """Softmax over the last axis; positions where mask is False get weight
-    exactly 0 and the remaining weights sum to 1 per row.
-
-    mask may be any boolean array broadcastable to logits.shape (or None).
-    A row with no unmasked position raises by default; empty_rows="zero"
-    instead yields an all-zero row, which callers use for rows whose
-    output is discarded (e.g. queries at padded positions).
+    Dense (half None): keep is a bool array broadcastable to the [..., n, m]
+    scores, or None.  Banded: q, k, v are [..., n, d_h] and the scores and
+    keep are [..., n, 2*half+1] bands, with off-sequence keys masked.
+    Masked pairs weigh exactly 0 and rows sum to 1.  A row with no admitted
+    key raises, or with empty_rows="zero" weighs all zero (padded queries).
+    The backward pass replays the chain scores -> scale -> softmax ->
+    weighted sum op for op, with dot/mix/flip the dense or band products.
     """
     if empty_rows not in ("error", "zero"):
         raise ValueError(f"unknown empty_rows mode {empty_rows!r}")
-    x = logits.data
-    keep = np.broadcast_to(np.asarray(True if mask is None else mask, dtype=bool),
-                           x.shape)
-    if empty_rows == "error":
-        any_valid = keep.any(axis=-1)
-        if not any_valid.all():
-            rows = np.argwhere(~any_valid)[:5]
-            raise ValueError(f"softmax row(s) fully masked at index {rows.tolist()}")
-    # exp(-inf) is exactly 0, so masked positions come out 0; an empty
-    # row's max and sum are replaced by 0 and 1 so that it stays all zero
-    s = np.where(keep, x, -np.inf)
-    rowmax = s.max(axis=-1, keepdims=True)
-    s -= np.where(np.isfinite(rowmax), rowmax, 0.0)
-    np.exp(s, out=s)
-    denom = s.sum(axis=-1, keepdims=True)
-    s /= np.where(denom == 0.0, 1.0, denom)
+    if q.shape[-1] != k.shape[-1] or k.shape != v.shape or (
+            half is not None and q.shape != k.shape):
+        raise ValueError(
+            f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    swap = partial(np.swapaxes, axis1=-1, axis2=-2)
+    dot, mix, flip = (lambda x, y: np.matmul(x, swap(y))), np.matmul, swap
+    if half is not None:
+        dot, mix, flip = (partial(f, half=half)
+                          for f in (_band_dot, _band_sum, _band_transpose))
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    a = dot(q.data, k.data)
+    a *= scale
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if empty_rows == "error":
+            any_valid = np.broadcast_to(keep, a.shape).any(axis=-1)
+            if not any_valid.all():
+                rows = np.argwhere(~any_valid)[:5]
+                raise ValueError(f"softmax row(s) fully masked at index {rows.tolist()}")
+        # exp(-inf) is exactly 0, so masked pairs come out 0; an empty
+        # row's max and sum are replaced by 0 and 1 so that it stays all zero
+        np.copyto(a, -np.inf, where=~keep)
+    rowmax = a.max(axis=-1, keepdims=True)
+    a -= np.where(np.isfinite(rowmax), rowmax, 0.0)
+    np.exp(a, out=a)
+    denom = a.sum(axis=-1, keepdims=True)
+    a /= np.where(denom == 0.0, 1.0, denom)
 
     def bw(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - inner),)
+        ga = dot(g, v.data)
+        gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * scale
+        return (_unbroadcast(mix(gs, k.data), q.shape),
+                _unbroadcast(mix(flip(gs), q.data), k.shape),
+                _unbroadcast(mix(flip(a), g), v.shape))
 
-    return _make(s, (logits,), bw)
+    return _make(mix(a, v.data), (q, k, v), bw), _make(a, (), None)
+
+
+# -- log-softmax -------------------------------------------------------------
 
 
 def log_softmax(logits: Tensor) -> Tensor:

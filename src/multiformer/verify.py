@@ -147,7 +147,7 @@ def run_recomposition_suite(cases: int = 100, seed: int = 7) -> SuiteResult:
     worst64 = worst32 = 0.0
     for idx in range(cases):
         mix = mixes[idx % len(mixes)]
-        for mode, tol in (("float64", None), ("float32", None)):
+        for mode in ("float64", "float32"):
             with using_dtype(mode):
                 rng = np.random.default_rng(seed + idx)
                 n = int(rng.integers(4, 24))

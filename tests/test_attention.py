@@ -4,9 +4,9 @@ score-product accounting and the masking corner cases."""
 import numpy as np
 import pytest
 
-from multiformer.attention import (BandedWeights, ConvParams, LocalParams,
-                                   OpCounter, band_to_dense, conv_compress,
-                                   full_attention, local_attention)
+from multiformer.attention import (ConvParams, LocalParams, OpCounter,
+                                   band_to_dense, conv_compress, full_attention,
+                                   local_attention)
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer.tensor import Tensor, using_dtype
 

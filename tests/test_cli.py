@@ -4,7 +4,6 @@ Exit code contract: 0 success, 1 validation/parse, 2 numerical failure,
 3 I/O error.
 """
 
-import numpy as np
 import pytest
 
 import multiformer.cli as cli

@@ -114,23 +114,29 @@ class TestArchitectureParsing:
 
     def test_model_validation_becomes_parse_error(self):
         bad = GOOD.replace("d_model = 8", "d_model = 9")
-        with pytest.raises(ArchitectureError, match="divisible"):
+        with pytest.raises(ArchitectureError, match="<text>:2: d_model 9 not divisible"):
             parse_architecture_text(bad)
 
     @pytest.mark.parametrize("key,value", [
         ("d_model", -8), ("ffn_dim", 0), ("feature_dim", 0),
-        ("max_source_len", 0), ("max_target_len", -3)])
+        ("max_source_len", 0), ("max_target_len", -3), ("decoder_layers", 0)])
     def test_non_positive_size(self, key, value):
+        """The error names the line that set the key; feature_dim is
+        ModelConfig's input_feature_dim."""
         text = GOOD + "max_source_len = 64\nmax_target_len = 16\n"
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        lineno = text.splitlines().index(f"{key} = {value}") + 1
         with pytest.raises(ArchitectureError,
-                           match=rf"arch\.txt:0: \w+ must be >= 1, got {value}"):
+                           match=rf"arch\.txt:{lineno}: \w+ must be >= 1, got {value}"):
             parse_architecture_text(text, source="arch.txt")
 
     @pytest.mark.parametrize("value", ["-0.5", "1.0", "nan"])
     def test_dropout_outside_unit_interval(self, value):
-        with pytest.raises(ArchitectureError, match=r"arch\.txt:0: dropout must lie in \[0, 1\)"):
-            parse_architecture_text(GOOD + f"dropout = {value}\n", source="arch.txt")
+        text = GOOD + f"dropout = {value}\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ArchitectureError,
+                           match=rf"arch\.txt:{lineno}: dropout must lie in \[0, 1\)"):
+            parse_architecture_text(text, source="arch.txt")
 
 
 class TestPresets:

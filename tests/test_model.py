@@ -6,7 +6,7 @@ import pytest
 
 from multiformer.attention import OpCounter
 from multiformer.config import toy_model_config
-from multiformer.mhma import HeadSpec
+from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
 from multiformer.model import (ModelConfig, Seq2SeqBatch, decode, encode,
                                forward_loss, init_model_weights,
                                label_smoothed_loss, named_parameters,
@@ -14,8 +14,8 @@ from multiformer.model import (ModelConfig, Seq2SeqBatch, decode, encode,
                                subsampled_length, teacher_forced_logits,
                                token_accuracy)
 from multiformer.oracles import reference_encoder_layer
-from multiformer.tensor import (Parameter, Tensor, _topo_order, dropout,
-                                grad_check, layer_norm, using_dtype)
+from multiformer.tensor import (Tensor, _topo_order, dropout, grad_check,
+                                layer_norm, using_dtype)
 from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
 FULL = [HeadSpec("full")] * 2
@@ -398,9 +398,9 @@ class TestEndToEndGradients:
 
 class TestGraphSize:
     def test_local_heads_build_no_more_nodes_than_full_heads(self):
-        """Local attention is a fixed handful of autodiff nodes per head,
-        whatever the window, so a toy step's graph is no larger than the
-        all-full baseline's.  Node counts are deterministic."""
+        """Local attention is one autodiff node per head, whatever the
+        window, so a toy step's graph is no larger than the all-full
+        baseline's.  Node counts are deterministic."""
         spec = SyntheticTaskSpec()
         counts = {}
         for preset in ("baseline", "local_attention"):
@@ -410,6 +410,25 @@ class TestGraphSize:
             batch = gen_synthetic_batch(spec, 23, np.random.default_rng(3))
             counts[preset] = len(_topo_order(forward_loss(batch, cfg, w)))
         assert counts["local_attention"] <= counts["baseline"], counts
+
+    def test_each_head_is_one_attention_node(self):
+        """Every head's scale, mask, softmax and value product is one node
+        over its (q, k, v) projections: full, conv over compressed keys,
+        and local with a banded and with a sequence-wide (dense) window."""
+        rng = np.random.default_rng(6)
+        specs = [HeadSpec("full"), HeadSpec("conv", kernel=3, stride=2),
+                 HeadSpec("local", window=4), HeadSpec("local", window=16)]
+        w = init_mhma_weights(8, specs, rng)
+        x = Tensor(rng.normal(size=(2, 9, 8)), requires_grad=True)
+        keep = np.ones((2, 9), dtype=bool)
+        keep[1, 6:] = False
+        out = mhma_forward(x, specs, w, keep, capture=True)
+        assert [a.banded for a in out.weights[2:]] == [True, False]
+        for h, z in enumerate(out.z):
+            q, k, v = z._parents
+            assert q._parents[1] is w.wq[h]
+            assert k._parents[1] is w.wk[h]
+            assert v._parents[1] is w.wv[h]
 
     def test_layer_norm_is_one_node(self):
         rng = np.random.default_rng(4)

@@ -2,7 +2,6 @@
 central finite differences, and the bookkeeping rules (accumulation,
 pruning, precision modes) that the rest of the package relies on."""
 
-import math
 import platform
 
 import numpy as np
@@ -10,11 +9,10 @@ import pytest
 
 from multiformer.attention import band_to_dense
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import (Parameter, Tensor, band_apply, band_scores,
-                                concat, conv1d, dropout, embedding, gather_last,
-                                grad_check, layer_norm, log_softmax,
-                                masked_softmax, matmul, relu, tsum, using_dtype,
-                                zero_grad, _make)
+from multiformer.tensor import (Parameter, Tensor, attend, concat, conv1d,
+                                dropout, embedding, gather_last, grad_check,
+                                layer_norm, log_softmax, matmul, relu, tsum,
+                                using_dtype, _make, _topo_order)
 
 
 def fd_grad(f, x, i, h=1e-6):
@@ -111,51 +109,80 @@ class TestShapeOps:
         assert report.ok, report.failures()
 
 
+def qkv(rng, n, m, d_h=4, lead=()):
+    """Random float64 queries [*lead, n, d_h] and keys/values [*lead, m, d_h]."""
+    return (rng.normal(size=lead + (n, d_h)), rng.normal(size=lead + (m, d_h)),
+            rng.normal(size=lead + (m, d_h)))
+
+
 class TestSoftmaxFamily:
+    """attend's softmax: masking, empty rows, and its gradient."""
+
     def test_masked_weights_exactly_zero(self):
         rng = np.random.default_rng(7)
-        logits = Tensor(rng.normal(size=(4, 6)))
+        q, k, v = qkv(rng, 4, 6)
         mask = rng.random((4, 6)) > 0.4
         mask[:, 0] = True  # every row keeps one position
-        s = masked_softmax(logits, mask)
-        assert (s.data[~mask] == 0.0).all()
-        np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
+        with using_dtype("float64"):
+            z, a = attend(Tensor(q), Tensor(k), Tensor(v), mask)
+        assert (a.data[~mask] == 0.0).all()
+        np.testing.assert_allclose(a.data.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(z.data, a.data @ v, atol=1e-12)
 
     def test_empty_row_policies(self):
-        logits = Tensor(np.zeros((2, 3)))
+        q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(11), 2, 3))
         mask = np.array([[True, False, False], [False, False, False]])
         with pytest.raises(ValueError, match="fully masked"):
-            masked_softmax(logits, mask)
-        s = masked_softmax(logits, mask, empty_rows="zero")
-        np.testing.assert_array_equal(s.data[1], 0.0)
+            attend(q, k, v, mask)
+        z, a = attend(q, k, v, mask, empty_rows="zero")
+        np.testing.assert_array_equal(a.data[1], 0.0)
+        np.testing.assert_array_equal(z.data[1], 0.0)
         # an unknown mode raises whether or not any row is empty
         for m in (mask, mask[0], None):
             with pytest.raises(ValueError, match="empty_rows"):
-                masked_softmax(logits, m, empty_rows="wat")
+                attend(q, k, v, m, empty_rows="wat")
 
     def test_no_mask_equals_all_true_mask(self):
-        x = np.random.default_rng(10).normal(size=(3, 4, 9))
-        assert (masked_softmax(Tensor(x)).data.tobytes()
-                == masked_softmax(Tensor(x), np.ones(9, dtype=bool)).data.tobytes())
+        q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(10), 4, 9, lead=(3,)))
+        z0, a0 = attend(q, k, v, None)
+        z1, a1 = attend(q, k, v, np.ones(9, dtype=bool))
+        assert a0.data.tobytes() == a1.data.tobytes()
+        assert z0.data.tobytes() == z1.data.tobytes()
 
-    def test_masked_softmax_gradient(self):
+    def test_masked_attend_gradient(self):
+        """Dense attend's gradient with respect to every entry of q, k and
+        v, under no mask, a key mask, a per-sequence key mask and a causal
+        mask."""
         rng = np.random.default_rng(8)
-        mask = rng.random((3, 5)) > 0.3
-        mask[:, 2] = True
-        with using_dtype("float64"):
-            x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-            w = Tensor(rng.normal(size=(3, 5)), requires_grad=False)
-            report = grad_check(
-                lambda: (masked_softmax(x, mask) * w).sum(),
-                [Parameter("x", x)])
-        assert report.ok, report.failures()
+        n = 5
+        q, k, v = qkv(rng, n, n, lead=(2,))
+        r = rng.normal(size=q.shape)
+        masks = [None, np.array([True, False, True, True, False]),
+                 np.array([[True] * 5, [True, True, False, True, False]])[:, None, :],
+                 np.tril(np.ones((n, n), dtype=bool))]
+        for mask in masks:
+            with using_dtype("float64"):
+                tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+                report = grad_check(lambda: (attend(tq, tk, tv, mask)[0] * r).sum(),
+                                    [Parameter("q", tq), Parameter("k", tk),
+                                     Parameter("v", tv)], max_samples=q.size)
+            assert report.ok, (mask, report.failures())
+            assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
+
+    def test_weights_stay_outside_the_graph(self):
+        q, k, v = (Tensor(x, requires_grad=True)
+                   for x in qkv(np.random.default_rng(12), 3, 4))
+        z, a = attend(q, k, v, None)
+        assert z._parents == (q, k, v)
+        assert not a.requires_grad and a._parents == ()
 
     def test_log_softmax_consistency(self):
         rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 7)) * 3.0
         with using_dtype("float64"):
-            x = Tensor(rng.normal(size=(2, 7)) * 3.0)
-            np.testing.assert_allclose(np.exp(log_softmax(x).data),
-                                       masked_softmax(x).data, atol=1e-12)
+            got = np.exp(log_softmax(Tensor(x)).data)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(got, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
 
     def test_embedding_accumulates_duplicate_rows(self):
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
@@ -183,71 +210,59 @@ BAND_CASES = [(half, n) for half in (1, 3) for n in range(2 * half + 2, 21)]
 
 
 class TestBanded:
-    """band_scores and band_apply on [2, 3, n, d_h] float64 inputs, with n
-    small enough that both band edges are hit."""
+    """Banded attend on [2, 3, n, d_h] float64 inputs, with n small enough
+    that both band edges are hit."""
 
     @staticmethod
     def inputs(half, n, d_h=4):
         rng = np.random.default_rng(1000 * half + n)
-        q, k, v = (rng.normal(size=(2, 3, n, d_h)) for _ in range(3))
-        a = rng.normal(size=(2, 3, n, 2 * half + 1))
+        q, k, v = qkv(rng, n, n, d_h, lead=(2, 3))
         keep = rng.random((2, 3, n)) < 0.8
         keep[..., 0] = True
-        return q, k, v, a, keep
+        band_mask = np.lib.stride_tricks.sliding_window_view(
+            np.pad(keep, [(0, 0), (0, 0), (half, half)]), 2 * half + 1, axis=-1)
+        return q, k, v, keep, band_mask
 
     @pytest.mark.parametrize("half,n", BAND_CASES)
     def test_values_match_dense_and_naive_oracle(self, half, n):
-        q, k, v, a, keep = self.inputs(half, n)
+        q, k, v, keep, band_mask = self.inputs(half, n)
         with using_dtype("float64"):
-            s = band_scores(Tensor(q), Tensor(k), half).data
-            z_a = band_apply(Tensor(a), Tensor(v), half).data
-            scale = 1.0 / math.sqrt(q.shape[-1])
-            band_mask = np.lib.stride_tricks.sliding_window_view(
-                np.pad(keep, [(0, 0), (0, 0), (half, half)]), 2 * half + 1, axis=-1)
-            w = masked_softmax(Tensor(s * scale), band_mask, empty_rows="zero")
-            z = band_apply(w, Tensor(v), half).data
-        # scores are the in-band entries of q kᵀ, and 0 off the sequence
-        in_band = band_to_dense(np.ones_like(s), 2 * half).astype(bool)
-        np.testing.assert_allclose(band_to_dense(s, 2 * half),
-                                   np.where(in_band, q @ np.swapaxes(k, -1, -2), 0.0),
-                                   atol=1e-12)
-        on_sequence = np.lib.stride_tricks.sliding_window_view(
-            np.pad(np.ones(n, bool), half), 2 * half + 1)
-        np.testing.assert_array_equal(s[..., ~on_sequence], 0.0)
-        np.testing.assert_allclose(z_a, band_to_dense(a, 2 * half) @ v, atol=1e-12)
+            z, w = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=half,
+                          empty_rows="zero")
+            dense_mask = band_to_dense(band_mask, 2 * half).astype(bool)
+            z_d, w_d = attend(Tensor(q), Tensor(k), Tensor(v), dense_mask,
+                              empty_rows="zero")
+        # the band holds exactly the dense kernel's in-band weights
+        np.testing.assert_allclose(band_to_dense(w.data, 2 * half), w_d.data, atol=1e-12)
+        np.testing.assert_allclose(z.data, z_d.data, atol=1e-12)
         for b in range(2):
             for h in range(3):
                 z_ref, a_ref = naive_attention(q[b, h], k[b, h], v[b, h],
                                                valid=keep[b, h], band_half=half)
-                np.testing.assert_allclose(z[b, h], z_ref, atol=1e-12)
+                np.testing.assert_allclose(z.data[b, h], z_ref, atol=1e-12)
                 np.testing.assert_allclose(band_to_dense(w.data[b, h], 2 * half),
                                            a_ref, atol=1e-12)
 
     @pytest.mark.parametrize("half,n", BAND_CASES)
     def test_gradients_every_entry(self, half, n):
-        q, k, v, a, _ = self.inputs(half, n)
-        rng = np.random.default_rng(n)
+        q, k, v, _, band_mask = self.inputs(half, n)
+        r_z = np.random.default_rng(n).normal(size=v.shape)
         with using_dtype("float64"):
-            tq, tk, tv, ta = (Tensor(x, requires_grad=True) for x in (q, k, v, a))
-            r_s = rng.normal(size=a.shape)
-            r_z = rng.normal(size=v.shape)
-            scores = grad_check(lambda: (band_scores(tq, tk, half) * r_s).sum(),
-                                [Parameter("q", tq), Parameter("k", tk)],
-                                max_samples=q.size)
-            apply = grad_check(lambda: (band_apply(ta, tv, half) * r_z).sum(),
-                               [Parameter("a", ta), Parameter("v", tv)],
-                               max_samples=a.size + v.size)
-        assert scores.ok, scores.failures()
-        assert apply.ok, apply.failures()
-        assert [e.checked for e in scores.entries + apply.entries] == \
-            [q.size, k.size, a.size, v.size]
+            tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+            report = grad_check(
+                lambda: (attend(tq, tk, tv, band_mask, half=half,
+                                empty_rows="zero")[0] * r_z).sum(),
+                [Parameter("q", tq), Parameter("k", tk), Parameter("v", tv)],
+                max_samples=q.size)
+        assert report.ok, report.failures()
+        assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
 
     def test_shape_validation(self):
         x = Tensor(np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="band_scores"):
-            band_scores(x, Tensor(np.zeros((4, 2))), 1)
-        with pytest.raises(ValueError, match="band_apply"):
-            band_apply(Tensor(np.zeros((5, 4))), x, 1)
+        with pytest.raises(ValueError, match="mismatch"):
+            attend(x, x, Tensor(np.zeros((4, 2))), None)
+        with pytest.raises(ValueError, match="mismatch"):
+            attend(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), None, half=1)
 
 
 class TestConv1d:
@@ -356,6 +371,19 @@ class TestAutogradEngine:
         assert b.grad is None
         np.testing.assert_array_equal(a.grad, [1.0, 1.0])
 
+    def test_only_leaves_keep_gradients(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        h = relu(matmul(x, w))
+        (h * h).sum().backward()
+        inner = [node for node in _topo_order(h) if node._backward is not None]
+        assert inner and all(node.grad is None for node in inner)
+        mask = x.data @ w.data > 0
+        gh = 2.0 * np.where(mask, x.data @ w.data, 0.0)
+        np.testing.assert_allclose(x.grad, gh @ w.data.T, rtol=1e-6)
+        np.testing.assert_allclose(w.grad, x.data.T @ gh, rtol=1e-6)
+
     def test_shared_node_gets_summed_gradient(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * 3.0
@@ -388,7 +416,7 @@ class TestGradCheckHarness:
 
             def f():
                 h = relu(matmul(x, w))
-                return (masked_softmax(h) * h).sum()
+                return (attend(h, h, h, None)[0] * h).sum()
 
             report = grad_check(f, [Parameter("x", x), Parameter("w", w)])
         assert report.ok
