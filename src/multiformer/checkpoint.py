@@ -78,15 +78,13 @@ class CheckpointData:
         return dict(self.meta)
 
 
-def _shape_str(shape: tuple[int, ...]) -> str:
-    return "x".join(str(s) for s in shape) if shape else "0"
-
-
-def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split("x"))
-    except ValueError as e:
-        raise HeaderError(f"bad shape field {text!r}") from e
+def _positive_int(text: str) -> int:
+    """A header dimension or count.  ValueError unless it is >= 1: a
+    count of -1 would make np.frombuffer read to the end of the file."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not positive")
+    return value
 
 
 def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
@@ -103,7 +101,10 @@ def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
         if " " in name:
             raise HeaderError(f"parameter name {name!r} contains a space")
         arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-        lines.append(f"param {name} {_shape_str(arr.shape)} {arr.size}")
+        if arr.size == 0:
+            raise HeaderError(f"parameter {name!r} is empty; sizes must be >= 1")
+        # ascontiguousarray makes a 0-d value 1-d, so a shape is never empty
+        lines.append(f"param {name} {'x'.join(map(str, arr.shape))} {arr.size}")
         blobs.append(arr.tobytes())
     header = ("\n".join(lines) + "\n").encode()
     # Write a sibling file and rename it over path, so a save that dies
@@ -160,11 +161,16 @@ def load_checkpoint(path) -> CheckpointData:
             if len(fields) != 3:
                 raise HeaderError(f"{path}: bad param line {line!r}")
             name, shape_s, count_s = fields
-            shape = _parse_shape(shape_s)
             try:
-                count = int(count_s)
+                shape = tuple(_positive_int(d) for d in shape_s.split("x"))
             except ValueError as e:
-                raise HeaderError(f"{path}: bad count field {count_s!r}") from e
+                raise HeaderError(f"{path}: {name}: bad shape field {shape_s!r}, "
+                                  "want positive integers joined by 'x'") from e
+            try:
+                count = _positive_int(count_s)
+            except ValueError as e:
+                raise HeaderError(f"{path}: {name}: bad count field {count_s!r}, "
+                                  "want a positive integer") from e
             if int(np.prod(shape, dtype=np.int64)) != count:
                 raise HeaderError(
                     f"{path}: {name} count {count} != product of shape {shape}")

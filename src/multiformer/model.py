@@ -19,7 +19,7 @@ import numpy as np
 from .attention import ConvParams, OpCounter, conv_compress
 from .mhma import (AttentionOutput, HeadSpec, MHMAWeights, glorot,
                    init_mhma_weights, mhma_forward, mhma_parameters)
-from .tensor import (Parameter, Tensor, default_dtype, dropout, embedding,
+from .tensor import (Parameter, Tensor, default_dtype, dropout, embedding, ffn,
                      gather_last, layer_norm, log_softmax, matmul, mul, relu)
 
 # Unused here, but perfbench/tracing.py lists multiformer.model.full_attention
@@ -251,7 +251,7 @@ def subsample(x: Tensor, mask: np.ndarray | None,
 
 
 def _ffn(x: Tensor, w: FFNWeights) -> Tensor:
-    return matmul(relu(matmul(x, w.w1) + w.b1), w.w2) + w.b2
+    return ffn(x, w.w1, w.b1, w.w2, w.b2)
 
 
 def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,

@@ -2,9 +2,10 @@
 
 Implements exactly the operations the model runs: elementwise add, mul,
 neg and relu; sum; concatenation, basic slicing and the swap of the last
-two axes; matmul; one attention head, dense or banded (sliding-window),
-as a single node; log-softmax; embedding lookup and a last-axis gather;
-1-D convolution, layer normalization and dropout.  Storage is a
+two axes; matmul; log-softmax; embedding lookup and a last-axis gather;
+dropout.  One attention head (dense or banded, i.e. sliding-window), the
+position-wise feed-forward block, 1-D convolution and layer normalization
+are each a single node.  Storage is a
 row-major numpy array in a global precision mode: float32 by default
 (training), float64 for gradient checks and oracle comparisons, where
 finite differences are actually trustworthy.
@@ -409,7 +410,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep, half: int | None = None,
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
         if empty_rows == "error":
-            any_valid = np.broadcast_to(keep, a.shape).any(axis=-1)
+            any_valid = np.broadcast_to(keep.any(axis=-1), a.shape[:-1])
             if not any_valid.all():
                 rows = np.argwhere(~any_valid)[:5]
                 raise ValueError(f"softmax row(s) fully masked at index {rows.tolist()}")
@@ -423,8 +424,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep, half: int | None = None,
     a /= np.where(denom == 0.0, 1.0, denom)
 
     def bw(g):
-        ga = dot(g, v.data)
-        gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * scale
+        # gs = a * (ga - sum(ga * a)) * scale, built in ga's fresh buffer
+        gs = dot(g, v.data)
+        gs -= (gs * a).sum(axis=-1, keepdims=True)
+        gs *= a
+        gs *= scale
         return (_unbroadcast(mix(gs, k.data), q.shape),
                 _unbroadcast(mix(flip(gs), q.data), k.shape),
                 _unbroadcast(mix(flip(a), g), v.shape))
@@ -527,6 +531,33 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1,
         return gx, gw, gb
 
     return _make(np.matmul(cols, w2) + bias.data, (x, weights, bias), bw)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise feed-forward block relu(x w1 + b1) w2 + b2.
+
+    One autodiff node that keeps only the rectified hidden activation h;
+    h > 0 exactly where the rectifier's input was, so h also gives its
+    mask.  The backward pass replays the matmul -> add -> relu -> matmul
+    -> add chain in reverse with that chain's own ops, so gradients are
+    bit for bit those of the generic nodes.
+    """
+    h = np.matmul(x.data, w1.data)
+    h += b1.data
+    np.maximum(h, 0, out=h)
+    y = np.matmul(h, w2.data)
+    y += b2.data
+
+    def bw(g):
+        # gh is made here, so masking it in place is safe; g may be shared.
+        gh = np.matmul(g, np.swapaxes(w2.data, -1, -2))
+        gw2 = _unbroadcast(np.matmul(np.swapaxes(h, -1, -2), g), w2.shape)
+        np.multiply(gh, h > 0, out=gh)
+        return (_unbroadcast(np.matmul(gh, np.swapaxes(w1.data, -1, -2)), x.shape),
+                _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gh), w1.shape),
+                _unbroadcast(gh, b1.shape), gw2, _unbroadcast(g, b2.shape))
+
+    return _make(y, (x, w1, b1, w2, b2), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

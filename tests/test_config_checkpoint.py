@@ -326,6 +326,13 @@ class TestCheckpointRoundTrip:
             save_arrays(tmp_path / "m.mfck", "feed" * 4,
                         {"w": np.ones(1, dtype="<f4")}, [("bad key", "v")])
 
+    def test_empty_array_rejected(self, tmp_path):
+        # load refuses a size below 1, so save must not write one
+        with pytest.raises(HeaderError, match="'w' is empty"):
+            save_arrays(tmp_path / "x.mfck", "feed" * 4,
+                        {"w": np.zeros((0, 3), dtype="<f4")})
+        assert list(tmp_path.iterdir()) == []
+
     def test_param_name_with_space_rejected(self, tmp_path):
         with pytest.raises(HeaderError, match="space"):
             save_arrays(tmp_path / "m.mfck", "feed" * 4,
@@ -397,6 +404,27 @@ class TestCheckpointErrors:
     def test_malformed_header_raises_header_error(self, tmp_path, header, match):
         p = tmp_path / "x.mfck"
         write_raw(p, header, b"\x00" * 8)
+        with pytest.raises(HeaderError, match=match):
+            load_checkpoint(p)
+
+    def test_negative_sizes_cannot_read_past_their_array(self, tmp_path):
+        """The counts -1 + 2 match a 4-byte payload, but count -1 would
+        read the rest of the file into a and leave junk in b."""
+        p = tmp_path / "x.mfck"
+        write_raw(p, self.header(params="param a -1 -1\nparam b 2 2\n"),
+                  b"\x00\x00\x80\x3f")
+        with pytest.raises(HeaderError, match="a: bad shape field '-1'"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("params,match", [
+        ("param w 0 0\n", "w: bad shape field '0'"),
+        ("param w 2x0 0\n", "w: bad shape field '2x0'"),
+        ("param w 2x-1 -2\n", "w: bad shape field '2x-1'"),
+        ("param w 2 -2\n", "w: bad count field '-2'"),
+    ], ids=["zero", "zero-dim", "negative-dim", "negative-count"])
+    def test_sizes_must_be_positive(self, tmp_path, params, match):
+        p = tmp_path / "x.mfck"
+        write_raw(p, self.header(params=params), b"")
         with pytest.raises(HeaderError, match=match):
             load_checkpoint(p)
 

@@ -1,21 +1,25 @@
 """Seq2seq model tests: subsampler geometry, encoder against a vanilla
 oracle, decoder causality and masking, and the loss definition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from multiformer import model
 from multiformer.attention import OpCounter
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
-from multiformer.model import (ModelConfig, Seq2SeqBatch, decode, encode,
-                               forward_loss, init_model_weights,
+from multiformer.model import (FFNWeights, ModelConfig, Seq2SeqBatch, decode,
+                               encode, forward_loss, init_model_weights,
                                label_smoothed_loss, named_parameters,
                                sinusoidal_positions, subsample,
                                subsampled_length, teacher_forced_logits,
                                token_accuracy)
 from multiformer.oracles import reference_encoder_layer
-from multiformer.tensor import (Tensor, _topo_order, dropout, grad_check,
-                                layer_norm, using_dtype)
+from multiformer.tensor import (Tensor, _topo_order, attend, dropout, ffn,
+                                grad_check, layer_norm, matmul, relu,
+                                using_dtype)
 from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
 FULL = [HeadSpec("full")] * 2
@@ -430,6 +434,27 @@ class TestGraphSize:
             assert k._parents[1] is w.wk[h]
             assert v._parents[1] is w.wv[h]
 
+    def test_ffn_is_one_node(self, monkeypatch):
+        """The feed-forward block is one node over its five parents, so
+        the toy baseline's 6 FFNs (4 encoder, 2 decoder) build 4 fewer
+        nodes each than the generic matmul/add/relu/matmul/add chain."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+        w1, b1, w2, b2 = (Tensor(rng.normal(size=s), requires_grad=True)
+                          for s in [(8, 16), (16,), (16, 8), (8,)])
+        assert ffn(x, w1, b1, w2, b2)._parents == (x, w1, b1, w2, b2)
+
+        spec = SyntheticTaskSpec()
+        cfg = toy_model_config("baseline", vocab_size=spec.vocab_size,
+                               feature_dim=spec.feature_dim)
+        w = init_model_weights(cfg, seed=3)
+        batch = gen_synthetic_batch(spec, 23, np.random.default_rng(3))
+        fused = len(_topo_order(forward_loss(batch, cfg, w)))
+        monkeypatch.setattr(model, "_ffn", lambda h, f: matmul(
+            relu(matmul(h, f.w1) + f.b1), f.w2) + f.b2)
+        chain = len(_topo_order(forward_loss(batch, cfg, w)))
+        assert chain - fused == 6 * 4
+
     def test_layer_norm_is_one_node(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
@@ -438,3 +463,40 @@ class TestGraphSize:
         out = layer_norm(x, g, b)
         assert out._parents == (x, g, b)
         assert len(_topo_order(out)) == 4
+
+
+class TestMemory:
+    """Arrays the FFN graph keeps and the peak of one attention backward,
+    as traced by tracemalloc, which sees NumPy's data buffers."""
+
+    def test_ffn_keeps_one_hidden_array(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(4, 64, 16)), requires_grad=True)
+        w = FFNWeights(*(Tensor(rng.normal(size=s), requires_grad=True)
+                         for s in [(16, 256), (256,), (256, 16), (16,)]))
+        hidden = 4 * 64 * 256 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model._ffn(x, w)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the rectified hidden activation, the output and a little slack
+        assert grown <= hidden + out.data.nbytes + hidden // 16, grown / hidden
+
+    def test_dense_attend_backward_peaks_at_two_score_arrays(self):
+        rng = np.random.default_rng(8)
+        q, k, v = (Tensor(rng.normal(size=(2, 256, 8)), requires_grad=True)
+                   for _ in range(3))
+        z, a = attend(q, k, v, None)
+        g = rng.normal(size=z.shape).astype(z.data.dtype)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            z._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the [B, n, m] gradient buffer and one product of it with the weights
+        assert peak <= 2.25 * a.data.nbytes, peak / a.data.nbytes

@@ -3,6 +3,7 @@ central finite differences, and the bookkeeping rules (accumulation,
 pruning, precision modes) that the rest of the package relies on."""
 
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ import pytest
 from multiformer.attention import band_to_dense
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer.tensor import (Parameter, Tensor, attend, concat, conv1d,
-                                dropout, embedding, gather_last, grad_check,
-                                layer_norm, log_softmax, matmul, relu, tsum,
-                                using_dtype, _make, _topo_order)
+                                dropout, embedding, ffn, gather_last,
+                                grad_check, layer_norm, log_softmax, matmul,
+                                relu, tsum, using_dtype, _make, _topo_order)
 
 
 def fd_grad(f, x, i, h=1e-6):
@@ -141,6 +142,16 @@ class TestSoftmaxFamily:
         for m in (mask, mask[0], None):
             with pytest.raises(ValueError, match="empty_rows"):
                 attend(q, k, v, m, empty_rows="wat")
+
+    def test_batched_key_mask_names_the_empty_rows(self):
+        """A [B, 1, m] key mask that empties one sequence reports every
+        query row of that sequence, as [batch, query] indices."""
+        q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(13), 3, 5, lead=(3,)))
+        keep = np.ones((3, 1, 5), dtype=bool)
+        keep[1] = False
+        msg = "softmax row(s) fully masked at index [[1, 0], [1, 1], [1, 2]]"
+        with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+            attend(q, k, v, keep)
 
     def test_no_mask_equals_all_true_mask(self):
         q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(10), 4, 9, lead=(3,)))
@@ -302,6 +313,66 @@ class TestConv1d:
                 report = grad_check(
                     f, [Parameter("x", x), Parameter("w", w), Parameter("b", b)])
             assert report.ok, (k, stride, padding, report.failures())
+
+
+def generic_ffn(x, w1, b1, w2, b2):
+    """The feed-forward block as a chain of generic nodes."""
+    return matmul(relu(matmul(x, w1) + b1), w2) + b2
+
+
+def ffn_leaves(rng, lead, d=8, hidden=16):
+    """x [*lead, d] and FFN weights, with some pre-activations exactly 0:
+    the first position of x is zero and so are the first four of b1."""
+    x = rng.normal(size=lead + (d,))
+    x[..., 0, :] = 0.0
+    b1 = rng.normal(size=hidden)
+    b1[:4] = 0.0
+    return [x, rng.normal(size=(d, hidden)), b1, rng.normal(size=(hidden, d)),
+            rng.normal(size=d)]
+
+
+class TestFFN:
+    @pytest.mark.parametrize("lead", [(3, 5), (5,)], ids=["batched", "2d"])
+    def test_bit_identical_to_generic_chain(self, lead):
+        """Output and all five gradients match the matmul -> add -> relu ->
+        matmul -> add chain bit for bit, in float32."""
+        rng = np.random.default_rng(21)
+        arrays = ffn_leaves(rng, lead)
+        r = rng.normal(size=lead + (8,)).astype(np.float32)
+        results = []
+        for op in (ffn, generic_ffn):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = op(*leaves)
+            (out * r).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        pre = arrays[0].astype(np.float32) @ arrays[1].astype(np.float32)
+        assert ((pre + arrays[2].astype(np.float32)) == 0.0).any()
+        for got, want in zip(*results):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
+
+    def test_leaves_incoming_gradient_untouched(self):
+        """add hands one gradient array to both parents, so the node must
+        not write into it."""
+        rng = np.random.default_rng(22)
+        out = ffn(*(Tensor(a, requires_grad=True) for a in ffn_leaves(rng, (2, 4))))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        before = g.copy()
+        out._backward(g)
+        assert np.array_equal(g, before)
+
+    def test_gradient(self):
+        # no exact-zero pre-activations here: a finite difference across
+        # the rectifier's kink is not a derivative
+        rng = np.random.default_rng(23)
+        arrays = [rng.normal(size=s) for s in [(2, 3, 8), (8, 16), (16,), (16, 8), (8,)]]
+        r = rng.normal(size=(2, 3, 8))
+        with using_dtype("float64"):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            report = grad_check(lambda: (ffn(*leaves) * r).sum(),
+                                [Parameter(n, t) for n, t in
+                                 zip(("x", "w1", "b1", "w2", "b2"), leaves)])
+        assert report.ok, report.failures()
 
 
 class TestLayerNormAndDropout:
