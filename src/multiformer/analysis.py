@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mhma import AttentionOutput
+from .mhma import AttentionOutput, MHMAWeights, head_outputs
 from .model import ModelConfig, ModelWeights, encode
 from .training import SyntheticTaskSpec, gen_synthetic_batch
 
@@ -69,11 +69,9 @@ class ContributionReport:
         return -terms.sum(axis=1)
 
 
-def head_contribution(out: AttentionOutput) -> np.ndarray:
+def head_contribution(out: AttentionOutput, weights: MHMAWeights) -> np.ndarray:
     """c_{i,h} = ||xi_i^h||_2 -> array [..., n, H]."""
-    if not out.captured:
-        raise ValueError("head_contribution needs a capture-enabled forward pass")
-    norms = [np.linalg.norm(xi.data, axis=-1) for xi in out.xi]
+    norms = [np.linalg.norm(xi, axis=-1) for xi in head_outputs(out, weights)]
     return np.stack(norms, axis=-1)
 
 
@@ -91,30 +89,23 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
         raise ValueError("need at least one sample")
     config = dataclasses.replace(config, dropout=0.0)
     rng = np.random.default_rng(seed)
-    l_count = len(config.encoder_layers)
-    h_count = config.heads
-    pools: list[list[list[np.ndarray]]] = [
-        [[] for _ in range(h_count)] for _ in range(l_count)]
+    # one [tokens, H] contribution array per layer and batch
+    pools: list[list[np.ndarray]] = [[] for _ in weights.encoder]
     token_count = 0
     remaining = samples
     while remaining > 0:
         b = min(ANALYSIS_BATCH, remaining)
         remaining -= b
         batch = gen_synthetic_batch(spec, b, rng)
-        _, keep, captures = encode(batch.source_features, batch.source_mask,
-                                   config, weights, capture=True)
+        _, keep, outs = encode(batch.source_features, batch.source_mask,
+                               config, weights)
         valid = np.asarray(keep, bool)
         token_count += int(valid.sum())
-        for li, out in enumerate(captures):
-            c = head_contribution(out)
-            for h in range(h_count):
-                pools[li][h].append(c[..., h][valid])
+        for pool, out, layer in zip(pools, outs, weights.encoder):
+            pool.append(head_contribution(out, layer.mhma)[valid])
     if token_count == 0:
         raise ValueError("no valid tokens across all samples")
-    medians = np.zeros((l_count, h_count))
-    for li in range(l_count):
-        for h in range(h_count):
-            medians[li, h] = np.median(np.concatenate(pools[li][h]))
+    medians = np.stack([np.median(np.concatenate(pool), axis=0) for pool in pools])
     labels = [[s.label() for s in layer] for layer in config.encoder_layers]
     return ContributionReport(medians=medians, mechanisms=labels,
                               sample_count=samples, token_count=token_count)

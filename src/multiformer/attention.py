@@ -117,16 +117,21 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
                    counter: OpCounter | None = None) -> tuple[Tensor, Tensor]:
     """softmax(q kᵀ / sqrt(d_h)) v over all key positions.
 
-    q: [..., n, d_h], k/v: [..., m, d_h].  mask is key validity: a bool
-    array of shape [m], [..., m], or [..., n, m] (the 2-d form carries
-    per-query structure such as causal masking).  Counts n*m score
-    products per sequence.
+    q: [..., n, d_h], k/v: [..., m, d_h].  The bool mask's rank decides
+    its meaning.  With q's rank, [..., n, m], it is per-query (causal
+    masking, say).  Of lower rank, [m] or [..., m], it is key validity per
+    sequence and its leading axes must broadcast to q's batch axes: with
+    batched q an [n, m] mask is B key masks and needs n == B.  Counts n*m
+    score products per sequence.
     """
     n, m = q.shape[-2], k.shape[-2]
     keep = _mask_array(mask, m)
-    if keep is not None and keep.shape == q.shape[:-2] + (m,):
-        # Batched per-sequence key mask: insert the query axis so it
-        # broadcasts over rows instead of colliding with them.
+    if keep is not None and keep.ndim < q.ndim:
+        # keep.ndim < q.ndim, so zip covers every leading axis of the mask
+        if any(a not in (1, b) for a, b in zip(keep.shape[-2::-1], q.shape[-3::-1])):
+            raise ValueError(f"key mask {keep.shape} does not broadcast over "
+                             f"the batch axes of q {q.shape}")
+        # insert the query axis so the key mask broadcasts over rows
         keep = keep[..., None, :]
     z, a = attend(q, k, v, keep)
     if counter is not None:

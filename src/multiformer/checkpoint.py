@@ -147,7 +147,9 @@ def load_checkpoint(path) -> CheckpointData:
     version = None
     meta: list[tuple[str, str]] = []
     table: list[tuple[str, tuple[int, ...], int]] = []
-    for line in header.splitlines():
+    # split on "\n" alone, the separator save_arrays writes: str.splitlines
+    # would also break meta values and names at \r, \x0b, \x85, \u2028 and more
+    for line in header.removesuffix("\n").split("\n"):
         kind, _, rest = line.partition(" ")
         if kind == "version":
             version = rest

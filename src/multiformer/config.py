@@ -46,6 +46,14 @@ def _fail(source: str, lineno: int, message: str):
     raise ArchitectureError(f"{source}:{lineno}: {message}")
 
 
+def _fail_field(source: str, key_lines: dict[str, int], error: ValueError):
+    """Report a ModelConfig or SyntheticTaskSpec error, whose message names
+    the rejected field first, at the line that set that field.  The file's
+    feature_dim is ModelConfig's input_feature_dim."""
+    key = re.match(r"\w*", str(error)).group().replace("input_feature_dim", "feature_dim")
+    _fail(source, key_lines.get(key, 0), str(error))
+
+
 def parse_head_spec(token: str, source: str = "<spec>", lineno: int = 0) -> HeadSpec:
     m = _SPEC_RE.match(token)
     if not m:
@@ -128,10 +136,7 @@ def parse_architecture_text(text: str, source: str = "<text>") -> ModelConfig:
     try:
         return ModelConfig(**kwargs)
     except ValueError as e:
-        # ModelConfig names the rejected field first (its input_feature_dim is
-        # the file's feature_dim); report the line that set it.
-        key = re.match(r"\w*", str(e)).group().replace("input_feature_dim", "feature_dim")
-        _fail(source, key_lines.get(key, 0), str(e))
+        _fail_field(source, key_lines, e)
 
 
 def preset_path(name: str):
@@ -188,6 +193,7 @@ def parse_task_text(text: str, source: str = "<text>"):
     """Task files are `key = value` lines for SyntheticTaskSpec fields;
     omitted keys keep their defaults."""
     kwargs = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -203,10 +209,11 @@ def parse_task_text(text: str, source: str = "<text>"):
             kwargs[key] = _TASK_KEYS[key](value)
         except ValueError:
             _fail(source, lineno, f"bad value for {key}: {value!r}")
+        key_lines[key] = lineno
     try:
         return SyntheticTaskSpec(**kwargs)
     except ValueError as e:
-        _fail(source, 0, str(e))
+        _fail_field(source, key_lines, e)
 
 
 def parse_task(path):

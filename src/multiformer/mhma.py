@@ -3,14 +3,15 @@ local, or conv-compressed), outputs are concatenated and projected.
 mhma_forward is the one multi-head entry point: encoder self-attention,
 and decoder self- and cross-attention as all-full layers.
 
-The output projection is also kept in decomposed form: with Wo split into
-per-head column blocks Wo^h, the layer output satisfies
+Every pass returns each head's output z^h and attention weights beside
+y.  With Wo split into per-head column blocks Wo^h, the layer output
+satisfies
 
     y_i = Wo zcat_i + b_o = sum_h Wo^h z_i^h + b_o
 
-and xi^h = z^h (Wo^h)^T is the per-head contribution to y that the
-analysis module measures.  recompose_check evaluates both sides
-independently.
+and xi^h = z^h (Wo^h)^T, which head_outputs computes outside the graph,
+is the per-head contribution to y that the analysis module measures.
+recompose_check evaluates both sides independently.
 """
 
 from __future__ import annotations
@@ -90,21 +91,14 @@ class MHMAWeights:
 
 @dataclass
 class AttentionOutput:
-    """Result of one MHMA forward pass.
-
-    z, weights, and xi hold per-head captures (lists of length H) when
-    the pass ran with capture enabled, else None.  xi[h] has the full
-    model width: xi^h = z^h (Wo^h)^T.
+    """Result of one MHMA forward pass: y [..., n, d], and per head (lists
+    of length H) the head output z^h [..., n, d_h] and the attention
+    weights its mechanism returned.
     """
 
     y: Tensor
-    z: list[Tensor] | None = None
-    weights: list | None = None
-    xi: list[Tensor] | None = None
-
-    @property
-    def captured(self) -> bool:
-        return self.xi is not None
+    z: list[Tensor]
+    weights: list
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -144,16 +138,17 @@ def init_mhma_weights(d: int, specs: list[HeadSpec],
 
 def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
                  mask=None, counter: OpCounter | None = None,
-                 capture: bool = False, kv_in: Tensor | None = None
-                 ) -> AttentionOutput:
+                 kv_in: Tensor | None = None) -> AttentionOutput:
     """Run every head's mechanism over x: [..., n, d] -> y: [..., n, d].
 
     Queries come from x; keys and values from kv_in ([..., m, d]), or
     from x when kv_in is None.  mask marks valid key positions: [m] or
-    [..., m] for every mechanism, and full heads also take a per-query
-    [..., n, m] mask such as a causal one.  Conv heads sharing a
-    (kernel, stride) reuse one compressed stream per call.  Capture
-    additionally stores per-head z, attention weights, and xi.
+    [..., m] for every mechanism.  Full heads also take a per-query mask
+    such as a causal one; it carries x's batch axes ([..., n, m] of x's
+    rank), since an unbatched [n, m] mask with batched x is a key mask,
+    read as [B, m].  Conv heads sharing a (kernel, stride) reuse one
+    compressed stream per call.  Returns y with every head's z and
+    attention weights.
     """
     h_count = len(specs)
     if h_count != weights.heads:
@@ -189,22 +184,22 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
 
     zcat = concat(zs, axis=-1)
     y = matmul(zcat, weights.wo.mT) + weights.bo
-    if not capture:
-        return AttentionOutput(y=y)
-    xi = []
-    for h, z in enumerate(zs):
-        wo_h = weights.wo[:, h * d_h:(h + 1) * d_h]
-        xi.append(matmul(z, wo_h.mT))
-    return AttentionOutput(y=y, z=zs, weights=a_list, xi=xi)
+    return AttentionOutput(y=y, z=zs, weights=a_list)
+
+
+def head_outputs(out: AttentionOutput, weights: MHMAWeights) -> list[np.ndarray]:
+    """Per-head contributions xi^h = z^h (Wo^h)^T, each [..., n, d],
+    computed outside the graph."""
+    d_h = weights.head_dim
+    return [z.data @ weights.wo.data[:, h * d_h:(h + 1) * d_h].T
+            for h, z in enumerate(out.z)]
 
 
 def recompose_check(out: AttentionOutput, weights: MHMAWeights) -> float:
     """Max absolute gap between y and sum_h xi^h + b_o (Eq. 2 vs Eq. 3)."""
-    if not out.captured:
-        raise ValueError("recompose_check needs a capture-enabled forward pass")
     total = np.zeros_like(out.y.data)
-    for xi in out.xi:
-        total = total + xi.data
+    for xi in head_outputs(out, weights):
+        total = total + xi
     total = total + weights.bo.data
     return float(np.abs(out.y.data - total).max())
 

@@ -256,12 +256,12 @@ def _ffn(x: Tensor, w: FFNWeights) -> Tensor:
 
 def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
            weights: ModelWeights, counter: OpCounter | None = None,
-           capture: bool = False, rng: np.random.Generator | None = None
-           ) -> tuple[Tensor, np.ndarray, list[AttentionOutput] | None]:
+           rng: np.random.Generator | None = None
+           ) -> tuple[Tensor, np.ndarray, list[AttentionOutput]]:
     """Subsample, add positions, run the MHMA encoder stack.
 
     Returns (states [.., T', d], frame mask [.., T'], per-layer attention
-    outputs when capture is on).
+    outputs).
     """
     if source.shape[-2] > config.max_source_len:
         raise ValueError(
@@ -270,15 +270,14 @@ def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
     h, keep = subsample(source, source_mask, weights.subsampler)
     h = h + Tensor(sinusoidal_positions(h.shape[-2], config.d_model))
     h = dropout(h, p, rng)
-    captures: list[AttentionOutput] | None = [] if capture else None
+    outs: list[AttentionOutput] = []
     for specs, layer in zip(config.encoder_layers, weights.encoder):
-        out = mhma_forward(h, specs, layer.mhma, keep, counter, capture)
+        out = mhma_forward(h, specs, layer.mhma, keep, counter)
         h = layer_norm(h + dropout(out.y, p, rng), layer.ln1.gain, layer.ln1.bias)
         f = dropout(_ffn(h, layer.ffn), p, rng)
         h = layer_norm(h + f, layer.ln2.gain, layer.ln2.bias)
-        if capture:
-            captures.append(out)
-    return h, keep, captures
+        outs.append(out)
+    return h, keep, outs
 
 
 def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,

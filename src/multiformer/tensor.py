@@ -1,14 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Implements exactly the operations the model runs: elementwise add, mul,
-neg and relu; sum; concatenation, basic slicing and the swap of the last
-two axes; matmul; log-softmax; embedding lookup and a last-axis gather;
-dropout.  One attention head (dense or banded, i.e. sliding-window), the
+neg and relu; sum; concatenation and the swap of the last two axes;
+matmul; log-softmax; embedding lookup and a last-axis gather; dropout.
+One attention head (dense or banded, i.e. sliding-window), the
 position-wise feed-forward block, 1-D convolution and layer normalization
-are each a single node.  Storage is a
-row-major numpy array in a global precision mode: float32 by default
-(training), float64 for gradient checks and oracle comparisons, where
-finite differences are actually trustworthy.
+are each a single node.  Storage is a row-major numpy array in a global
+precision mode: float32 by default (training), float64 for gradient
+checks and oracle comparisons, where finite differences are actually
+trustworthy.
 
 Gradients accumulate across backward() calls until explicitly zeroed,
 matching the usual training-loop contract.
@@ -180,16 +180,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, idx):
-        data = self.data[idx]
-
-        def bw(g):
-            z = np.zeros_like(self.data)
-            z[idx] = g
-            return (z,)
-
-        return _make(data, (self,), bw)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)

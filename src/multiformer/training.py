@@ -78,12 +78,18 @@ class SyntheticTaskSpec:
     codebook_seed: int = 1234
 
     def __post_init__(self):
+        # Every message starts with the field it rejects: the task-file
+        # parser reads it to report the line that set that field.
         if self.symbol_count < 2:
-            raise ValueError("need at least two symbols")
-        if self.redundancy < 1:
-            raise ValueError("redundancy must be >= 1")
-        if not 1 <= self.target_len_min <= self.target_len_max:
-            raise ValueError("bad target length range")
+            raise ValueError(f"symbol_count {self.symbol_count}: need at least two symbols")
+        for name in ("redundancy", "feature_dim", "target_len_min"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.target_len_max < self.target_len_min:
+            raise ValueError(f"target_len_max must be >= target_len_min "
+                             f"{self.target_len_min}, got {self.target_len_max}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
     @property
     def vocab_size(self) -> int:

@@ -7,15 +7,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from multiformer.analysis import (CSV_HEADER, ContributionReport,
-                                  aggregate_contributions, emit_report,
-                                  head_contribution, write_report_csv,
-                                  write_report_svg)
+from multiformer.analysis import (ANALYSIS_BATCH, CSV_HEADER,
+                                  ContributionReport, aggregate_contributions,
+                                  emit_report, head_contribution,
+                                  write_report_csv, write_report_svg)
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
-from multiformer.model import ModelConfig, init_model_weights, subsampled_length
+from multiformer.model import (ModelConfig, encode, init_model_weights,
+                               subsampled_length)
 from multiformer.tensor import Tensor
-from multiformer.training import SyntheticTaskSpec
+from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
 SPECS = [HeadSpec("full"), HeadSpec("local", window=4),
          HeadSpec("conv", kernel=3, stride=2)]
@@ -45,8 +46,8 @@ class TestHeadContribution:
         rng = np.random.default_rng(0)
         w = init_mhma_weights(6, SPECS, rng)
         x = Tensor(rng.normal(size=(5, 6)))
-        out = mhma_forward(x, SPECS, w, capture=True)
-        c = head_contribution(out)
+        out = mhma_forward(x, SPECS, w)
+        c = head_contribution(out, w)
         assert c.shape == (5, 3)
         d_h = w.head_dim
         for h in range(3):
@@ -54,13 +55,6 @@ class TestHeadContribution:
             np.testing.assert_allclose(c[:, h],
                                        np.linalg.norm(xi, axis=-1),
                                        rtol=1e-6)
-
-    def test_requires_capture(self):
-        rng = np.random.default_rng(1)
-        w = init_mhma_weights(6, SPECS, rng)
-        out = mhma_forward(Tensor(rng.normal(size=(4, 6))), SPECS, w)
-        with pytest.raises(ValueError, match="capture"):
-            head_contribution(out)
 
 
 class TestContributionReport:
@@ -117,6 +111,28 @@ class TestAggregate:
         assert rep.sample_count == 7
         assert rep.token_count == 7 * subsampled_length(5 * spec.redundancy)
         assert (rep.medians >= 0).all()
+
+    def test_medians_match_per_cell_pools(self):
+        """Each (layer, head) median equals np.median over that cell's own
+        pool, rebuilt here from encode and head_contribution on the same
+        seeded batches (two of them: ANALYSIS_BATCH, then the rest)."""
+        spec, config, weights = analysis_setup()
+        samples, seed = ANALYSIS_BATCH + 7, 4
+        rep = aggregate_contributions(config, weights, spec, samples, seed)
+        rng = np.random.default_rng(seed)
+        pools = {}
+        for b in (ANALYSIS_BATCH, 7):
+            batch = gen_synthetic_batch(spec, b, rng)
+            _, keep, outs = encode(batch.source_features, batch.source_mask,
+                                   config, weights)
+            for li, (out, layer) in enumerate(zip(outs, weights.encoder)):
+                c = head_contribution(out, layer.mhma)
+                for h in range(config.heads):
+                    pools.setdefault((li, h), []).append(c[..., h][keep])
+        expect = np.zeros((2, 3))
+        for (li, h), pool in pools.items():
+            expect[li, h] = np.median(np.concatenate(pool))
+        assert np.array_equal(rep.medians, expect)
 
     def test_bit_identical_reruns(self):
         spec, config, weights = analysis_setup()

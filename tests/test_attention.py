@@ -68,6 +68,45 @@ class TestFullAttention:
             _, a = full_attention(Tensor(x), Tensor(x), Tensor(x), causal)
         assert (np.triu(a.data, 1) == 0.0).all()
 
+    @pytest.mark.parametrize("batch", [4, 3])
+    def test_key_mask_is_per_sequence_whatever_the_batch_size(self, batch):
+        """A [B, m] mask is key validity per sequence, also when B equals
+        the query count n."""
+        rng = np.random.default_rng(4)
+        n = 4
+        q, kv = rng.normal(size=(batch, n, 3)), rng.normal(size=(batch, n, 3))
+        keep = np.ones((batch, n), dtype=bool)
+        keep[0, 1:] = False
+        keep[1, 0] = False
+        with using_dtype("float64"):
+            z, a = full_attention(Tensor(q), Tensor(kv), Tensor(kv), keep)
+        for b in range(batch):
+            zr, ar = naive_attention(q[b], kv[b], kv[b], valid=keep[b])
+            np.testing.assert_allclose(z.data[b], zr, atol=1e-12)
+            np.testing.assert_allclose(a.data[b], ar, atol=1e-12)
+
+    def test_batched_per_query_causal_mask(self):
+        """A [B, n, m] mask has q's rank, so it is per-query."""
+        rng = np.random.default_rng(5)
+        b, n = 4, 4
+        x = rng.normal(size=(b, n, 3))
+        causal = np.tril(np.ones((n, n), dtype=bool))
+        with using_dtype("float64"):
+            _, a = full_attention(Tensor(x), Tensor(x), Tensor(x),
+                                  np.broadcast_to(causal, (b, n, n)))
+            for i in range(b):
+                _, ai = full_attention(Tensor(x[i]), Tensor(x[i]), Tensor(x[i]), causal)
+                np.testing.assert_allclose(a.data[i], ai.data, atol=1e-12)
+        assert (np.triu(a.data, 1) == 0.0).all()
+
+    def test_unbatched_square_mask_with_batched_q_must_fit_the_batch(self):
+        """With batched q, an [n, m] mask is a key mask over the batch axis,
+        so B != n cannot be read and raises with both shapes."""
+        q = Tensor(np.zeros((3, 4, 2)))
+        causal = np.tril(np.ones((4, 4), dtype=bool))
+        with pytest.raises(ValueError, match=r"key mask \(4, 4\).*q \(3, 4, 2\)"):
+            full_attention(q, q, q, causal)
+
     def test_shape_and_mask_validation(self):
         q = Tensor(np.zeros((3, 4)))
         k = Tensor(np.zeros((5, 4)))

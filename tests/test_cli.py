@@ -4,9 +4,12 @@ Exit code contract: 0 success, 1 validation/parse, 2 numerical failure,
 3 I/O error.
 """
 
+import re
+
 import pytest
 
 import multiformer.cli as cli
+import multiformer.verify as verify
 from multiformer.checkpoint import load_checkpoint, save_arrays
 from multiformer.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -84,6 +87,18 @@ class TestTrain:
                      "--steps", "1", "--out", str(ws / "o")])
         assert code == EXIT_VALIDATION
         assert "drop.arch" in capsys.readouterr().err
+        assert not (ws / "o").exists()
+
+    @pytest.mark.parametrize("line", ["noise = -1", "noise = nan", "feature_dim = 0"])
+    def test_bad_task_value_is_validation(self, ws, capsys, line):
+        key = line.split()[0]
+        (ws / "bad.task").write_text(re.sub(rf"^{key} = .*$", line, TASK, flags=re.M))
+        code = main(["train", "--arch", str(ws / "m.arch"),
+                     "--task", str(ws / "bad.task"), "--seed", "0",
+                     "--steps", "1", "--out", str(ws / "o")])
+        assert code == EXIT_VALIDATION
+        lineno = [row.split(" =")[0] for row in TASK.splitlines()].index(key) + 1
+        assert f"bad.task:{lineno}: {key} must be" in capsys.readouterr().err
         assert not (ws / "o").exists()
 
     def test_missing_task_file_is_io(self, ws, capsys):
@@ -187,6 +202,11 @@ class TestVerify:
         assert main(["verify", "--fast"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_gradcheck_applies_the_tolerance_it_reports(self, monkeypatch):
+        monkeypatch.setattr(verify, "GRAD_TOL", 0.0)
+        result = verify.run_gradcheck_suite(samples_per_tensor=2, mixes=["lc"])
+        assert not result.passed
 
     def test_failure_maps_to_numerical_exit(self, monkeypatch, capsys):
         class Fake:

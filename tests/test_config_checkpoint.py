@@ -216,10 +216,16 @@ class TestTaskFiles:
         ("noise = soft", "bad value"),
         ("symbol_count = 4\nsymbol_count = 4", "duplicate"),
         ("symbol_count = 1", "two symbols"),
+        # spec errors name the line that set the rejected field
+        ("symbol_count = 9\nredundancy = 0", r"^x\.task:2: redundancy must be >= 1"),
+        ("symbol_count = 9\nnoise = -1", r"^x\.task:2: noise must be"),
+        ("symbol_count = 9\nnoise = nan", r"^x\.task:2: noise must be"),
+        ("symbol_count = 9\nnoise = inf", r"^x\.task:2: noise must be"),
+        ("symbol_count = 9\nfeature_dim = 0", r"^x\.task:2: feature_dim must be"),
     ])
     def test_errors(self, text, match):
         with pytest.raises(ArchitectureError, match=match):
-            parse_task_text(text)
+            parse_task_text(text, source="x.task")
 
 
 def tiny_config() -> ModelConfig:
@@ -332,6 +338,22 @@ class TestCheckpointRoundTrip:
             save_arrays(tmp_path / "x.mfck", "feed" * 4,
                         {"w": np.zeros((0, 3), dtype="<f4")})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"], ids=repr)
+    def test_other_line_breaks_round_trip(self, tmp_path, char):
+        """str.splitlines breaks at these, but the header's separator is
+        only \\n: a meta value or name holding one saves, loads, and saves
+        again byte for byte."""
+        arrays = {"b": np.zeros(3, dtype="<f4"),
+                  f"w{char}x": np.arange(4, dtype="<f4").reshape(2, 2)}
+        meta = [("note", f"a{char}b")]
+        first, second = tmp_path / "a.mfck", tmp_path / "b.mfck"
+        save_arrays(first, "feed" * 4, arrays, meta)
+        data = load_checkpoint(first)
+        assert data.meta == meta and list(data.arrays) == sorted(arrays)
+        save_arrays(second, data.arch_hash, data.arrays, data.meta)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_param_name_with_space_rejected(self, tmp_path):
         with pytest.raises(HeaderError, match="space"):

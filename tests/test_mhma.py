@@ -4,8 +4,9 @@ recomposition identity, weight sharing, and gradients."""
 import numpy as np
 import pytest
 
-from multiformer.mhma import (HeadSpec, MHMAWeights, init_mhma_weights,
-                              mhma_forward, mhma_parameters, recompose_check)
+from multiformer.mhma import (HeadSpec, MHMAWeights, head_outputs,
+                              init_mhma_weights, mhma_forward, mhma_parameters,
+                              recompose_check)
 from multiformer.oracles import naive_attention, naive_conv1d, reference_mhsa
 from multiformer.tensor import Parameter, Tensor, grad_check, using_dtype
 from multiformer.attention import ConvParams, OpCounter
@@ -111,28 +112,33 @@ class TestForward:
         with using_dtype("float64"):
             w = init_mhma_weights(d, MIXED, rng)
             x = Tensor(rng.normal(size=(7, d)))
-            out = mhma_forward(x, MIXED, w, capture=True)
+            out = mhma_forward(x, MIXED, w)
             err = recompose_check(out, w)
+            total = sum(head_outputs(out, w)) + w.bo.data
         assert err < 1e-10
-        total = sum(t.data for t in out.xi) + w.bo.data
         np.testing.assert_allclose(out.y.data, total, atol=1e-10)
 
     def test_recomposition_float32(self):
         rng = np.random.default_rng(6)
         d = 12
         w = init_mhma_weights(d, MIXED, rng)
-        out = mhma_forward(Tensor(rng.normal(size=(2, 7, d))), MIXED, w,
-                           capture=True)
+        out = mhma_forward(Tensor(rng.normal(size=(2, 7, d))), MIXED, w)
         assert recompose_check(out, w) < 1e-5
 
-    def test_capture_off_by_default(self):
+    def test_head_outputs_project_z_through_wo_blocks(self):
+        """xi^h is z^h times the transposed h-th column block of Wo, bit
+        for bit, with the model width on its last axis."""
         rng = np.random.default_rng(7)
-        w = init_mhma_weights(8, MIXED, rng)
-        out = mhma_forward(Tensor(rng.normal(size=(5, 8))), MIXED, w)
-        assert not out.captured
-        assert out.z is None and out.weights is None and out.xi is None
-        with pytest.raises(ValueError):
-            recompose_check(out, w)
+        d = 8
+        d_h = d // len(MIXED)
+        w = init_mhma_weights(d, MIXED, rng)
+        out = mhma_forward(Tensor(rng.normal(size=(3, 5, d))), MIXED, w)
+        xi = head_outputs(out, w)
+        assert len(xi) == len(out.z) == len(out.weights) == len(MIXED)
+        for h, z in enumerate(out.z):
+            assert xi[h].shape == (3, 5, d)
+            assert np.array_equal(
+                xi[h], z.data @ w.wo.data[:, h * d_h:(h + 1) * d_h].T)
 
     def test_score_product_accounting(self):
         rng = np.random.default_rng(8)
@@ -154,7 +160,7 @@ class TestForward:
         w = init_mhma_weights(d, MIXED, rng)
         x = Tensor(rng.normal(size=(6, d)))
         with using_dtype("float64"):
-            out = mhma_forward(x, MIXED, w, capture=True)
+            out = mhma_forward(x, MIXED, w)
         a2, a3 = out.weights[2], out.weights[3]
         assert a2.data.shape == a3.data.shape == (6, 3)
 
@@ -251,7 +257,7 @@ class TestConvHeads:
             w = init_mhma_weights(d, specs, rng)
             cp = w.conv_params[(3, 2)]
             cp.bias.data = rng.normal(size=d)
-            out = mhma_forward(Tensor(x), specs, w, keep, capture=True)
+            out = mhma_forward(Tensor(x), specs, w, keep)
         xc = naive_conv1d(np.where(keep[:, None], x, 0.0),
                           cp.weights.data, cp.bias.data, 2, 1)
         centers = np.minimum(np.arange(xc.shape[0]) * 2, n - 1)
@@ -281,9 +287,8 @@ class TestConvHeads:
                            bias=Tensor(np.zeros(d, dtype=np.float32)))
         w_conv = MHMAWeights(w.wq, w.wk, w.wv, w.wo, w.bo, {(1, 1): ident})
         x = Tensor(rng.normal(size=(n, d)))
-        conv = mhma_forward(x, [HeadSpec("conv", kernel=1, stride=1)] * 2,
-                            w_conv, capture=True)
-        full = mhma_forward(x, [HeadSpec("full")] * 2, w, capture=True)
+        conv = mhma_forward(x, [HeadSpec("conv", kernel=1, stride=1)] * 2, w_conv)
+        full = mhma_forward(x, [HeadSpec("full")] * 2, w)
         for h in range(2):
             assert np.array_equal(conv.weights[h].data, full.weights[h].data)
             assert np.array_equal(conv.z[h].data, full.z[h].data)

@@ -426,7 +426,7 @@ class TestGraphSize:
         x = Tensor(rng.normal(size=(2, 9, 8)), requires_grad=True)
         keep = np.ones((2, 9), dtype=bool)
         keep[1, 6:] = False
-        out = mhma_forward(x, specs, w, keep, capture=True)
+        out = mhma_forward(x, specs, w, keep)
         assert [a.banded for a in out.weights[2:]] == [True, False]
         for h, z in enumerate(out.z):
             q, k, v = z._parents

@@ -85,13 +85,6 @@ class TestShapeOps:
         np.testing.assert_array_equal(a.grad, np.full((2, 2), 2.0))
         np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
 
-    def test_getitem_scatters_gradient(self):
-        x = Tensor(np.arange(10.0), requires_grad=True)
-        x[3:6].sum().backward()
-        expect = np.zeros(10)
-        expect[3:6] = 1.0
-        np.testing.assert_array_equal(x.grad, expect)
-
     def test_matmul_batched_vs_numpy(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(2, 3, 4))

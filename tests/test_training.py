@@ -178,7 +178,10 @@ class TestSyntheticTask:
     @pytest.mark.parametrize("kw", [dict(symbol_count=1),
                                     dict(redundancy=0),
                                     dict(target_len_min=0),
-                                    dict(target_len_min=5, target_len_max=4)])
+                                    dict(target_len_min=5, target_len_max=4),
+                                    dict(feature_dim=0),
+                                    dict(noise=-1.0),
+                                    dict(noise=float("nan"))])
     def test_bad_spec_rejected(self, kw):
         with pytest.raises(ValueError):
             tiny_spec(**kw)
