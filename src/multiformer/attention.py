@@ -12,10 +12,14 @@ batch dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .tensor import Tensor, attend, conv1d, mul
+
+if TYPE_CHECKING:
+    from .mhma import HeadSpec
 
 
 @dataclass
@@ -26,18 +30,6 @@ class OpCounter:
 
     def add(self, count: int) -> None:
         self.score_products += int(count)
-
-
-@dataclass(frozen=True)
-class LocalParams:
-    """Sliding-window hyperparameters: each token attends window//2
-    neighbors on each side, plus itself."""
-
-    window: int
-
-    def __post_init__(self):
-        if self.window < 2 or self.window % 2 != 0:
-            raise ValueError(f"window must be an even integer >= 2, got {self.window}")
 
 
 @dataclass
@@ -139,11 +131,11 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     return z, a
 
 
-def local_attention(q: Tensor, k: Tensor, v: Tensor, params: LocalParams,
+def local_attention(q: Tensor, k: Tensor, v: Tensor, params: HeadSpec,
                     mask=None, counter: OpCounter | None = None
                     ) -> tuple[Tensor, BandedWeights]:
     """Sliding-window self-attention: token i attends valid keys j with
-    |i - j| <= window//2.
+    |i - j| <= window//2, window being the local head spec's.
 
     Scores outside the band are never computed, so the work is O(n*w).
     The accounting adds the number of (query, valid in-band key) pairs.

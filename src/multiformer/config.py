@@ -19,6 +19,7 @@ file path is accepted.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 from importlib import resources
@@ -48,10 +49,12 @@ def _fail(source: str, lineno: int, message: str):
 
 def _fail_field(source: str, key_lines: dict[str, int], error: ValueError):
     """Report a ModelConfig or SyntheticTaskSpec error, whose message names
-    the rejected field first, at the line that set that field.  The file's
-    feature_dim is ModelConfig's input_feature_dim."""
-    key = re.match(r"\w*", str(error)).group().replace("input_feature_dim", "feature_dim")
-    _fail(source, key_lines.get(key, 0), str(error))
+    the rejected field, at the line that set the first field it names
+    that the file set.  The file's feature_dim is ModelConfig's
+    input_feature_dim."""
+    words = re.findall(r"\w+", str(error).replace("input_feature_dim", "feature_dim"))
+    lineno = next((key_lines[w] for w in words if w in key_lines), 0)
+    _fail(source, lineno, str(error))
 
 
 def parse_head_spec(token: str, source: str = "<spec>", lineno: int = 0) -> HeadSpec:
@@ -230,38 +233,28 @@ def format_task(spec) -> str:
 
 TOY_WINDOW = 8
 TOY_KERNEL = 1
-_TOY_BLOCKS = {
-    "baseline": [(4, "F F F F")],
-    "local_attention": [(4, "L L L L")],
-    "conv_attention": [(4, "C C C C")],
-    "multiformer_lc": [(4, "L L C C")],
-    "multiformer_v1": [(2, "L C C C"), (2, "L L C C")],
-    "multiformer_v2": [(1, "L C C C"), (2, "L L L C"), (1, "L L C C")],
-}
 
 
-def toy_model_config(preset: str, vocab_size: int, feature_dim: int,
-                     window: int = TOY_WINDOW,
-                     kernel: int = TOY_KERNEL) -> ModelConfig:
-    """Desk-scale variant of a preset: d=64, 4 heads, 4 encoder / 2
-    decoder layers, keeping the preset's mechanism-mix pattern.
+def toy_model_config(preset: str, vocab_size: int, feature_dim: int) -> ModelConfig:
+    """Desk-scale variant of a bundled preset: d=64, 4 heads, 2 decoder
+    layers, and every third of the preset's encoder layers, so the toy
+    keeps the preset's mechanism mix in four layers.
 
     Resolution hyperparameters shrink with the dimensions: the local
-    window comes down to 8 and the compression kernel to 1.  The stride
-    stays 2; it sets the compression factor that defines conv heads.
-    At desk-scale sequence lengths a wide compression kernel blends
-    most of the sequence into every key, which stalls training when a
-    layer has no uncompressed head to anchor it.
+    window comes down to TOY_WINDOW and the compression kernel to
+    TOY_KERNEL.  The stride stays; it sets the compression factor that
+    defines conv heads.  At desk-scale sequence lengths a wide
+    compression kernel blends most of the sequence into every key, which
+    stalls training when a layer has no uncompressed head to anchor it.
     """
-    if preset not in _TOY_BLOCKS:
+    if preset not in PRESET_NAMES:
         raise ArchitectureError(f"unknown toy preset {preset!r}")
-    expand = {"F": HeadSpec("full"),
-              "L": HeadSpec("local", window=window),
-              "C": HeadSpec("conv", kernel=kernel, stride=2)}
-    layers = []
-    for repeat, pattern in _TOY_BLOCKS[preset]:
-        specs = [expand[c] for c in pattern.split()]
-        layers.extend([list(specs) for _ in range(repeat)])
+    full = parse_architecture_text(preset_path(preset).read_text(),
+                                   source=f"preset:{preset}")
+    shrink = {"full": {}, "local": {"window": TOY_WINDOW},
+              "conv": {"kernel": TOY_KERNEL}}
+    layers = [[dataclasses.replace(s, **shrink[s.mechanism]) for s in layer]
+              for layer in full.encoder_layers[::3]]
     return ModelConfig(d_model=64, heads=4, encoder_layers=layers,
                        decoder_layers=2, ffn_dim=128, vocab_size=vocab_size,
                        input_feature_dim=feature_dim, max_source_len=512,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (ConvParams, LocalParams, OpCounter, conv_compress,
-                        full_attention, local_attention)
+from .attention import (ConvParams, OpCounter, conv_compress, full_attention,
+                        local_attention)
 from .tensor import Parameter, Tensor, concat, default_dtype, matmul
 
 # The hyperparameter fields each mechanism takes; the others must be None.
@@ -32,9 +32,10 @@ MECHANISM_FIELDS = {"full": (), "local": ("window",), "conv": ("kernel", "stride
 class HeadSpec:
     """One head's mechanism and its hyperparameters.
 
-    window applies to local heads only; kernel and stride to conv heads
-    only.  Construction rejects missing or extraneous fields, and takes
-    the value rules from LocalParams and ConvParams.
+    window applies to local heads only: each token attends window//2
+    neighbors on each side, plus itself.  kernel and stride apply to conv
+    heads only.  Construction rejects missing or extraneous fields, an
+    odd or too small window, and what ConvParams rejects.
     """
 
     mechanism: str
@@ -52,7 +53,9 @@ class HeadSpec:
                 raise ValueError(f"{self.mechanism} head "
                                  f"{'needs' if wanted else 'takes no'} {name}")
         if self.mechanism == "local":
-            LocalParams(self.window)
+            if self.window < 2 or self.window % 2 != 0:
+                raise ValueError(
+                    f"window must be an even integer >= 2, got {self.window}")
         elif self.mechanism == "conv":
             ConvParams.check(self.kernel, self.stride)
 
@@ -171,7 +174,7 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
         elif spec.mechanism == "local":
             k = matmul(kv, wk)
             v = matmul(kv, wv)
-            z, a = local_attention(q, k, v, LocalParams(spec.window), mask, counter)
+            z, a = local_attention(q, k, v, spec, mask, counter)
         else:
             key = (spec.kernel, spec.stride)
             if key not in compressed:

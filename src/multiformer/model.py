@@ -46,8 +46,8 @@ class ModelConfig:
     max_target_len: int = 1024
 
     def __post_init__(self):
-        # Every message starts with the field it rejects: the arch-file
-        # parser reads it to report the line that set that field.
+        # Every message names the field it rejects: the arch-file parser
+        # reads it to report the line that set that field.
         for name in ("heads", "d_model", "decoder_layers", "ffn_dim",
                      "input_feature_dim", "max_source_len", "max_target_len"):
             if getattr(self, name) < 1:
@@ -122,101 +122,84 @@ class ModelWeights:
     embed: Tensor
     out_w: Tensor
     out_b: Tensor
-
-
-def _ln_init(d: int) -> LayerNormWeights:
-    return LayerNormWeights(
-        gain=Tensor(np.ones(d, dtype=default_dtype()), requires_grad=True),
-        bias=Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True))
-
-
-def _ffn_init(d: int, hidden: int, rng) -> FFNWeights:
-    return FFNWeights(
-        w1=Tensor(glorot(rng, d, hidden, (d, hidden)), requires_grad=True),
-        b1=Tensor(np.zeros(hidden, dtype=default_dtype()), requires_grad=True),
-        w2=Tensor(glorot(rng, hidden, d, (hidden, d)), requires_grad=True),
-        b2=Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True))
+    # every trainable tensor above under its checkpoint name, sorted by name
+    params: list[Parameter]
 
 
 def init_model_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Seeded init; the draw order below is part of the determinism
-    contract (same seed, same weights)."""
+    contract (same seed, same weights).  Each parameter is named where
+    it is drawn."""
     rng = np.random.default_rng(seed)
-    d, f = config.d_model, config.input_feature_dim
+    d, f, hidden = config.d_model, config.input_feature_dim, config.ffn_dim
     k = SUBSAMPLE_KERNEL
+    params: list[Parameter] = []
+
+    def trainable(name: str, arr: np.ndarray) -> Tensor:
+        t = Tensor(arr, requires_grad=True)
+        params.append(Parameter(name, t))
+        return t
+
+    def zeros(name: str, size: int) -> Tensor:
+        return trainable(name, np.zeros(size, dtype=default_dtype()))
+
+    def norm(prefix: str) -> LayerNormWeights:
+        return LayerNormWeights(
+            trainable(f"{prefix}.gain", np.ones(d, dtype=default_dtype())),
+            zeros(f"{prefix}.bias", d))
+
+    def feed_forward(prefix: str) -> FFNWeights:
+        return FFNWeights(
+            trainable(f"{prefix}.w1", glorot(rng, d, hidden, (d, hidden))),
+            zeros(f"{prefix}.b1", hidden),
+            trainable(f"{prefix}.w2", glorot(rng, hidden, d, (hidden, d))),
+            zeros(f"{prefix}.b2", d))
+
+    def multi_head(prefix: str, specs: list[HeadSpec]) -> MHMAWeights:
+        w = init_mhma_weights(d, specs, rng)
+        params.extend(mhma_parameters(prefix, w))
+        return w
+
     sub = [ConvParams(k, SUBSAMPLE_STRIDE,
-                      Tensor(glorot(rng, k * width, d, (k, width, d)), requires_grad=True),
-                      Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True))
-           for width in (f, d)]
+                      trainable(f"sub.conv{i}.weights",
+                                glorot(rng, k * width, d, (k, width, d))),
+                      zeros(f"sub.conv{i}.bias", d))
+           for i, width in enumerate((f, d), start=1)]
     encoder = []
-    for specs in config.encoder_layers:
+    for i, specs in enumerate(config.encoder_layers):
+        prefix = f"enc.layer{i:02d}"
         encoder.append(EncoderLayerWeights(
-            mhma=init_mhma_weights(d, specs, rng),
-            ln1=_ln_init(d),
-            ffn=_ffn_init(d, config.ffn_dim, rng),
-            ln2=_ln_init(d)))
+            mhma=multi_head(f"{prefix}.mhma", specs),
+            ln1=norm(f"{prefix}.ln1"),
+            ffn=feed_forward(f"{prefix}.ffn"),
+            ln2=norm(f"{prefix}.ln2")))
     full_specs = [HeadSpec("full")] * config.heads
     decoder = []
-    for _ in range(config.decoder_layers):
+    for i in range(config.decoder_layers):
+        prefix = f"dec.layer{i:02d}"
         decoder.append(DecoderLayerWeights(
-            self_attn=init_mhma_weights(d, full_specs, rng),
-            ln1=_ln_init(d),
-            cross_attn=init_mhma_weights(d, full_specs, rng),
-            ln2=_ln_init(d),
-            ffn=_ffn_init(d, config.ffn_dim, rng),
-            ln3=_ln_init(d)))
-    embed = Tensor(
-        (rng.standard_normal((config.vocab_size, d)) / math.sqrt(d)
-         ).astype(default_dtype()),
-        requires_grad=True)
-    out_w = Tensor(glorot(rng, d, config.vocab_size, (d, config.vocab_size)),
-                   requires_grad=True)
-    out_b = Tensor(np.zeros(config.vocab_size, dtype=default_dtype()),
-                   requires_grad=True)
-    return ModelWeights(sub, encoder, decoder, embed, out_w, out_b)
+            self_attn=multi_head(f"{prefix}.self", full_specs),
+            ln1=norm(f"{prefix}.ln1"),
+            cross_attn=multi_head(f"{prefix}.cross", full_specs),
+            ln2=norm(f"{prefix}.ln2"),
+            ffn=feed_forward(f"{prefix}.ffn"),
+            ln3=norm(f"{prefix}.ln3")))
+    embed = trainable("dec.embed.table",
+                      (rng.standard_normal((config.vocab_size, d)) / math.sqrt(d)
+                       ).astype(default_dtype()))
+    out_w = trainable("dec.out.weights",
+                      glorot(rng, d, config.vocab_size, (d, config.vocab_size)))
+    out_b = zeros("dec.out.bias", config.vocab_size)
+    if len({p.name for p in params}) != len(params):
+        raise ValueError("duplicate parameter names")
+    return ModelWeights(sub, encoder, decoder, embed, out_w, out_b,
+                        sorted(params, key=lambda p: p.name))
 
 
 def named_parameters(weights: ModelWeights) -> list[Parameter]:
     """Every trainable tensor under a unique dotted name, sorted so the
     order matches the checkpoint layout."""
-    params: list[Parameter] = [
-        Parameter("sub.conv1.weights", weights.subsampler[0].weights),
-        Parameter("sub.conv1.bias", weights.subsampler[0].bias),
-        Parameter("sub.conv2.weights", weights.subsampler[1].weights),
-        Parameter("sub.conv2.bias", weights.subsampler[1].bias),
-        Parameter("dec.embed.table", weights.embed),
-        Parameter("dec.out.weights", weights.out_w),
-        Parameter("dec.out.bias", weights.out_b),
-    ]
-    for i, layer in enumerate(weights.encoder):
-        prefix = f"enc.layer{i:02d}"
-        params.extend(mhma_parameters(f"{prefix}.mhma", layer.mhma))
-        params.append(Parameter(f"{prefix}.ln1.gain", layer.ln1.gain))
-        params.append(Parameter(f"{prefix}.ln1.bias", layer.ln1.bias))
-        params.append(Parameter(f"{prefix}.ffn.w1", layer.ffn.w1))
-        params.append(Parameter(f"{prefix}.ffn.b1", layer.ffn.b1))
-        params.append(Parameter(f"{prefix}.ffn.w2", layer.ffn.w2))
-        params.append(Parameter(f"{prefix}.ffn.b2", layer.ffn.b2))
-        params.append(Parameter(f"{prefix}.ln2.gain", layer.ln2.gain))
-        params.append(Parameter(f"{prefix}.ln2.bias", layer.ln2.bias))
-    for i, layer in enumerate(weights.decoder):
-        prefix = f"dec.layer{i:02d}"
-        params.extend(mhma_parameters(f"{prefix}.self", layer.self_attn))
-        params.append(Parameter(f"{prefix}.ln1.gain", layer.ln1.gain))
-        params.append(Parameter(f"{prefix}.ln1.bias", layer.ln1.bias))
-        params.extend(mhma_parameters(f"{prefix}.cross", layer.cross_attn))
-        params.append(Parameter(f"{prefix}.ln2.gain", layer.ln2.gain))
-        params.append(Parameter(f"{prefix}.ln2.bias", layer.ln2.bias))
-        params.append(Parameter(f"{prefix}.ffn.w1", layer.ffn.w1))
-        params.append(Parameter(f"{prefix}.ffn.b1", layer.ffn.b1))
-        params.append(Parameter(f"{prefix}.ffn.w2", layer.ffn.w2))
-        params.append(Parameter(f"{prefix}.ffn.b2", layer.ffn.b2))
-        params.append(Parameter(f"{prefix}.ln3.gain", layer.ln3.gain))
-        params.append(Parameter(f"{prefix}.ln3.bias", layer.ln3.bias))
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate parameter names")
-    return sorted(params, key=lambda p: p.name)
+    return weights.params
 
 
 def sinusoidal_positions(length: int, d: int) -> np.ndarray:

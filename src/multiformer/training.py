@@ -55,8 +55,9 @@ class TrainConfig:
             raise ValueError("warmup_updates must be >= 1")
         if self.peak_lr <= 0:
             raise ValueError("peak_lr must be positive")
-        if self.max_updates < 0 or self.log_every < 1 or self.update_freq < 1:
-            raise ValueError("bad step counts")
+        for name, low in (("max_updates", 0), ("log_every", 1), ("update_freq", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.target_acc is not None and not 0 < self.target_acc <= 1:
             raise ValueError("target_acc must lie in (0, 1]")
 
@@ -78,8 +79,8 @@ class SyntheticTaskSpec:
     codebook_seed: int = 1234
 
     def __post_init__(self):
-        # Every message starts with the field it rejects: the task-file
-        # parser reads it to report the line that set that field.
+        # Every message names the field it rejects: the task-file parser
+        # reads it to report the line that set that field.
         if self.symbol_count < 2:
             raise ValueError(f"symbol_count {self.symbol_count}: need at least two symbols")
         for name in ("redundancy", "feature_dim", "target_len_min"):
@@ -90,6 +91,8 @@ class SyntheticTaskSpec:
                              f"{self.target_len_min}, got {self.target_len_max}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.codebook_seed < 0:
+            raise ValueError(f"codebook_seed must be >= 0, got {self.codebook_seed}")
 
     @property
     def vocab_size(self) -> int:

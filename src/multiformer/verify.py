@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles as orc
-from .attention import (ConvParams, LocalParams, OpCounter, full_attention,
-                        local_attention)
+from .attention import ConvParams, OpCounter, full_attention, local_attention
 from .mhma import (HeadSpec, MHMAWeights, init_mhma_weights, mhma_forward,
                    mhma_parameters, recompose_check)
 from .model import (ModelConfig, Seq2SeqBatch, forward_loss, init_model_weights,
@@ -92,7 +91,7 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
                         float(np.abs(a.data - a0).max()))
 
             w = 2 * int(rng.integers(1, max(2, n // 2 + 1)))
-            zl, al = local_attention(q, k, v, LocalParams(w), mask)
+            zl, al = local_attention(q, k, v, HeadSpec("local", window=w), mask)
             zl0, al0 = orc.naive_attention(q.data, k.data, v.data, mask,
                                            band_half=w // 2)
             worst = max(worst, float(np.abs(zl.data - zl0).max()),
@@ -100,7 +99,7 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
 
             # band covering everything must reproduce full exactly
             w_all = 2 * max(1, n - 1)
-            zx, _ = local_attention(q, k, v, LocalParams(w_all), mask)
+            zx, _ = local_attention(q, k, v, HeadSpec("local", window=w_all), mask)
             if not np.array_equal(zx.data, z.data):
                 return SuiteResult("oracle-equivalence", False, ran,
                                    f"w={w_all} local differs from full at n={n}")
@@ -242,7 +241,7 @@ def run_count_suite(lens=(64, 256, 1024), window: int = 64,
                                f"full at n={n}: {c_full.score_products} != {n * n}")
 
         c_local = OpCounter()
-        local_attention(q, k, v, LocalParams(window), None, c_local)
+        local_attention(q, k, v, HeadSpec("local", window=window), None, c_local)
         bound = n * (window + 1)
         if c_local.score_products > bound:
             return SuiteResult("count-law", False, 0,

@@ -4,11 +4,16 @@ score-product accounting and the masking corner cases."""
 import numpy as np
 import pytest
 
-from multiformer.attention import (ConvParams, LocalParams, OpCounter,
-                                   band_to_dense, conv_compress, full_attention,
+from multiformer.attention import (ConvParams, OpCounter, band_to_dense,
+                                   conv_compress, full_attention,
                                    local_attention)
+from multiformer.mhma import HeadSpec
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer.tensor import Tensor, using_dtype
+
+
+def local(window):
+    return HeadSpec("local", window=window)
 
 
 def hole_mask(rng, n):
@@ -128,7 +133,7 @@ class TestLocalAttention:
         keep = hole_mask(rng, n)
         with using_dtype("float64"):
             z, bw = local_attention(Tensor(x), Tensor(x), Tensor(x),
-                                    LocalParams(w), keep)
+                                    local(w), keep)
         zr, ar = naive_attention(x, x, x, valid=keep, band_half=w // 2)
         np.testing.assert_allclose(z.data, zr, atol=1e-12)
         np.testing.assert_allclose(bw.dense(), ar, atol=1e-12)
@@ -143,7 +148,7 @@ class TestLocalAttention:
         keep[1, 6:] = False
         zf, af = full_attention(Tensor(x), Tensor(x), Tensor(x), keep)
         zl, bl = local_attention(Tensor(x), Tensor(x), Tensor(x),
-                                 LocalParams(2 * (n - 1)), keep)
+                                 local(2 * (n - 1)), keep)
         assert np.array_equal(zl.data[keep], zf.data[keep])
         assert np.array_equal(bl.dense()[keep], af.data[keep])
 
@@ -151,7 +156,7 @@ class TestLocalAttention:
         # n=4, w=2: token 0 sees {0,1}, token 3 sees {2,3}
         x = np.eye(4, 3)
         with using_dtype("float64"):
-            _, bw = local_attention(Tensor(x), Tensor(x), Tensor(x), LocalParams(2))
+            _, bw = local_attention(Tensor(x), Tensor(x), Tensor(x), local(2))
         a = bw.dense()
         assert a[0, 2] == 0.0 and a[0, 3] == 0.0
         assert a[3, 0] == 0.0 and a[3, 1] == 0.0
@@ -165,7 +170,7 @@ class TestLocalAttention:
         keep[:4] = True
         with using_dtype("float64"):
             z, bw = local_attention(Tensor(x), Tensor(x), Tensor(x),
-                                    LocalParams(4), keep)
+                                    local(4), keep)
         a = bw.dense()
         # a padded query has no valid in-band key once it sits far enough out
         assert (a[7:] == 0.0).all()
@@ -177,7 +182,7 @@ class TestLocalAttention:
         keep = np.ones(n, dtype=bool)
         c = OpCounter()
         with using_dtype("float64"):
-            local_attention(Tensor(x), Tensor(x), Tensor(x), LocalParams(w),
+            local_attention(Tensor(x), Tensor(x), Tensor(x), local(w),
                             keep, counter=c)
         half = w // 2
         expect = sum(min(n - 1, i + half) - max(0, i - half) + 1
@@ -186,13 +191,13 @@ class TestLocalAttention:
         assert c.score_products <= n * (w + 1)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            LocalParams(3)
-        with pytest.raises(ValueError):
-            LocalParams(0)
+        with pytest.raises(ValueError, match="window must be an even integer"):
+            HeadSpec("local", window=3)
+        with pytest.raises(ValueError, match="window must be an even integer"):
+            HeadSpec("local", window=0)
         x = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="self-attention"):
-            local_attention(x, Tensor(np.zeros((5, 2))), x, LocalParams(2))
+            local_attention(x, Tensor(np.zeros((5, 2))), x, local(2))
 
     def test_band_to_dense_offsets(self):
         # band columns are offsets -half..+half around the diagonal

@@ -33,6 +33,7 @@ target_len_max = 5
 redundancy = 2
 feature_dim = 4
 noise = 0.05
+codebook_seed = 1234
 """
 
 
@@ -89,7 +90,8 @@ class TestTrain:
         assert "drop.arch" in capsys.readouterr().err
         assert not (ws / "o").exists()
 
-    @pytest.mark.parametrize("line", ["noise = -1", "noise = nan", "feature_dim = 0"])
+    @pytest.mark.parametrize("line", ["noise = -1", "noise = nan", "feature_dim = 0",
+                                      "codebook_seed = -1"])
     def test_bad_task_value_is_validation(self, ws, capsys, line):
         key = line.split()[0]
         (ws / "bad.task").write_text(re.sub(rf"^{key} = .*$", line, TASK, flags=re.M))
@@ -100,6 +102,17 @@ class TestTrain:
         lineno = [row.split(" =")[0] for row in TASK.splitlines()].index(key) + 1
         assert f"bad.task:{lineno}: {key} must be" in capsys.readouterr().err
         assert not (ws / "o").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--steps", "-2"), "max_updates must be >= 0, got -2"),
+        (("--steps", "1", "--log-every", "0"), "log_every must be >= 1, got 0"),
+    ])
+    def test_bad_step_count_names_its_field(self, ws, capsys, flags, message):
+        code = main(["train", "--arch", str(ws / "m.arch"),
+                     "--task", str(ws / "t.task"), "--seed", "0",
+                     "--out", str(ws / "o"), *flags])
+        assert code == EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_missing_task_file_is_io(self, ws, capsys):
         code = main(["train", "--arch", str(ws / "m.arch"),

@@ -44,6 +44,19 @@ PRESET_ROWS = {
                        + [[L, L, C, C]] * 4),
 }
 
+# Toy rows written out: every third layer of each preset, with local
+# windows at 8 and compression kernels at 1.
+TL, TC = "local(8)", "conv(1,2)"
+TOY_ROWS = {
+    "baseline": ["full full full full"] * 4,
+    "local_attention": [f"{TL} {TL} {TL} {TL}"] * 4,
+    "conv_attention": [f"{TC} {TC} {TC} {TC}"] * 4,
+    "multiformer_lc": [f"{TL} {TL} {TC} {TC}"] * 4,
+    "multiformer_v1": [f"{TL} {TC} {TC} {TC}"] * 2 + [f"{TL} {TL} {TC} {TC}"] * 2,
+    "multiformer_v2": ([f"{TL} {TC} {TC} {TC}"] + [f"{TL} {TL} {TL} {TC}"] * 2
+                       + [f"{TL} {TL} {TC} {TC}"]),
+}
+
 
 class TestHeadSpecParsing:
     @pytest.mark.parametrize("token,label", [
@@ -176,25 +189,14 @@ class TestToyConfigs:
     def test_toy_preserves_mix_pattern(self, name):
         cfg = toy_model_config(name, vocab_size=35, feature_dim=8)
         assert (cfg.d_model, cfg.heads, cfg.decoder_layers) == (64, 4, 2)
-        assert len(cfg.encoder_layers) == 4
-        # mechanism multiset per layer follows the full preset's pattern
-        toy = [sorted(s.mechanism for s in layer) for layer in cfg.encoder_layers]
-        full = [sorted(label.split("(")[0] for label in row)
-                for row in PRESET_ROWS[name]]
-        keep = {"multiformer_v1": [0, 1, 6, 7],
-                "multiformer_v2": [0, 3, 4, 8]}.get(name, [0, 1, 2, 3])
-        assert toy == [full[i] for i in keep]
-        for layer in cfg.encoder_layers:
-            for s in layer:
-                if s.mechanism == "local":
-                    assert s.window == 8
-                if s.mechanism == "conv":
-                    assert (s.kernel, s.stride) == (1, 2)
+        rows = [" ".join(s.label() for s in layer) for layer in cfg.encoder_layers]
+        assert rows == TOY_ROWS[name]
 
-    def test_window_override(self):
-        cfg = toy_model_config("local_attention", vocab_size=35,
-                               feature_dim=8, window=4)
-        assert cfg.encoder_layers[0][0].window == 4
+    def test_file_in_cwd_does_not_shadow_preset(self, tmp_path, monkeypatch):
+        before = toy_model_config("baseline", vocab_size=35, feature_dim=8)
+        (tmp_path / "baseline").write_text(GOOD)
+        monkeypatch.chdir(tmp_path)
+        assert toy_model_config("baseline", vocab_size=35, feature_dim=8) == before
 
     def test_unknown_toy_preset(self):
         with pytest.raises(ArchitectureError, match="unknown toy preset"):
@@ -222,6 +224,12 @@ class TestTaskFiles:
         ("symbol_count = 9\nnoise = nan", r"^x\.task:2: noise must be"),
         ("symbol_count = 9\nnoise = inf", r"^x\.task:2: noise must be"),
         ("symbol_count = 9\nfeature_dim = 0", r"^x\.task:2: feature_dim must be"),
+        ("symbol_count = 9\ncodebook_seed = -1",
+         r"^x\.task:2: codebook_seed must be >= 0, got -1$"),
+        # the message names target_len_max first, which the file left unset
+        ("symbol_count = 9\ntarget_len_min = 30",
+         r"^x\.task:2: target_len_max must be >= target_len_min 30, got 24$"),
+        ("target_len_max = 9\ntarget_len_min = 30", r"^x\.task:1: target_len_max"),
     ])
     def test_errors(self, text, match):
         with pytest.raises(ArchitectureError, match=match):

@@ -363,6 +363,22 @@ class TestWeightsAndNaming:
                          "dec.layer00.ffn.w1"]:
             assert expected in names, expected
 
+    @pytest.mark.parametrize("preset", ["multiformer_v2", "baseline"])
+    def test_parameters_are_exactly_the_trained_leaves(self, preset):
+        """A leaf the loss reaches but the list omits would get a gradient
+        yet never be updated or saved; a listed tensor the loss does not
+        reach would be dead weight."""
+        spec = SyntheticTaskSpec()
+        cfg = toy_model_config(preset, vocab_size=spec.vocab_size,
+                               feature_dim=spec.feature_dim)
+        w = init_model_weights(cfg, seed=3)
+        batch = gen_synthetic_batch(spec, 4, np.random.default_rng(3))
+        leaves = {id(t) for t in _topo_order(forward_loss(batch, cfg, w))
+                  if not t._parents}
+        params = named_parameters(w)
+        assert {id(p.tensor) for p in params} == leaves
+        assert len(params) == len(leaves)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tiny_config([MIX], d=9)  # not divisible by head count

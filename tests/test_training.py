@@ -181,7 +181,8 @@ class TestSyntheticTask:
                                     dict(target_len_min=5, target_len_max=4),
                                     dict(feature_dim=0),
                                     dict(noise=-1.0),
-                                    dict(noise=float("nan"))])
+                                    dict(noise=float("nan")),
+                                    dict(codebook_seed=-1)])
     def test_bad_spec_rejected(self, kw):
         with pytest.raises(ValueError):
             tiny_spec(**kw)
@@ -315,6 +316,15 @@ class TestTrainLoop:
             run_cfg(target_acc=0.0)
         with pytest.raises(ValueError, match="target_acc"):
             run_cfg(target_acc=1.5)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(max_updates=-2), "max_updates must be >= 0, got -2"),
+        (dict(log_every=0), "log_every must be >= 1, got 0"),
+        (dict(update_freq=0), "update_freq must be >= 1, got 0"),
+    ])
+    def test_step_counts_name_their_field(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_cfg(**kw)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, tmp_path):
