@@ -107,9 +107,10 @@ def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
         lines.append(f"param {name} {'x'.join(map(str, arr.shape))} {arr.size}")
         blobs.append(arr.tobytes())
     header = ("\n".join(lines) + "\n").encode()
-    # Write a sibling file and rename it over path, so a save that dies
-    # partway never leaves a truncated checkpoint under the real name, and
-    # remove the sibling when it does.
+    # Write a sibling file, sync it and rename it over path, then sync the
+    # directory, so neither a save that dies partway nor a crash after it
+    # leaves a truncated checkpoint under the real name; remove the sibling
+    # when a save dies.
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -118,11 +119,18 @@ def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
             fh.write(header)
             for blob in blobs:
                 fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -208,8 +216,8 @@ def save_checkpoint(path, config: ModelConfig, weights: ModelWeights,
 
 
 def load_into(path, config: ModelConfig, weights: ModelWeights) -> CheckpointData:
-    """Load a checkpoint into existing model weights, verifying the
-    architecture hash and every shape."""
+    """Load a checkpoint into existing model weights, in place, verifying
+    the architecture hash and every shape."""
     data = load_checkpoint(path)
     want = config_hash(config)
     if data.arch_hash != want:
@@ -228,5 +236,5 @@ def load_into(path, config: ModelConfig, weights: ModelWeights) -> CheckpointDat
         if arr.shape != p.tensor.data.shape:
             raise HeaderError(
                 f"{path}: {p.name} has shape {arr.shape}, model wants {p.tensor.data.shape}")
-        p.tensor.data = arr.astype(p.tensor.data.dtype)
+        p.tensor.data[...] = arr
     return data

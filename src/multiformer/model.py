@@ -122,14 +122,16 @@ class ModelWeights:
     embed: Tensor
     out_w: Tensor
     out_b: Tensor
-    # every trainable tensor above under its checkpoint name, sorted by name
+    # every trainable tensor above under its checkpoint name, sorted by name,
+    # and all their values in that order; each tensor's .data is a view of flat
     params: list[Parameter]
+    flat: np.ndarray
 
 
 def init_model_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Seeded init; the draw order below is part of the determinism
     contract (same seed, same weights).  Each parameter is named where
-    it is drawn."""
+    it is drawn; its .data then becomes its view of `flat`."""
     rng = np.random.default_rng(seed)
     d, f, hidden = config.d_model, config.input_feature_dim, config.ffn_dim
     k = SUBSAMPLE_KERNEL
@@ -192,8 +194,12 @@ def init_model_weights(config: ModelConfig, seed: int) -> ModelWeights:
     out_b = zeros("dec.out.bias", config.vocab_size)
     if len({p.name for p in params}) != len(params):
         raise ValueError("duplicate parameter names")
-    return ModelWeights(sub, encoder, decoder, embed, out_w, out_b,
-                        sorted(params, key=lambda p: p.name))
+    params.sort(key=lambda p: p.name)
+    flat = np.concatenate([p.tensor.data.reshape(-1) for p in params])
+    ends = np.cumsum([p.tensor.size for p in params])
+    for p, part in zip(params, np.split(flat, ends[:-1])):
+        p.tensor.data = part.reshape(p.tensor.shape)
+    return ModelWeights(sub, encoder, decoder, embed, out_w, out_b, params, flat)
 
 
 def named_parameters(weights: ModelWeights) -> list[Parameter]:
@@ -212,10 +218,6 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle[:, : d // 2] if d % 2 == 0 else angle[:, :-1])
     return pe.astype(default_dtype())
-
-
-def subsampled_length(t: int) -> int:
-    return math.ceil(math.ceil(t / 2) / 2)
 
 
 def subsample(x: Tensor, mask: np.ndarray | None,
@@ -314,7 +316,7 @@ def label_smoothed_loss(logits: Tensor, labels: np.ndarray,
 
 
 def teacher_forced_logits(batch: Seq2SeqBatch, config: ModelConfig,
-                          weights: ModelWeights, counter: OpCounter | None = None,
+                          weights: ModelWeights,
                           rng: np.random.Generator | None = None
                           ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One teacher-forced pass: the decoder reads the targets without
@@ -325,18 +327,17 @@ def teacher_forced_logits(batch: Seq2SeqBatch, config: ModelConfig,
     if batch.target_tokens.shape[-1] < 2:
         raise ValueError("targets must hold at least a begin and end sentinel")
     enc, enc_mask, _ = encode(batch.source_features, batch.source_mask,
-                              config, weights, counter, rng=rng)
+                              config, weights, rng=rng)
     logits = decode(batch.target_tokens[..., :-1], batch.target_mask[..., :-1],
                     enc, enc_mask, config, weights, rng=rng)
     return logits, batch.target_tokens[..., 1:], batch.target_mask[..., 1:]
 
 
 def forward_loss(batch: Seq2SeqBatch, config: ModelConfig, weights: ModelWeights,
-                 smoothing: float = 0.1, counter: OpCounter | None = None,
+                 smoothing: float = 0.1,
                  rng: np.random.Generator | None = None) -> Tensor:
     """Teacher-forced label-smoothed cross entropy over non-pad targets."""
-    logits, labels, label_mask = teacher_forced_logits(batch, config, weights,
-                                                       counter, rng)
+    logits, labels, label_mask = teacher_forced_logits(batch, config, weights, rng)
     return label_smoothed_loss(logits, labels, label_mask, smoothing)
 
 

@@ -104,23 +104,3 @@ def reference_mhsa(x: np.ndarray, wq: list, wk: list, wv: list,
     zcat = np.concatenate(outs, axis=-1)
     return zcat @ wo.T + bo
 
-
-def reference_encoder_layer(x: np.ndarray, lw, valid: np.ndarray | None = None,
-                            eps: float = 1e-5) -> np.ndarray:
-    """Vanilla post-norm transformer encoder layer (all-full heads, relu FFN).
-
-    lw is a plain dict of numpy arrays: wq/wk/wv (lists), wo, bo,
-    ln1_g, ln1_b, ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b.
-    """
-
-    def ln(v, g, b):
-        mu = v.mean(axis=-1, keepdims=True)
-        c = v - mu
-        var = (c * c).mean(axis=-1, keepdims=True)
-        return c / np.sqrt(var + eps) * g + b
-
-    attn = reference_mhsa(x, lw["wq"], lw["wk"], lw["wv"], lw["wo"], lw["bo"], valid)
-    x = ln(x + attn, lw["ln1_g"], lw["ln1_b"])
-    hidden = np.maximum(x @ lw["ffn_w1"] + lw["ffn_b1"], 0.0)
-    ffn = hidden @ lw["ffn_w2"] + lw["ffn_b2"]
-    return ln(x + ffn, lw["ln2_g"], lw["ln2_b"])

@@ -85,6 +85,10 @@ def using_dtype(name: str):
         _active_dtype = prev
 
 
+# The backward rule of a node that a backward() sweep has passed.
+_CONSUMED = object()
+
+
 class Tensor:
     """A dense n-d array with optional gradient tracking.
 
@@ -128,32 +132,35 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar.
+        """Reverse-mode sweep from a scalar that consumes its graph.
 
         Contributions are added into the leaves' .grad, so repeated calls
-        without zeroing accumulate.
+        without zeroing accumulate.  Each inner node drops its parents and
+        rule once passed; a later sweep that reaches it raises ValueError.
         """
         if self.data.ndim != 0:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no tracked dependencies")
         order = _topo_order(self)
+        if any(node._backward is _CONSUMED for node in order):
+            raise ValueError("backward() reaches a node an earlier backward() consumed")
         pending: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.data.dtype)}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = pending.pop(id(node), None)
+            rule, parents = node._backward, node._parents
+            if rule is not None:
+                node._backward, node._parents = _CONSUMED, ()
             if g is None:
                 continue
-            if node._backward is None:
+            if rule is None:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in pending:
-                    pending[key] = pending[key] + pg
-                else:
-                    pending[key] = pg
+            for parent, pg in zip(parents, rule(g)):
+                if pg is not None and parent.requires_grad:
+                    key = id(parent)
+                    pending[key] = pending[key] + pg if key in pending else pg
 
     # -- operator sugar -------------------------------------------------
 

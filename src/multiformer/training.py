@@ -13,7 +13,7 @@ import csv
 import dataclasses
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ CKPT_PATTERN = "ckpt_{step:06d}.mfck"
 
 
 class TrainingDiverged(RuntimeError):
-    """Training or held-out loss became non-finite."""
+    """A parameter, the training loss or the held-out loss became non-finite."""
 
 
 @dataclass
@@ -132,37 +132,31 @@ def inv_sqrt_lr(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
+    m: np.ndarray  # the moments, each shaped like the parameter buffer
+    v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params, state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.98, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place.  A parameter with no
-    gradient this step contributes a zero gradient."""
-    state.step += 1
-    t = state.step
+def adam_step(params, flat: np.ndarray, state: AdamState, lr: float,
+              beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update, in place, of `flat`, whose views in
+    order are the params' .data; a missing gradient counts as zeros."""
+    grads = []
     for p in params:
-        data = p.tensor.data
-        g = p.tensor.grad
-        if g is None:
-            g = np.zeros_like(data)
-        if g.shape != data.shape:
+        g = np.zeros_like(p.tensor.data) if p.tensor.grad is None else p.tensor.grad
+        if g.shape != p.tensor.shape:
             raise ValueError(
-                f"{p.name}: gradient shape {g.shape} != parameter {data.shape}")
-        if p.name not in state.m:
-            state.m[p.name] = np.zeros_like(data)
-            state.v[p.name] = np.zeros_like(data)
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.tensor.data = data - lr * m_hat / (np.sqrt(v_hat) + eps)
+                f"{p.name}: gradient shape {g.shape} != parameter {p.tensor.shape}")
+        grads.append(g.reshape(-1))
+    g = np.concatenate(grads)
+    state.step += 1
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * (g * g)
+    m_hat = state.m / (1.0 - beta1 ** state.step)
+    v_hat = state.v / (1.0 - beta2 ** state.step)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def gen_synthetic_batch(spec: SyntheticTaskSpec, batch: int,
@@ -244,7 +238,7 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
                                    np.random.default_rng(eval_ss))
 
     b_size = batch_size_for(cfg, spec)
-    state = AdamState()
+    state = AdamState(np.zeros_like(weights.flat), np.zeros_like(weights.flat))
     meta = spec.meta() + [("train_seed", str(cfg.seed))]
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -274,6 +268,7 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
     for step in range(1, cfg.max_updates + 1):
         if reached(acc_v):
             break
+        lr = inv_sqrt_lr(step, cfg)
         zero_grad(params)
         for _ in range(cfg.update_freq):
             batch = gen_synthetic_batch(spec, b_size, data_rng)
@@ -281,12 +276,16 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
                                 rng=drop_rng)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(
-                    f"non-finite loss at update {step} "
-                    f"(lr {inv_sqrt_lr(step, cfg):.3g})")
+                    f"non-finite loss at update {step} (lr {lr:.3g})")
             scaled = loss * (1.0 / cfg.update_freq) if cfg.update_freq > 1 else loss
             scaled.backward()
-        adam_step(params, state, inv_sqrt_lr(step, cfg),
-                  cfg.beta1, cfg.beta2, cfg.eps)
+        adam_step(params, weights.flat, state, lr, cfg.beta1, cfg.beta2, cfg.eps)
+        finite = np.isfinite(weights.flat)
+        if not finite.all():
+            ends = np.cumsum([p.tensor.size for p in params])
+            bad = params[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+            raise TrainingDiverged(
+                f"non-finite parameter {bad.name} after update {step} (lr {lr:.3g})")
         done = step
         if step % cfg.log_every == 0 or step == cfg.max_updates:
             loss_v, acc_v = snapshot(step)

@@ -113,7 +113,7 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
             conv_specs = [HeadSpec("conv", kernel=kernel, stride=stride)] * 2
             mw = init_mhma_weights(d, conv_specs, rng)
             cp = mw.conv_params[(kernel, stride)]
-            cp.bias.data = rng.normal(size=d)
+            cp.bias.data[...] = rng.normal(size=d)
             smask = _suffix_mask(rng, n)
             out = mhma_forward(Tensor(x), conv_specs, mw, smask)
             xc0 = orc.naive_conv1d(x * smask[:, None], cp.weights.data,

@@ -13,8 +13,7 @@ from multiformer.analysis import (ANALYSIS_BATCH, CSV_HEADER,
                                   write_report_csv, write_report_svg)
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
-from multiformer.model import (ModelConfig, encode, init_model_weights,
-                               subsampled_length)
+from multiformer.model import ModelConfig, encode, init_model_weights
 from multiformer.tensor import Tensor
 from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
@@ -109,7 +108,8 @@ class TestAggregate:
         assert rep.shape == (2, 3)
         assert rep.mechanisms == [["full", "local(4)", "conv(3,2)"]] * 2
         assert rep.sample_count == 7
-        assert rep.token_count == 7 * subsampled_length(5 * spec.redundancy)
+        # 5 * redundancy = 10 frames subsample to ceil(ceil(10 / 2) / 2) = 3
+        assert rep.token_count == 7 * 3
         assert (rep.medians >= 0).all()
 
     def test_medians_match_per_cell_pools(self):

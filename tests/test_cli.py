@@ -4,14 +4,21 @@ Exit code contract: 0 success, 1 validation/parse, 2 numerical failure,
 3 I/O error.
 """
 
+import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import multiformer
 import multiformer.cli as cli
 import multiformer.verify as verify
 from multiformer.checkpoint import load_checkpoint, save_arrays
 from multiformer.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from multiformer.config import format_architecture, format_task, toy_model_config
+from multiformer.training import SyntheticTaskSpec
 
 ARCH = """
 d_model = 16
@@ -119,6 +126,36 @@ class TestTrain:
                      "--task", str(ws / "absent.task"), "--seed", "0",
                      "--steps", "1", "--out", str(ws / "o")])
         assert code == EXIT_IO
+
+
+class TestDeterminism:
+    def test_two_processes_write_the_same_bytes(self, tmp_path):
+        """Same seed, same bytes across processes at one BLAS thread: two
+        `mf train` runs of the toy multiformer_lc preset with dropout 0.1
+        write byte-identical checkpoints and metrics.csv.  (Across BLAS
+        thread counts the subsampler's weight gradient differs.)"""
+        spec = SyntheticTaskSpec()
+        config = dataclasses.replace(
+            toy_model_config("multiformer_lc", spec.vocab_size, spec.feature_dim),
+            dropout=0.1)
+        (tmp_path / "toy.arch").write_text(format_architecture(config))
+        (tmp_path / "toy.task").write_text(format_task(spec))
+        src = os.path.dirname(os.path.dirname(multiformer.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for run in ("a", "b"):
+            subprocess.run(
+                [sys.executable, "-m", "multiformer.cli", "train",
+                 "--arch", str(tmp_path / "toy.arch"), "--task", str(tmp_path / "toy.task"),
+                 "--seed", "4", "--steps", "4", "--log-every", "2",
+                 "--out", str(tmp_path / run)],
+                env=env, check=True, capture_output=True, timeout=600)
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["ckpt_000000.mfck", "ckpt_000002.mfck", "ckpt_000004.mfck",
+                         "metrics.csv"]
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 class TestAnalyze:

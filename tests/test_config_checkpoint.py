@@ -1,7 +1,9 @@
 """Architecture/task file parsing, the shipped presets, and the binary
 checkpoint format with its error taxonomy."""
 
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -296,6 +298,25 @@ class TestCheckpointRoundTrip:
         for p in named_parameters(w):
             np.testing.assert_array_equal(p.tensor.data, before[p.name])
         assert data.meta_dict()["train_seed"] == "1"
+
+    def test_save_syncs_the_file_before_the_rename(self, tmp_path, monkeypatch):
+        """The payload reaches the disk before the rename puts it under the
+        real name, and the directory is synced after the rename."""
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        save_arrays(tmp_path / "c.mfck", "feed" * 4, {"w": np.ones(3, dtype="<f4")})
+        assert calls == [("fsync", "file"), ("replace", "c.mfck"), ("fsync", "dir")]
 
     def test_failed_save_leaves_previous_file_intact(self, tmp_path, monkeypatch):
         import multiformer.checkpoint as ckpt

@@ -440,13 +440,45 @@ class TestAutogradEngine:
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         h = relu(matmul(x, w))
-        (h * h).sum().backward()
-        inner = [node for node in _topo_order(h) if node._backward is not None]
+        loss = (h * h).sum()
+        inner = [node for node in _topo_order(loss) if node._backward is not None]
+        loss.backward()
         assert inner and all(node.grad is None for node in inner)
         mask = x.data @ w.data > 0
         gh = 2.0 * np.where(mask, x.data @ w.data, 0.0)
         np.testing.assert_allclose(x.grad, gh @ w.data.T, rtol=1e-6)
         np.testing.assert_allclose(w.grad, x.data.T @ gh, rtol=1e-6)
+
+    def test_backward_consumes_its_graph(self):
+        """A sweep frees every node it passes: each drops its parents and
+        backward rule, so nothing of the graph outlives the sweep."""
+        x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        y = relu(x * 3.0)
+        loss = (y * y).sum()
+        inner = [node for node in _topo_order(loss) if node._backward is not None]
+        loss.backward()
+        assert len(inner) == 4
+        assert all(node._parents == () for node in inner)
+        assert x.requires_grad and x._backward is None
+        np.testing.assert_array_equal(x.grad, [36.0, 0.0])
+
+    def test_second_sweep_through_a_consumed_node_raises(self):
+        """Two losses share y.  The first backward() consumes y, so the
+        second raises instead of skipping y or counting it twice, and
+        leaves every gradient as the first left it; a fresh forward still
+        backpropagates."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = x * 3.0
+        first, second = y.sum(), (y * y).sum()
+        first.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        with pytest.raises(ValueError, match="consumed"):
+            second.backward()
+        with pytest.raises(ValueError, match="consumed"):
+            first.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        ((x * 3.0) * (x * 3.0)).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0 + 18.0, 3.0 + 36.0])
 
     def test_shared_node_gets_summed_gradient(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

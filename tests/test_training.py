@@ -3,18 +3,21 @@ closed-form constant-gradient oracle, the synthetic task generator, loop
 determinism, warm starts, and checkpoint averaging."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import multiformer.model
-from multiformer.checkpoint import load_checkpoint, save_arrays
+from multiformer.checkpoint import (load_checkpoint, load_into, save_arrays,
+                                   save_checkpoint)
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec
 from multiformer.model import (ModelConfig, forward_loss, init_model_weights,
                                named_parameters, teacher_forced_logits,
                                token_accuracy)
-from multiformer.tensor import Parameter, Tensor, using_dtype, zero_grad
+from multiformer.tensor import (Parameter, Tensor, default_dtype, using_dtype,
+                                zero_grad)
 from multiformer.training import (BOS, EOS, PAD, SENTINELS, AdamState,
                                   SyntheticTaskSpec, TrainConfig,
                                   TrainingDiverged, adam_step,
@@ -70,49 +73,142 @@ class TestSchedule:
             inv_sqrt_lr(0, cfg)
 
 
+def one_parameter(values):
+    """A parameter buffer that holds one parameter "x", and that parameter."""
+    x = Tensor(np.asarray(values, dtype=default_dtype()), requires_grad=True)
+    return x.data, [Parameter("x", x)]
+
+
+def zero_state(flat) -> AdamState:
+    return AdamState(np.zeros_like(flat), np.zeros_like(flat))
+
+
+def assert_views_of_flat(weights) -> None:
+    """Every parameter's .data is the contiguous stretch of weights.flat at
+    its offset in weights.params order, and the stretches tile flat."""
+    offset = 0
+    for p in weights.params:
+        data = p.tensor.data
+        assert np.shares_memory(data, weights.flat), p.name
+        assert data.flags.c_contiguous, p.name
+        assert data.ctypes.data - weights.flat.ctypes.data == offset * data.itemsize, p.name
+        offset += data.size
+    assert offset == weights.flat.size
+
+
 class TestAdam:
     def test_constant_gradient_closed_form(self):
         """With a constant gradient g, bias correction cancels exactly:
         m_hat = g and v_hat = g*g every step, so each update subtracts
         lr * g / (|g| + eps)."""
         with using_dtype("float64"):
-            x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        p = [Parameter("x", x)]
+            flat, p = one_parameter([1.0, -2.0])
         g = np.array([0.5, -0.25])
-        state = AdamState()
+        state = zero_state(flat)
         lr = 0.1
         for _ in range(7):
-            x.grad = g.copy()
-            adam_step(p, state, lr)
+            p[0].tensor.grad = g.copy()
+            adam_step(p, flat, state, lr)
         step = lr * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(x.data, np.array([1.0, -2.0]) - 7 * step,
-                                   rtol=1e-9)
+        np.testing.assert_allclose(flat, np.array([1.0, -2.0]) - 7 * step, rtol=1e-9)
+        assert p[0].tensor.data is flat
 
     def test_missing_gradient_means_zero(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
-        p = [Parameter("x", x)]
-        state = AdamState()
-        adam_step(p, state, 0.5)
-        assert float(x.data[0]) == 3.0
+        flat, p = one_parameter([3.0])
+        state = zero_state(flat)
+        adam_step(p, flat, state, 0.5)
+        assert float(p[0].tensor.data[0]) == 3.0
         assert state.step == 1
 
     def test_gradient_shape_mismatch(self):
-        x = Tensor(np.zeros(3), requires_grad=True)
-        x.grad = np.zeros(4)
-        with pytest.raises(ValueError, match="shape"):
-            adam_step([Parameter("x", x)], AdamState(), 0.1)
+        flat, p = one_parameter(np.zeros(3))
+        p[0].tensor.grad = np.zeros(4)
+        with pytest.raises(ValueError, match="^x: gradient shape"):
+            adam_step(p, flat, zero_state(flat), 0.1)
 
     def test_state_persists_across_calls(self):
-        x = Tensor(np.array([0.0]), requires_grad=True)
-        p = [Parameter("x", x)]
-        state = AdamState()
-        x.grad = np.array([1.0])
-        adam_step(p, state, 0.1)
-        assert state.step == 1 and "x" in state.m
-        first = float(state.m["x"][0])
-        x.grad = np.array([1.0])
-        adam_step(p, state, 0.1)
-        assert float(state.m["x"][0]) > first
+        flat, p = one_parameter([0.0])
+        state = zero_state(flat)
+        p[0].tensor.grad = np.array([1.0])
+        adam_step(p, flat, state, 0.1)
+        assert state.step == 1 and state.m.shape == flat.shape
+        first = float(state.m[0])
+        p[0].tensor.grad = np.array([1.0])
+        adam_step(p, flat, state, 0.1)
+        assert float(state.m[0]) > first
+
+    def test_matches_per_parameter_replay(self):
+        """Five updates of a toy model's buffer equal, bit for bit, Adam run
+        one parameter at a time with name-keyed moments, the way it is
+        usually written.  One parameter never gets a gradient."""
+        spec = tiny_spec()
+        weights = init_model_weights(tiny_model(spec), seed=2)
+        params = named_parameters(weights)
+        skipped = params[3].name
+        data = {p.name: p.tensor.data.copy() for p in params}
+        m = {name: np.zeros_like(x) for name, x in data.items()}
+        v = {name: np.zeros_like(x) for name, x in data.items()}
+        state = zero_state(weights.flat)
+        rng = np.random.default_rng(8)
+        beta1, beta2, eps = 0.9, 0.98, 1e-8
+        for t in range(1, 6):
+            lr = 1e-3 * t
+            for p in params:
+                p.tensor.grad = (None if p.name == skipped else
+                                 rng.normal(size=p.tensor.shape).astype(p.tensor.data.dtype))
+            adam_step(params, weights.flat, state, lr, beta1, beta2, eps)
+            for p in params:
+                g = p.tensor.grad if p.tensor.grad is not None else np.zeros_like(data[p.name])
+                m[p.name] *= beta1
+                m[p.name] += (1.0 - beta1) * g
+                v[p.name] *= beta2
+                v[p.name] += (1.0 - beta2) * (g * g)
+                m_hat = m[p.name] / (1.0 - beta1 ** t)
+                v_hat = v[p.name] / (1.0 - beta2 ** t)
+                data[p.name] = data[p.name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p in params:
+            assert p.tensor.data.tobytes() == data[p.name].tobytes(), p.name
+        assert_views_of_flat(weights)
+
+
+class TestParameterBuffer:
+    def test_init_lays_parameters_out_in_checkpoint_order(self):
+        weights = init_model_weights(tiny_model(tiny_spec()), seed=1)
+        assert weights.flat.dtype == default_dtype()
+        assert_views_of_flat(weights)
+        with using_dtype("float64"):
+            wide = init_model_weights(tiny_model(tiny_spec()), seed=1)
+        assert wide.flat.dtype == np.float64
+        assert_views_of_flat(wide)
+
+    def test_load_into_writes_the_buffer_in_place(self, tmp_path):
+        config = tiny_model(tiny_spec())
+        weights = init_model_weights(config, seed=1)
+        flat = weights.flat
+        save_checkpoint(tmp_path / "m.mfck", config, init_model_weights(config, seed=2))
+        load_into(tmp_path / "m.mfck", config, weights)
+        assert weights.flat is flat
+        assert_views_of_flat(weights)
+        assert flat.tobytes() == init_model_weights(config, seed=2).flat.tobytes()
+
+    def test_parameters_stay_views_of_the_buffer(self, tmp_path, monkeypatch):
+        """Training updates the buffer in place: after three updates every
+        parameter still views weights.flat at its offset, and the buffer
+        holds what the last checkpoint stores."""
+        made = []
+
+        def init_and_keep(*args):
+            made.append(init_model_weights(*args))
+            return made[-1]
+
+        monkeypatch.setattr("multiformer.training.init_model_weights", init_and_keep)
+        spec = tiny_spec()
+        res = train(tiny_model(spec), run_cfg(max_updates=3), spec, tmp_path / "run")
+        (weights,) = made
+        assert_views_of_flat(weights)
+        saved = load_checkpoint(res.checkpoint_paths[-1]).arrays
+        assert np.concatenate([saved[p.name].reshape(-1) for p in weights.params]
+                              ).tobytes() == weights.flat.astype("<f4").tobytes()
 
 
 class TestSyntheticTask:
@@ -268,7 +364,8 @@ class TestTrainLoop:
             grads.append([p.tensor.grad for p in params])
         for p, g0, g1 in zip(params, *grads):
             p.tensor.grad = g0 + g1
-        adam_step(params, AdamState(), inv_sqrt_lr(1, cfg), cfg.beta1, cfg.beta2, cfg.eps)
+        adam_step(params, weights.flat, zero_state(weights.flat), inv_sqrt_lr(1, cfg),
+                  cfg.beta1, cfg.beta2, cfg.eps)
 
         saved = load_checkpoint(res.checkpoint_paths[-1]).arrays
         assert res.checkpoint_paths[-1].endswith("ckpt_000001.mfck")
@@ -334,14 +431,42 @@ class TestTrainLoop:
             train(tiny_model(spec), cfg, spec, tmp_path / "run")
 
     def test_diverged_final_update_raises_before_saving(self, tmp_path):
-        """The training loss is taken before the Adam step, so only the
-        held-out loss can see a last update that blew the weights up."""
+        """The training loss is taken before the Adam step, so the check of
+        the parameters after it is what sees a last update that blew the
+        weights up, before that update's snapshot."""
         spec = tiny_spec()
         cfg = run_cfg(max_updates=1, peak_lr=1e39, warmup_updates=1)
-        with pytest.raises(TrainingDiverged, match="held-out loss at update 1"):
+        with pytest.raises(TrainingDiverged, match="non-finite parameter .* after update 1"):
             train(tiny_model(spec), cfg, spec, tmp_path / "run")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
             ["ckpt_000000.mfck", "metrics.csv"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("max_updates", [1, 3])
+    def test_divergence_names_first_non_finite_parameter(self, tmp_path, max_updates):
+        """The first update overflows the weights; the error blames that
+        update and names the first parameter, in buffer order, that holds
+        a non-finite value."""
+        spec = tiny_spec()
+        cfg = run_cfg(max_updates=max_updates, peak_lr=1e39, warmup_updates=1)
+        with pytest.raises(TrainingDiverged) as err:
+            train(tiny_model(spec), cfg, spec, tmp_path / "run")
+        found = re.fullmatch(r"non-finite parameter (\S+) after update 1 \(lr (\S+)\)",
+                             str(err.value))
+        assert found, str(err.value)
+        # replay the update to find that parameter independently
+        weights = init_model_weights(tiny_model(spec), cfg.seed)
+        params = named_parameters(weights)
+        data_ss, _, drop_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+        batch = gen_synthetic_batch(spec, batch_size_for(cfg, spec),
+                                    np.random.default_rng(data_ss))
+        forward_loss(batch, tiny_model(spec), weights, cfg.smoothing).backward()
+        with np.errstate(all="ignore"):
+            adam_step(params, weights.flat, zero_state(weights.flat),
+                      inv_sqrt_lr(1, cfg))
+        first = next(p.name for p in params if not np.isfinite(p.tensor.data).all())
+        assert found.group(1) == first
+        assert float(found.group(2)) == float(f"{inv_sqrt_lr(1, cfg):.3g}")
 
     def test_vocab_mismatch_rejected(self, tmp_path):
         spec = tiny_spec()
