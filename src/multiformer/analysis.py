@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import durable_write
 from .mhma import AttentionOutput, MHMAWeights, head_outputs
 from .model import ModelConfig, ModelWeights, encode
 from .training import SyntheticTaskSpec, gen_synthetic_batch
@@ -117,7 +118,7 @@ def _mechanism_color(label: str) -> str:
 
 def write_report_csv(report: ContributionReport, path) -> None:
     shares = report.normalized_shares()
-    with open(path, "w", newline="") as fh:
+    with durable_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for li in range(report.shape[0]):
@@ -171,7 +172,7 @@ def write_report_svg(report: ContributionReport, path) -> None:
     legend = "  ".join(f"{name}: {color}" for name, color in MECHANISM_COLORS.items())
     parts.append(f'<text x="{pad_l}" y="{legend_y}">border = mechanism ({legend})</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with durable_write(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
 
 

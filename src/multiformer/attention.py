@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import Tensor, attend, conv1d, mul
+from .tensor import Tensor, attend, band_to_dense, conv1d, mul, windows
 
 if TYPE_CHECKING:
     from .mhma import HeadSpec
@@ -76,58 +76,46 @@ class BandedWeights:
         return band_to_dense(self.values.data, self.window)
 
 
-def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
-    half = window // 2
-    n = band.shape[-2]
-    out = np.zeros(band.shape[:-1] + (n,), dtype=band.dtype)
-    for c, delta in enumerate(range(-half, half + 1)):
-        lo = max(0, -delta)
-        hi = min(n, n - delta)
-        if lo >= hi:
-            continue
-        idx_i = np.arange(lo, hi)
-        out[..., idx_i, idx_i + delta] = band[..., lo:hi, c]
-    return out
-
-
-def _mask_array(mask, length: int) -> np.ndarray | None:
-    """Normalize a bool array-like to a bool array whose last axis covers
-    `length` positions, or None for all-valid."""
+def _key_mask(mask, positions: tuple[int, ...]) -> np.ndarray:
+    """A bool mask broadcast over `positions`, the [..., m] batch axes and
+    length of a stream; None is all-valid.  Raises ValueError when the
+    last axis does not cover m or the leading axes do not broadcast, so a
+    per-query mask passed as a key mask is rejected."""
     if mask is None:
-        return None
+        return np.ones(positions, dtype=bool)
     keep = np.asarray(mask, dtype=bool)
-    if keep.shape[-1] != length:
-        raise ValueError(f"mask covers {keep.shape[-1]} positions, expected {length}")
-    return keep
-
-
-def _batch_count(shape: tuple[int, ...]) -> int:
-    return int(np.prod(shape[:-2], dtype=np.int64)) if len(shape) > 2 else 1
+    if keep.shape[-1] != positions[-1]:
+        raise ValueError(f"mask covers {keep.shape[-1]} positions, expected {positions[-1]}")
+    try:
+        return np.broadcast_to(keep, positions)
+    except ValueError:
+        raise ValueError(f"mask {keep.shape} does not broadcast over the "
+                         f"{positions} positions of its stream") from None
 
 
 def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
                    counter: OpCounter | None = None) -> tuple[Tensor, Tensor]:
     """softmax(q kᵀ / sqrt(d_h)) v over all key positions.
 
-    q: [..., n, d_h], k/v: [..., m, d_h].  The bool mask's rank decides
-    its meaning.  With q's rank, [..., n, m], it is per-query (causal
-    masking, say).  Of lower rank, [m] or [..., m], it is key validity per
-    sequence and its leading axes must broadcast to q's batch axes: with
-    batched q an [n, m] mask is B key masks and needs n == B.  Counts n*m
-    score products per sequence.
+    q: [..., n, d_h], k/v: [..., m, d_h].  The bool mask marks valid keys,
+    [m] or [..., m] with leading axes that broadcast to q's batch axes.  A
+    mask of q's rank, [..., n, m], is per-query instead (causal masking,
+    say); so with batched q an [n, m] mask is B key masks and needs
+    n == B.  A query with no valid key raises.  Counts the n*m score
+    products of each sequence.
     """
-    n, m = q.shape[-2], k.shape[-2]
-    keep = _mask_array(mask, m)
-    if keep is not None and keep.ndim < q.ndim:
-        # keep.ndim < q.ndim, so zip covers every leading axis of the mask
-        if any(a not in (1, b) for a, b in zip(keep.shape[-2::-1], q.shape[-3::-1])):
-            raise ValueError(f"key mask {keep.shape} does not broadcast over "
-                             f"the batch axes of q {q.shape}")
-        # insert the query axis so the key mask broadcasts over rows
-        keep = keep[..., None, :]
+    m = k.shape[-2]
+    if np.ndim(mask) == q.ndim:
+        keep = _key_mask(mask, q.shape[:-1] + (m,))
+    else:
+        keep = _key_mask(mask, q.shape[:-2] + (m,))[..., None, :]
+    empty = ~np.broadcast_to(keep.any(axis=-1), q.shape[:-1])
+    if empty.any():
+        rows = np.argwhere(empty)[:5]
+        raise ValueError(f"softmax row(s) fully masked at index {rows.tolist()}")
     z, a = attend(q, k, v, keep)
     if counter is not None:
-        counter.add(_batch_count(q.shape) * n * m)
+        counter.add(a.size)
     return z, a
 
 
@@ -146,30 +134,18 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: HeadSpec,
     half = params.window // 2
     if k.shape != q.shape or v.shape != q.shape:
         raise ValueError("local attention is self-attention: q, k, v share one shape")
-    n = q.shape[-2]
-    keep = _mask_array(mask, n)
-    if keep is None:
-        keep = np.ones(n, dtype=bool)
-    if keep.ndim > q.ndim - 1:
-        raise ValueError("local attention needs a per-position mask, not a per-query one")
-    keep = np.broadcast_to(keep, q.shape[:-1])
-
-    if half >= n - 1:
-        # Window covers every pair: the dense kernel computes exactly the
-        # in-band products, and bit-matches full attention.
-        z, a = attend(q, k, v, keep[..., None, :], empty_rows="zero")
-        if counter is not None:
-            counter.add(int(keep.sum()) * n)
-        return z, BandedWeights(a, params.window, banded=False)
-
-    pad_width = [(0, 0)] * keep.ndim
-    pad_width[-1] = (half, half)
-    band_mask = np.lib.stride_tricks.sliding_window_view(
-        np.pad(keep, pad_width), 2 * half + 1, axis=-1)
-    z, a = attend(q, k, v, band_mask, half=half, empty_rows="zero")
+    keep = _key_mask(mask, q.shape[:-1])
+    band_mask = windows(keep[..., None], half)[..., 0, :]
+    # A window that covers every pair runs the dense kernel, which computes
+    # exactly the in-band products and bit-matches full attention.
+    banded = half < q.shape[-2] - 1
+    if banded:
+        z, a = attend(q, k, v, band_mask, half=half)
+    else:
+        z, a = attend(q, k, v, keep[..., None, :])
     if counter is not None:
         counter.add(int(band_mask.sum()))
-    return z, BandedWeights(a, params.window, banded=True)
+    return z, BandedWeights(a, params.window, banded)
 
 
 def conv_compress(x: Tensor, params: ConvParams, mask=None
@@ -182,14 +158,11 @@ def conv_compress(x: Tensor, params: ConvParams, mask=None
     center of each receptive field: mask_c[j] = mask[min(j*stride, n-1)].
     """
     n = x.shape[-2]
-    keep = _mask_array(mask, n)
-    if keep is None:
-        keep = np.ones(n, dtype=bool)
+    keep = _key_mask(mask, x.shape[:-1])
     xm = mul(x, keep[..., None].astype(x.data.dtype))
     xc = conv1d(xm, params.weights, params.bias, stride=params.stride,
                 padding=params.kernel // 2)
     m = xc.shape[-2]
     centers = np.minimum(np.arange(m) * params.stride, n - 1)
-    keep_c = np.broadcast_to(keep, x.shape[:-1])[..., centers]
-    return xc, keep_c
+    return xc, keep[..., centers]
 

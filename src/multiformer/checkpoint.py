@@ -87,38 +87,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
-                meta: list[tuple[str, str]] | None = None) -> None:
-    """Write a checkpoint from raw arrays (cast to little-endian f32)."""
-    names = sorted(arrays)
-    lines = [f"version {FORMAT_VERSION}", f"arch {arch_hash}"]
-    for key, value in meta or []:
-        if " " in key or "\n" in key or "\n" in value:
-            raise HeaderError(f"illegal meta entry {key!r}")
-        lines.append(f"meta {key} {value}")
-    blobs = []
-    for name in names:
-        if " " in name:
-            raise HeaderError(f"parameter name {name!r} contains a space")
-        arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-        if arr.size == 0:
-            raise HeaderError(f"parameter {name!r} is empty; sizes must be >= 1")
-        # ascontiguousarray makes a 0-d value 1-d, so a shape is never empty
-        lines.append(f"param {name} {'x'.join(map(str, arr.shape))} {arr.size}")
-        blobs.append(arr.tobytes())
-    header = ("\n".join(lines) + "\n").encode()
-    # Write a sibling file, sync it and rename it over path, then sync the
-    # directory, so neither a save that dies partway nor a crash after it
-    # leaves a truncated checkpoint under the real name; remove the sibling
-    # when a save dies.
+@contextlib.contextmanager
+def durable_write(path, mode: str = "wb", **open_args):
+    """Open a sibling `<path>.tmp` for writing; on a clean exit sync it,
+    rename it over path and sync the directory.  So neither a write that
+    dies partway nor a crash after it leaves a truncated file under the
+    real name.  The sibling is removed when the write dies."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for blob in blobs:
-                fh.write(blob)
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -131,6 +109,37 @@ def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
+                meta: list[tuple[str, str]] | None = None) -> None:
+    """Write a checkpoint from raw arrays (cast to little-endian f32)."""
+    # The header is split on "\n", so no field it holds may contain one.
+    if "\n" in arch_hash:
+        raise HeaderError(f"architecture hash {arch_hash!r} contains a newline")
+    names = sorted(arrays)
+    lines = [f"version {FORMAT_VERSION}", f"arch {arch_hash}"]
+    for key, value in meta or []:
+        if " " in key or "\n" in key or "\n" in value:
+            raise HeaderError(f"illegal meta entry {key!r}")
+        lines.append(f"meta {key} {value}")
+    blobs = []
+    for name in names:
+        if " " in name or "\n" in name:
+            raise HeaderError(f"parameter name {name!r} contains a space or newline")
+        arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+        if arr.size == 0:
+            raise HeaderError(f"parameter {name!r} is empty; sizes must be >= 1")
+        # ascontiguousarray makes a 0-d value 1-d, so a shape is never empty
+        lines.append(f"param {name} {'x'.join(map(str, arr.shape))} {arr.size}")
+        blobs.append(arr.tobytes())
+    header = ("\n".join(lines) + "\n").encode()
+    with durable_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<Q", len(header)))
+        fh.write(header)
+        for blob in blobs:
+            fh.write(blob)
 
 
 def load_checkpoint(path) -> CheckpointData:

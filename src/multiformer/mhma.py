@@ -167,21 +167,17 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     a_list = []
     for spec, wq, wk, wv in zip(specs, weights.wq, weights.wk, weights.wv):
         q = matmul(x, wq)
-        if spec.mechanism == "full":
-            k = matmul(kv, wk)
-            v = matmul(kv, wv)
-            z, a = full_attention(q, k, v, mask, counter)
-        elif spec.mechanism == "local":
-            k = matmul(kv, wk)
-            v = matmul(kv, wv)
-            z, a = local_attention(q, k, v, spec, mask, counter)
-        else:
+        stream, keep = kv, mask
+        if spec.mechanism == "conv":
             key = (spec.kernel, spec.stride)
             if key not in compressed:
-                params = weights.conv_params[key]
-                compressed[key] = conv_compress(kv, params, mask)
-            xc, keep_c = compressed[key]
-            z, a = full_attention(q, matmul(xc, wk), matmul(xc, wv), keep_c, counter)
+                compressed[key] = conv_compress(kv, weights.conv_params[key], mask)
+            stream, keep = compressed[key]
+        k, v = matmul(stream, wk), matmul(stream, wv)
+        if spec.mechanism == "local":
+            z, a = local_attention(q, k, v, spec, keep, counter)
+        else:
+            z, a = full_attention(q, k, v, keep, counter)
         zs.append(z)
         a_list.append(a)
 

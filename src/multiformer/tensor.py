@@ -345,11 +345,26 @@ def _pad_time(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, width)
 
 
-def _windows(x: np.ndarray, half: int) -> np.ndarray:
+def windows(x: np.ndarray, half: int) -> np.ndarray:
     """View [..., n, d] as [..., n, d, 2*half+1]: [..., i, :, c] is row
-    i + c - half of x, zero outside the sequence."""
+    i + c - half of x, zero (or False) outside the sequence."""
     return np.lib.stride_tricks.sliding_window_view(
         _pad_time(x, half), 2 * half + 1, axis=-2)
+
+
+def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
+    """Expand an [..., n, window+1] band to the [..., n, n] matrix."""
+    half = window // 2
+    n = band.shape[-2]
+    out = np.zeros(band.shape[:-1] + (n,), dtype=band.dtype)
+    for c, delta in enumerate(range(-half, half + 1)):
+        lo = max(0, -delta)
+        hi = min(n, n - delta)
+        if lo >= hi:
+            continue
+        idx_i = np.arange(lo, hi)
+        out[..., idx_i, idx_i + delta] = band[..., lo:hi, c]
+    return out
 
 
 def _band_transpose(band: np.ndarray, half: int) -> np.ndarray:
@@ -366,32 +381,30 @@ def _band_transpose(band: np.ndarray, half: int) -> np.ndarray:
 
 def _band_dot(x: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
     """s[..., i, c] = x_i · y_{i+c-half}, as one batched matmul."""
-    return np.matmul(x[..., None, :], _windows(y, half))[..., 0, :]
+    return np.matmul(x[..., None, :], windows(y, half))[..., 0, :]
 
 
 def _band_sum(a: np.ndarray, v: np.ndarray, half: int) -> np.ndarray:
     """z_i = sum_c a[..., i, c] v_{i+c-half} as one batched matmul."""
-    return np.matmul(_windows(v, half), a[..., None])[..., 0]
+    return np.matmul(windows(v, half), a[..., None])[..., 0]
 
 
 # -- attention ---------------------------------------------------------------
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, keep, half: int | None = None,
-           empty_rows: str = "error") -> tuple[Tensor, Tensor]:
+def attend(q: Tensor, k: Tensor, v: Tensor, keep,
+           half: int | None = None) -> tuple[Tensor, Tensor]:
     """softmax(q kᵀ / sqrt(d_h)) v over the (query, key) pairs keep admits,
     as one node over (q, k, v); returns z and the weights, outside the graph.
 
     Dense (half None): keep is a bool array broadcastable to the [..., n, m]
     scores, or None.  Banded: q, k, v are [..., n, d_h] and the scores and
     keep are [..., n, 2*half+1] bands, with off-sequence keys masked.
-    Masked pairs weigh exactly 0 and rows sum to 1.  A row with no admitted
-    key raises, or with empty_rows="zero" weighs all zero (padded queries).
+    Masked pairs weigh exactly 0 and rows sum to 1; a row with no admitted
+    key (a padded query, say) weighs all zero.
     The backward pass replays the chain scores -> scale -> softmax ->
     weighted sum op for op, with dot/mix/flip the dense or band products.
     """
-    if empty_rows not in ("error", "zero"):
-        raise ValueError(f"unknown empty_rows mode {empty_rows!r}")
     if q.shape[-1] != k.shape[-1] or k.shape != v.shape or (
             half is not None and q.shape != k.shape):
         raise ValueError(
@@ -405,15 +418,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep, half: int | None = None,
     a = dot(q.data, k.data)
     a *= scale
     if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
-        if empty_rows == "error":
-            any_valid = np.broadcast_to(keep.any(axis=-1), a.shape[:-1])
-            if not any_valid.all():
-                rows = np.argwhere(~any_valid)[:5]
-                raise ValueError(f"softmax row(s) fully masked at index {rows.tolist()}")
         # exp(-inf) is exactly 0, so masked pairs come out 0; an empty
         # row's max and sum are replaced by 0 and 1 so that it stays all zero
-        np.copyto(a, -np.inf, where=~keep)
+        np.copyto(a, -np.inf, where=~np.asarray(keep, dtype=bool))
     rowmax = a.max(axis=-1, keepdims=True)
     a -= np.where(np.isfinite(rowmax), rowmax, 0.0)
     np.exp(a, out=a)

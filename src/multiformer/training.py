@@ -117,8 +117,13 @@ class SyntheticTaskSpec:
                    if f"task_{name}" not in meta]
         if missing:
             raise ValueError(f"checkpoint meta lacks task key(s) {', '.join(missing)}")
-        return cls(**{name: kind(meta[f"task_{name}"])
-                      for name, kind in cls.field_types().items()})
+        values = {}
+        for name, kind in cls.field_types().items():
+            try:
+                values[name] = kind(meta[f"task_{name}"])
+            except ValueError as e:
+                raise ValueError(f"checkpoint meta task_{name}: {e}") from None
+        return cls(**values)
 
 
 def inv_sqrt_lr(step: int, cfg: TrainConfig) -> float:
@@ -360,6 +365,8 @@ def read_metrics(path) -> tuple[list[int], list[float]]:
                     raise ValueError(f"expected {len(METRICS_HEADER)} fields")
                 steps.append(int(row[0]))
                 losses.append(float(row[1]))
+                if not math.isfinite(losses[-1]):
+                    raise ValueError("loss is not finite")
             except ValueError as e:
                 raise ValueError(
                     f"{path}:{reader.line_num}: bad metrics row {row}: {e}") from None

@@ -2,6 +2,7 @@
 validation and derived shares/entropy, deterministic aggregation over the
 synthetic stream, and the CSV/SVG emitters."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -185,6 +186,31 @@ class TestEmit:
         write_report_csv(rep, tmp_path / "a.csv")
         write_report_csv(rep, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_failed_write_leaves_previous_report(self, tmp_path, monkeypatch):
+        """A report that dies partway leaves the previous file byte for
+        byte, and no sibling .tmp file."""
+        rep = small_report()
+        path = tmp_path / "report.csv"
+        write_report_csv(rep, path)
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        class DiesOnThirdRow:
+            def __init__(self, fh, **kw):
+                self.inner, self.rows = real_writer(fh, **kw), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise OSError("disk full")
+                return self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", DiesOnThirdRow)
+        with pytest.raises(OSError, match="disk full"):
+            write_report_csv(rep, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
     def test_svg_structure(self, tmp_path):
         rep = small_report()

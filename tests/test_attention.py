@@ -1,15 +1,16 @@
 """Attention mechanism tests against explicit-loop oracles, plus the
 score-product accounting and the masking corner cases."""
 
+import re
+
 import numpy as np
 import pytest
 
-from multiformer.attention import (ConvParams, OpCounter, band_to_dense,
-                                   conv_compress, full_attention,
-                                   local_attention)
+from multiformer.attention import (ConvParams, OpCounter, conv_compress,
+                                   full_attention, local_attention)
 from multiformer.mhma import HeadSpec
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import Tensor, using_dtype
+from multiformer.tensor import Tensor, band_to_dense, using_dtype
 
 
 def local(window):
@@ -22,6 +23,56 @@ def hole_mask(rng, n):
     if not keep.any():
         keep[rng.integers(n)] = True
     return keep
+
+
+def _compress(x, mask):
+    rng = np.random.default_rng(0)
+    d = x.shape[-1]
+    params = ConvParams(kernel=3, stride=2, weights=Tensor(rng.normal(size=(3, d, d))),
+                        bias=Tensor(rng.normal(size=d)))
+    xc, keep_c = conv_compress(x, params, mask)
+    return xc.data, keep_c
+
+
+# Each kernel run over one self-attention stream x under a key mask.
+KERNELS = {
+    "full": lambda x, mask: (full_attention(x, x, x, mask)[0].data,),
+    "local": lambda x, mask: (local_attention(x, x, x, local(2), mask)[0].data,),
+    "conv": _compress,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+class TestKeyMaskRule:
+    """Every kernel reads a key mask by one rule: None is all valid, the
+    last axis covers the stream, and the leading axes broadcast over its
+    batch axes, which rules out a per-query mask."""
+
+    B, N = 2, 5
+
+    def stream(self):
+        return Tensor(np.random.default_rng(1).normal(size=(self.B, self.N, 3)))
+
+    def test_none_means_all_valid(self, kernel):
+        x = self.stream()
+        with using_dtype("float64"):
+            got = KERNELS[kernel](x, None)
+            want = KERNELS[kernel](x, np.ones(self.N, dtype=bool))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_wrong_length_raises(self, kernel):
+        with pytest.raises(ValueError, match="mask covers 4 positions, expected 5"):
+            KERNELS[kernel](self.stream(), np.ones(self.N - 1, dtype=bool))
+
+    def test_per_query_mask_raises(self, kernel):
+        causal = np.tril(np.ones((self.N, self.N), dtype=bool))
+        with pytest.raises(ValueError, match="does not broadcast"):
+            KERNELS[kernel](self.stream(), causal)
+
+    def test_batch_axes_must_broadcast(self, kernel):
+        keep = np.ones((3, self.N), dtype=bool)
+        with pytest.raises(ValueError, match=r"mask \(3, 5\) .* \(2, 5\) positions"):
+            KERNELS[kernel](self.stream(), keep)
 
 
 class TestOpCounter:
@@ -109,8 +160,19 @@ class TestFullAttention:
         so B != n cannot be read and raises with both shapes."""
         q = Tensor(np.zeros((3, 4, 2)))
         causal = np.tril(np.ones((4, 4), dtype=bool))
-        with pytest.raises(ValueError, match=r"key mask \(4, 4\).*q \(3, 4, 2\)"):
+        with pytest.raises(ValueError, match=r"mask \(4, 4\).*\(3, 4\) positions"):
             full_attention(q, q, q, causal)
+
+    def test_batched_key_mask_names_the_empty_rows(self):
+        """A [B, m] key mask that empties one sequence reports every query
+        row of that sequence, as [batch, query] indices."""
+        q = Tensor(np.random.default_rng(13).normal(size=(3, 3, 4)))
+        kv = Tensor(np.random.default_rng(14).normal(size=(3, 5, 4)))
+        keep = np.ones((3, 5), dtype=bool)
+        keep[1] = False
+        msg = "softmax row(s) fully masked at index [[1, 0], [1, 1], [1, 2]]"
+        with pytest.raises(ValueError, match=re.escape(msg) + "$"):
+            full_attention(q, kv, kv, keep)
 
     def test_shape_and_mask_validation(self):
         q = Tensor(np.zeros((3, 4)))
@@ -175,6 +237,18 @@ class TestLocalAttention:
         # a padded query has no valid in-band key once it sits far enough out
         assert (a[7:] == 0.0).all()
         assert (z.data[7:] == 0.0).all()
+
+    @pytest.mark.parametrize("window", [2, 20])
+    def test_all_padding_sequence_gives_zero_rows(self, window):
+        """Banded (window 2) and dense (window covers n) alike."""
+        x = np.random.default_rng(6).normal(size=(2, 6, 3))
+        keep = np.ones((2, 6), dtype=bool)
+        keep[1] = False
+        with using_dtype("float64"):
+            z, bw = local_attention(Tensor(x), Tensor(x), Tensor(x),
+                                    local(window), keep)
+        assert (z.data[1] == 0.0).all() and (bw.dense()[1] == 0.0).all()
+        np.testing.assert_allclose(bw.dense()[0].sum(axis=-1), 1.0, atol=1e-12)
 
     def test_counter_counts_admissible_pairs_only(self):
         n, w = 12, 4

@@ -246,6 +246,17 @@ class TestAvgCkpt:
         assert code == EXIT_VALIDATION
         assert "bad.csv:3" in capsys.readouterr().err
 
+    def test_non_finite_loss_is_validation(self, ws, capsys):
+        """A NaN loss would otherwise be picked as the best step."""
+        rows = "".join(f"{step},{loss},1e-05,0.1\n" for step, loss in
+                       zip((0, 4, 8, 12), ("nan", 1.0, 0.5, 0.7)))
+        (ws / "m.csv").write_text("step,loss,lr,token_acc\n" + rows)
+        code = main(["avg-ckpt", "--metrics", str(ws / "m.csv"),
+                     "--dir", str(ws), "--out", str(ws / "avg.mfck")])
+        assert code == EXIT_VALIDATION
+        assert "m.csv:2" in capsys.readouterr().err
+        assert not (ws / "avg.mfck").exists()
+
 
 class TestVerify:
     def test_fast_suite_passes(self, capsys):

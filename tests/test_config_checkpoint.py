@@ -384,6 +384,23 @@ class TestCheckpointRoundTrip:
         save_arrays(second, data.arch_hash, data.arrays, data.meta)
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("field", ["name", "arch"])
+    def test_newline_in_name_or_arch_hash_rejected(self, tmp_path, field):
+        """The header is split on \\n, so either would save a file that
+        does not load; nothing is written."""
+        name, arch = ("a\nb", "feed" * 4) if field == "name" else ("w", "a\nb")
+        with pytest.raises(HeaderError, match="newline"):
+            save_arrays(tmp_path / "n.mfck", arch, {name: np.ones(2, dtype="<f4")})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tab_in_name_round_trips(self, tmp_path):
+        first, second = tmp_path / "a.mfck", tmp_path / "b.mfck"
+        save_arrays(first, "feed" * 4, {"w\tx": np.arange(3, dtype="<f4")})
+        data = load_checkpoint(first)
+        assert list(data.arrays) == ["w\tx"]
+        save_arrays(second, data.arch_hash, data.arrays, data.meta)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_param_name_with_space_rejected(self, tmp_path):
         with pytest.raises(HeaderError, match="space"):
             save_arrays(tmp_path / "m.mfck", "feed" * 4,

@@ -3,15 +3,13 @@ central finite differences, and the bookkeeping rules (accumulation,
 pruning, precision modes) that the rest of the package relies on."""
 
 import platform
-import re
 
 import numpy as np
 import pytest
 
-from multiformer.attention import band_to_dense
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import (Parameter, Tensor, attend, concat, conv1d,
-                                dropout, embedding, ffn, gather_last,
+from multiformer.tensor import (Parameter, Tensor, attend, band_to_dense, concat,
+                                conv1d, dropout, embedding, ffn, gather_last,
                                 grad_check, layer_norm, log_softmax, matmul,
                                 relu, tsum, using_dtype, _make, _topo_order)
 
@@ -123,28 +121,13 @@ class TestSoftmaxFamily:
         np.testing.assert_allclose(a.data.sum(axis=-1), 1.0, atol=1e-12)
         np.testing.assert_allclose(z.data, a.data @ v, atol=1e-12)
 
-    def test_empty_row_policies(self):
+    def test_empty_row_weighs_all_zero(self):
         q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(11), 2, 3))
         mask = np.array([[True, False, False], [False, False, False]])
-        with pytest.raises(ValueError, match="fully masked"):
-            attend(q, k, v, mask)
-        z, a = attend(q, k, v, mask, empty_rows="zero")
+        z, a = attend(q, k, v, mask)
         np.testing.assert_array_equal(a.data[1], 0.0)
         np.testing.assert_array_equal(z.data[1], 0.0)
-        # an unknown mode raises whether or not any row is empty
-        for m in (mask, mask[0], None):
-            with pytest.raises(ValueError, match="empty_rows"):
-                attend(q, k, v, m, empty_rows="wat")
-
-    def test_batched_key_mask_names_the_empty_rows(self):
-        """A [B, 1, m] key mask that empties one sequence reports every
-        query row of that sequence, as [batch, query] indices."""
-        q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(13), 3, 5, lead=(3,)))
-        keep = np.ones((3, 1, 5), dtype=bool)
-        keep[1] = False
-        msg = "softmax row(s) fully masked at index [[1, 0], [1, 1], [1, 2]]"
-        with pytest.raises(ValueError, match=re.escape(msg) + "$"):
-            attend(q, k, v, keep)
+        np.testing.assert_allclose(a.data[0], [1.0, 0.0, 0.0])
 
     def test_no_mask_equals_all_true_mask(self):
         q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(10), 4, 9, lead=(3,)))
@@ -231,11 +214,9 @@ class TestBanded:
     def test_values_match_dense_and_naive_oracle(self, half, n):
         q, k, v, keep, band_mask = self.inputs(half, n)
         with using_dtype("float64"):
-            z, w = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=half,
-                          empty_rows="zero")
+            z, w = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=half)
             dense_mask = band_to_dense(band_mask, 2 * half).astype(bool)
-            z_d, w_d = attend(Tensor(q), Tensor(k), Tensor(v), dense_mask,
-                              empty_rows="zero")
+            z_d, w_d = attend(Tensor(q), Tensor(k), Tensor(v), dense_mask)
         # the band holds exactly the dense kernel's in-band weights
         np.testing.assert_allclose(band_to_dense(w.data, 2 * half), w_d.data, atol=1e-12)
         np.testing.assert_allclose(z.data, z_d.data, atol=1e-12)
@@ -254,8 +235,7 @@ class TestBanded:
         with using_dtype("float64"):
             tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
             report = grad_check(
-                lambda: (attend(tq, tk, tv, band_mask, half=half,
-                                empty_rows="zero")[0] * r_z).sum(),
+                lambda: (attend(tq, tk, tv, band_mask, half=half)[0] * r_z).sum(),
                 [Parameter("q", tq), Parameter("k", tk), Parameter("v", tv)],
                 max_samples=q.size)
         assert report.ok, report.failures()

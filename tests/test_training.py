@@ -263,6 +263,12 @@ class TestSyntheticTask:
         spec = tiny_spec(noise=0.125)
         assert SyntheticTaskSpec.from_meta(dict(spec.meta())) == spec
 
+    def test_bad_meta_value_names_its_key(self):
+        meta = dict(tiny_spec().meta())
+        meta["task_redundancy"] = "x"
+        with pytest.raises(ValueError, match="meta task_redundancy: invalid literal"):
+            SyntheticTaskSpec.from_meta(meta)
+
     def test_meta_text_is_fixed(self):
         # these lines are part of every checkpoint's bytes
         assert SyntheticTaskSpec(noise=0.1).meta() == [
@@ -615,6 +621,14 @@ class TestReadMetrics:
         steps, losses = read_metrics(res.metrics_path)
         assert steps == [0, 4]
         assert losses[-1] == pytest.approx(res.final_loss, abs=1e-6)
+
+    @pytest.mark.parametrize("loss", ["nan", "inf", "-inf"])
+    def test_non_finite_loss_rejected(self, tmp_path, loss):
+        """min() over a NaN loss would pick the NaN row as the best."""
+        p = tmp_path / "m.csv"
+        p.write_text(f"step,loss,lr,token_acc\n0,1.0,1e-05,0.1\n4,{loss},1e-05,0.1\n")
+        with pytest.raises(ValueError, match=r"m\.csv:3: .*not finite"):
+            read_metrics(p)
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"
