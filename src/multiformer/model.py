@@ -20,7 +20,8 @@ from .attention import ConvParams, OpCounter, conv_compress
 from .mhma import (AttentionOutput, HeadSpec, MHMAWeights, glorot,
                    init_mhma_weights, mhma_forward, mhma_parameters)
 from .tensor import (Parameter, Tensor, default_dtype, dropout, embedding, ffn,
-                     gather_last, layer_norm, log_softmax, matmul, mul, relu)
+                     gather_last, layer_norm, log_softmax, matmul, mul, pack,
+                     relu, unpack)
 
 # Unused here, but perfbench/tracing.py lists multiformer.model.full_attention
 # and multiformer.model.conv1d among its wrap points, and its smoke test
@@ -222,17 +223,18 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
 
 def subsample(x: Tensor, mask: np.ndarray | None,
               weights: list[ConvParams]) -> tuple[Tensor, np.ndarray]:
-    """Two stride-2 convs with rectifiers: [.., T, F] -> [.., ceil(ceil(T/2)/2), d].
+    """Two stride-2 convs with rectifiers over [.., T, F] frames.
 
     Each conv is a conv_compress step: masked frames are zeroed before it
     so appended padding cannot alter valid output frames, and the mask
-    downsamples by the center rule.
+    downsamples by the center rule.  Returns the valid output frames
+    packed into rows [N, d] and their mask [.., ceil(ceil(T/2)/2)].
     """
     h, keep = x, mask
     for conv in weights:
         h, keep = conv_compress(h, conv, keep)
         h = relu(h)
-    return mul(h, keep[..., None].astype(h.data.dtype)), keep
+    return pack(h, keep), keep
 
 
 def _ffn(x: Tensor, w: FFNWeights) -> Tensor:
@@ -245,24 +247,28 @@ def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
            ) -> tuple[Tensor, np.ndarray, list[AttentionOutput]]:
     """Subsample, add positions, run the MHMA encoder stack.
 
-    Returns (states [.., T', d], frame mask [.., T'], per-layer attention
-    outputs).
+    The position-wise work (position add, residual adds, dropout, layer
+    norms and FFN) runs on the valid frames packed into rows [N, d]; each
+    MHMA attends over them unpacked to [.., T', d].  Returns (states
+    [.., T', d] with padded frames exactly 0, frame mask [.., T'],
+    per-layer attention outputs).
     """
     if source.shape[-2] > config.max_source_len:
         raise ValueError(
             f"source length {source.shape[-2]} exceeds max {config.max_source_len}")
     p = config.dropout
     h, keep = subsample(source, source_mask, weights.subsampler)
-    h = h + Tensor(sinusoidal_positions(h.shape[-2], config.d_model))
-    h = dropout(h, p, rng)
+    positions = sinusoidal_positions(keep.shape[-1], config.d_model)
+    h = dropout(h + Tensor(positions[np.nonzero(keep)[-1]]), p, rng)
     outs: list[AttentionOutput] = []
     for specs, layer in zip(config.encoder_layers, weights.encoder):
-        out = mhma_forward(h, specs, layer.mhma, keep, counter)
-        h = layer_norm(h + dropout(out.y, p, rng), layer.ln1.gain, layer.ln1.bias)
+        out = mhma_forward(unpack(h, keep), specs, layer.mhma, keep, counter)
+        y = dropout(pack(out.y, keep), p, rng)
+        h = layer_norm(h + y, layer.ln1.gain, layer.ln1.bias)
         f = dropout(_ffn(h, layer.ffn), p, rng)
         h = layer_norm(h + f, layer.ln2.gain, layer.ln2.bias)
         outs.append(out)
-    return h, keep, outs
+    return unpack(h, keep), keep, outs
 
 
 def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,

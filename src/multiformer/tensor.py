@@ -2,6 +2,7 @@
 
 Implements exactly the operations the model runs: elementwise add, mul,
 neg and relu; sum; concatenation and the swap of the last two axes;
+packing the valid rows of a padded batch and scattering them back;
 matmul; log-softmax; embedding lookup and a last-axis gather; dropout.
 One attention head (dense or banded, i.e. sliding-window), the
 position-wise feed-forward block, 1-D convolution and layer normalization
@@ -311,6 +312,33 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(data, tuple(tensors), bw)
 
 
+def pack(x: Tensor, keep: np.ndarray) -> Tensor:
+    """Gather the rows keep marks: [..., n, d] -> [N, d], N = keep.sum(),
+    in row-major order.  The backward pass scatters into zeros."""
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != x.shape[:-1]:
+        raise ValueError(f"pack: mask {keep.shape} does not match rows {x.shape[:-1]}")
+
+    def bw(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx[keep] = g
+        return (gx,)
+
+    return _make(x.data[keep], (x,), bw)
+
+
+def unpack(rows: Tensor, keep: np.ndarray) -> Tensor:
+    """Scatter packed rows [N, d] back to [..., n, d], keep's shape plus d,
+    with zero rows where keep is False; the inverse of pack.  The backward
+    pass gathers."""
+    keep = np.asarray(keep, dtype=bool)
+    if rows.ndim != 2 or rows.shape[0] != keep.sum():
+        raise ValueError(f"unpack: rows {rows.shape} for {int(keep.sum())} kept positions")
+    data = np.zeros(keep.shape + rows.shape[-1:], dtype=rows.data.dtype)
+    data[keep] = rows.data
+    return _make(data, (rows,), lambda g: (g[keep],))
+
+
 # -- linear algebra ---------------------------------------------------------
 
 
@@ -333,7 +361,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 #
 # Column c of a band row i pairs position i with position i + c - half, for
 # c in [0, 2*half]: the band holds the diagonals |i - j| <= half of an
-# [n, n] matrix.  Positions outside [0, n) read as zeros; callers mask
+# [n, n] matrix.  Positions outside [0, n) read as zeros; attend masks
 # those columns.  Every product, forward and backward, is one batched
 # matmul against a sliding-window view.
 
@@ -399,7 +427,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
 
     Dense (half None): keep is a bool array broadcastable to the [..., n, m]
     scores, or None.  Banded: q, k, v are [..., n, d_h] and the scores and
-    keep are [..., n, 2*half+1] bands, with off-sequence keys masked.
+    keep are [..., n, 2*half+1] bands, with off-sequence keys masked; None
+    admits every in-sequence key.
     Masked pairs weigh exactly 0 and rows sum to 1; a row with no admitted
     key (a padded query, say) weighs all zero.
     The backward pass replays the chain scores -> scale -> softmax ->
@@ -414,6 +443,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
     if half is not None:
         dot, mix, flip = (partial(f, half=half)
                           for f in (_band_dot, _band_sum, _band_transpose))
+        if keep is None:
+            keep = windows(np.ones((q.shape[-2], 1), dtype=bool), half)[..., 0, :]
     scale = 1.0 / math.sqrt(q.shape[-1])
     a = dot(q.data, k.data)
     a *= scale

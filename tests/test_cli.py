@@ -128,12 +128,41 @@ class TestTrain:
         assert code == EXIT_IO
 
 
+# Prints one line per encoder block given as an argument: the sha256 of a
+# paper-width layer's encoder output and every parameter gradient.
+PAPER_LAYER_DIGEST = """
+import hashlib, sys
+import numpy as np
+from multiformer.config import parse_architecture_text
+from multiformer.model import encode, init_model_weights, named_parameters
+from multiformer.tensor import Tensor
+
+for block in sys.argv[1:]:
+    cfg = parse_architecture_text(
+        "d_model = 256\\nffn_dim = 2048\\nfeature_dim = 80\\nheads = 4\\n"
+        "decoder_layers = 1\\nvocab_size = 35\\nencoder_layers = 1\\n"
+        f"max_source_len = 4096\\nblock 1 : {block}\\n")
+    w = init_model_weights(cfg, seed=5)
+    rng = np.random.default_rng(5)
+    mask = np.arange(4096) < np.array([[4096], [3584], [3072], [2560]])
+    source = Tensor(rng.normal(size=(4, 4096, 80)) * mask[..., None])
+    states, _, _ = encode(source, mask, cfg, w)
+    (states * Tensor(rng.normal(size=states.shape))).sum().backward()
+    digest = hashlib.sha256(states.data.tobytes())
+    for p in named_parameters(w):
+        if p.tensor.grad is not None:
+            digest.update(p.name.encode() + p.tensor.grad.tobytes())
+    print(block, digest.hexdigest())
+"""
+
+
 class TestDeterminism:
     def test_two_processes_write_the_same_bytes(self, tmp_path):
         """Same seed, same bytes across processes at one BLAS thread: two
         `mf train` runs of the toy multiformer_lc preset with dropout 0.1
         write byte-identical checkpoints and metrics.csv.  (Across BLAS
-        thread counts the subsampler's weight gradient differs.)"""
+        thread counts the weight gradients of the subsampler convs and
+        the encoder FFNs differ at this size.)"""
         spec = SyntheticTaskSpec()
         config = dataclasses.replace(
             toy_model_config("multiformer_lc", spec.vocab_size, spec.feature_dim),
@@ -156,6 +185,25 @@ class TestDeterminism:
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_paper_width_layer_is_the_same_at_one_and_two_blas_threads(self):
+        """A paper-width encoder layer (d=256, ffn 2048, four padded
+        sources of up to 4096 frames) gives the same output and parameter
+        gradient bytes at 1 and 2 OpenBLAS threads, for the full and lc
+        mixes.  Its FFN weight gradients are one GEMM over the packed
+        rows of the whole batch."""
+        src = os.path.dirname(os.path.dirname(multiformer.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run(
+                [sys.executable, "-c", PAPER_LAYER_DIGEST, "full full full full",
+                 "local(64) local(64) conv(5,2) conv(5,2)"],
+                env=env, check=True, capture_output=True, text=True, timeout=600)
+            digests.append(run.stdout.splitlines())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 class TestAnalyze:

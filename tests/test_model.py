@@ -69,9 +69,9 @@ class TestSubsampler:
         cfg = tiny_config([MIX])
         w = init_model_weights(cfg, seed=0)
         x = Tensor(np.random.default_rng(t).normal(size=(t, cfg.input_feature_dim)))
-        out, keep = subsample(x, None, w.subsampler)
-        assert out.shape[-2] == -(-(-(-t // 2)) // 2)  # ceil(ceil(t/2)/2)
-        assert keep.shape[-1] == out.shape[-2]
+        rows, keep = subsample(x, None, w.subsampler)
+        assert keep.shape == (-(-(-(-t // 2)) // 2),)  # ceil(ceil(t/2)/2)
+        assert keep.all() and rows.shape == (keep.size, cfg.d_model)
 
     def test_padding_invariance_is_bit_exact(self):
         """Junk frames beyond the mask must not perturb surviving frames:
@@ -83,12 +83,27 @@ class TestSubsampler:
         x = rng.normal(size=(t, cfg.input_feature_dim))
         junk = rng.normal(size=(7, cfg.input_feature_dim)) * 100.0
         keep = np.concatenate([np.ones(t, bool), np.zeros(7, bool)])
-        alone, _ = subsample(Tensor(x), np.ones(t, bool), w.subsampler)
+        alone, keep_a = subsample(Tensor(x), np.ones(t, bool), w.subsampler)
         padded, keep_s = subsample(Tensor(np.concatenate([x, junk])), keep,
                                    w.subsampler)
-        m = alone.shape[-2]
-        assert np.array_equal(padded.data[:m][keep_s[:m]],
-                              alone.data[keep_s[:m]])
+        m = keep_a.size
+        assert keep_a.all() and np.array_equal(keep_s, np.arange(keep_s.size) < m)
+        assert np.array_equal(padded.data, alone.data)
+
+    def test_returns_the_valid_rows_in_batch_order(self):
+        """Rows are the valid frames of each sequence in turn: a batch of
+        two packs to the rows of each sequence subsampled alone."""
+        rng = np.random.default_rng(3)
+        cfg = tiny_config([MIX])
+        w = init_model_weights(cfg, seed=0)
+        x = rng.normal(size=(2, 20, cfg.input_feature_dim))
+        mask = np.arange(20) < np.array([[20], [9]])
+        rows, keep = subsample(Tensor(x), mask, w.subsampler)
+        assert keep.sum(axis=-1).tolist() == [5, 3] and rows.shape == (8, cfg.d_model)
+        for i, n in enumerate((20, 9)):
+            alone, _ = subsample(Tensor(x[i, :n]), None, w.subsampler)
+            assert np.array_equal(rows.data[keep[:i].sum():keep[:i + 1].sum()],
+                                  alone.data)
 
     def test_mask_downsampling_tracks_strides(self):
         cfg = tiny_config([MIX])
@@ -135,6 +150,24 @@ class TestEncoder:
         _, keep, _ = encode(x, None, cfg, w, counter=c)
         n = keep.shape[-1]
         assert c.score_products == 2 * 2 * n * n  # layers x heads x n^2
+
+    def test_position_wise_work_runs_on_valid_rows(self, monkeypatch):
+        """Each encoder FFN sees the [N, d] valid rows of the batch, and
+        encode's padded output rows are exactly 0."""
+        spec = SyntheticTaskSpec()
+        cfg = toy_model_config("multiformer_lc", vocab_size=spec.vocab_size,
+                               feature_dim=spec.feature_dim)
+        w = init_model_weights(cfg, seed=3)
+        batch = gen_synthetic_batch(spec, 5, np.random.default_rng(3))
+        seen = []
+        ffn_block = model._ffn
+        monkeypatch.setattr(model, "_ffn",
+                            lambda h, f: seen.append(h.shape) or ffn_block(h, f))
+        states, keep, _ = encode(batch.source_features, batch.source_mask, cfg, w)
+        assert not keep.all()
+        assert seen == [(int(keep.sum()), cfg.d_model)] * len(cfg.encoder_layers)
+        assert states.shape == keep.shape + (cfg.d_model,)
+        assert not states.data[~keep].any() and states.data[keep].any()
 
     def test_source_length_limit(self):
         cfg = tiny_config([FULL], max_source_len=8)
@@ -431,6 +464,23 @@ class TestEndToEndGradients:
             params = named_parameters(w)
             report = grad_check(lambda: forward_loss(batch, cfg, w, 0.1),
                                 params, max_samples=2, seed=1)
+        assert report.ok, [e.name for e in report.failures()]
+        assert report.max_rel_err() < 1e-4
+
+    def test_forward_loss_gradcheck_padded_batch(self):
+        """Gradients of a padded batch, through the encoder's pack and
+        unpack nodes: three sources of 16, 9 and 5 frames with junk in
+        the padding, and one target sequence padded."""
+        rng = np.random.default_rng(11)
+        cfg = tiny_config([MIX, FULL], d=8, dec=1, vocab=7, feat=4)
+        with using_dtype("float64"):
+            w = init_model_weights(cfg, seed=6)
+            batch = make_batch(rng, cfg, b=3, t=16, u=5)
+            batch.source_mask = np.arange(16) < np.array([[16], [9], [5]])
+            batch.source_features.data[~batch.source_mask] *= 50.0
+            batch.target_mask[2, 3:] = False
+            report = grad_check(lambda: forward_loss(batch, cfg, w, 0.1),
+                                named_parameters(w), max_samples=2, seed=2)
         assert report.ok, [e.name for e in report.failures()]
         assert report.max_rel_err() < 1e-4
 

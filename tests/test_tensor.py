@@ -11,7 +11,8 @@ from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer.tensor import (Parameter, Tensor, attend, band_to_dense, concat,
                                 conv1d, dropout, embedding, ffn, gather_last,
                                 grad_check, layer_norm, log_softmax, matmul,
-                                relu, tsum, using_dtype, _make, _topo_order)
+                                pack, relu, tsum, unpack, using_dtype, _make,
+                                _topo_order)
 
 
 def fd_grad(f, x, i, h=1e-6):
@@ -105,6 +106,56 @@ def qkv(rng, n, m, d_h=4, lead=()):
     """Random float64 queries [*lead, n, d_h] and keys/values [*lead, m, d_h]."""
     return (rng.normal(size=lead + (n, d_h)), rng.normal(size=lead + (m, d_h)),
             rng.normal(size=lead + (m, d_h)))
+
+
+PACK_MASKS = {
+    "batched": np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], bool),
+    "unbatched": np.array([1, 1, 1, 1, 0, 0], bool),
+    "all_valid": np.ones((2, 4), bool),
+    "one_all_padding": np.array([[1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 1, 0]], bool),
+}
+
+
+class TestPackRows:
+    """pack gathers the valid rows of a padded batch into [N, d]; unpack
+    scatters them back with zero rows at the padding."""
+
+    @pytest.mark.parametrize("case", sorted(PACK_MASKS))
+    def test_round_trip_zeroes_the_padding(self, case):
+        keep = PACK_MASKS[case]
+        x = np.random.default_rng(1).normal(size=keep.shape + (3,)).astype(np.float32)
+        rows = pack(Tensor(x), keep)
+        assert rows.shape == (keep.sum(), 3)
+        np.testing.assert_array_equal(rows.data, x[keep])
+        back = unpack(rows, keep)
+        assert back.shape == x.shape
+        np.testing.assert_array_equal(back.data, np.where(keep[..., None], x, 0.0))
+
+    @pytest.mark.parametrize("case", sorted(PACK_MASKS))
+    def test_gradient_through_both_nodes(self, case):
+        keep = PACK_MASKS[case]
+        rng = np.random.default_rng(2)
+        with using_dtype("float64"):
+            x = Tensor(rng.normal(size=keep.shape + (3,)), requires_grad=True)
+            w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+            r = rng.normal(size=keep.shape + (3,))
+            report = grad_check(
+                lambda: (unpack(matmul(pack(x, keep), w), keep) * r).sum(),
+                [Parameter("x", x), Parameter("w", w)])
+        assert report.ok, report.failures()
+        # padded rows of x reach nothing, so their gradient is exactly 0
+        x.zero_grad()
+        (unpack(pack(x, keep), keep) * r).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.where(keep[..., None], r, 0.0))
+
+    def test_shape_validation(self):
+        keep = PACK_MASKS["batched"]
+        with pytest.raises(ValueError, match="does not match rows"):
+            pack(Tensor(np.zeros((3, 4, 2))), keep)
+        with pytest.raises(ValueError, match="kept positions"):
+            unpack(Tensor(np.zeros((int(keep.sum()) + 1, 2))), keep)
+        with pytest.raises(ValueError, match="kept positions"):
+            unpack(Tensor(np.zeros(keep.shape + (2,))), keep)
 
 
 class TestSoftmaxFamily:
@@ -240,6 +291,23 @@ class TestBanded:
                 max_samples=q.size)
         assert report.ok, report.failures()
         assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
+
+    def test_no_mask_admits_every_in_sequence_key(self):
+        """With no mask, the band's off-sequence columns weigh 0: at
+        half=1, row 0 splits its weight between keys 0 and 1 alone, and z
+        is dense attention under the tridiagonal mask."""
+        ones = Tensor(np.ones((4, 2)))
+        _, w = attend(ones, ones, ones, None, half=1)
+        np.testing.assert_array_equal(w.data[0], [0.0, 0.5, 0.5])
+        np.testing.assert_array_equal(w.data[-1], [0.5, 0.5, 0.0])
+        rng = np.random.default_rng(3)
+        q, k, v = qkv(rng, 6, 6, 4, lead=(2,))
+        with using_dtype("float64"):
+            z, w = attend(Tensor(q), Tensor(k), Tensor(v), None, half=1)
+            tridiagonal = np.abs(np.subtract.outer(np.arange(6), np.arange(6))) <= 1
+            z_d, w_d = attend(Tensor(q), Tensor(k), Tensor(v), tridiagonal)
+        np.testing.assert_allclose(z.data, z_d.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(band_to_dense(w.data, 2), w_d.data, rtol=0, atol=1e-12)
 
     def test_shape_validation(self):
         x = Tensor(np.zeros((5, 2)))
