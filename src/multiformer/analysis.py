@@ -88,6 +88,8 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     config = dataclasses.replace(config, dropout=0.0)
     rng = np.random.default_rng(seed)
     # one [tokens, H] contribution array per layer and batch

@@ -362,15 +362,51 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # Column c of a band row i pairs position i with position i + c - half, for
 # c in [0, 2*half]: the band holds the diagonals |i - j| <= half of an
 # [n, n] matrix.  Positions outside [0, n) read as zeros; attend masks
-# those columns.  Every product, forward and backward, is one batched
-# matmul against a sliding-window view.
+# those columns.
+#
+# The products have two implementations.  Per row, each is one batched
+# matmul against a sliding-window view: n*(2*half+1) multiply-adds per
+# feature, but B*n tiny BLAS calls.  At short n those calls cost more
+# than the arithmetic they save, so there the scores are one dense GEMM
+# x yᵀ into a column-padded [n, n+2*half] buffer, read back through a
+# strided view of its diagonals, and a band is lifted into that buffer
+# for one dense GEMM against the values.  attend picks by n and half;
+# the band layout, and the softmax over it, are the same on both paths.
+
+# Banded attend runs dense GEMMs while n is at most this many windows
+# (2*half+1); measured at d_h=16, window 8 and at d_h=64, window 64.
+_BAND_GEMM_WINDOWS = 4
+_forced_band_path: str | None = None
+
+
+@contextmanager
+def using_band_path(path: str | None):
+    """Temporarily run banded attend on one product pair, "gemm" or
+    "rows", whatever the length, so that checks cover both; None picks
+    by length."""
+    global _forced_band_path
+    if path not in ("gemm", "rows", None):
+        raise ValueError(f"unknown band path {path!r}, expected 'gemm', 'rows' or None")
+    prev, _forced_band_path = _forced_band_path, path
+    try:
+        yield
+    finally:
+        _forced_band_path = prev
+
+
+def band_uses_gemm(n: int, half: int) -> bool:
+    """Whether banded attend over n positions runs its products as GEMMs."""
+    if _forced_band_path is not None:
+        return _forced_band_path == "gemm"
+    return n <= _BAND_GEMM_WINDOWS * (2 * half + 1)
 
 
 def _pad_time(x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the time axis (-2) by `pad` rows at both ends."""
-    width = [(0, 0)] * x.ndim
-    width[-2] = (pad, pad)
-    return np.pad(x, width)
+    n = x.shape[-2]
+    out = np.zeros(x.shape[:-2] + (n + 2 * pad, x.shape[-1]), dtype=x.dtype)
+    out[..., pad:pad + n, :] = x
+    return out
 
 
 def windows(x: np.ndarray, half: int) -> np.ndarray:
@@ -417,6 +453,30 @@ def _band_sum(a: np.ndarray, v: np.ndarray, half: int) -> np.ndarray:
     return np.matmul(windows(v, half), a[..., None])[..., 0]
 
 
+def _diagonals(p: np.ndarray, half: int) -> np.ndarray:
+    """The [..., n, 2*half+1] band of a column-padded [..., n, n+2*half]
+    matrix, as a view: (i, c) is p[..., i, i + c]."""
+    row, col = p.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        p, shape=p.shape[:-1] + (2 * half + 1,), strides=p.strides[:-2] + (row + col, col))
+
+
+def _gemm_band_dot(x: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
+    """_band_dot as one dense GEMM x yᵀ."""
+    n = x.shape[-2]
+    p = np.zeros(x.shape[:-1] + (n + 2 * half,), dtype=np.result_type(x, y))
+    np.matmul(x, np.swapaxes(y, -1, -2), out=p[..., half:half + n])
+    return _diagonals(p, half).copy()
+
+
+def _gemm_band_lift(band: np.ndarray, half: int) -> np.ndarray:
+    """The [..., n, n] matrix whose diagonals |i - j| <= half are band."""
+    n = band.shape[-2]
+    p = np.zeros(band.shape[:-1] + (n + 2 * half,), dtype=band.dtype)
+    _diagonals(p, half)[...] = band
+    return p[..., half:half + n]
+
+
 # -- attention ---------------------------------------------------------------
 
 
@@ -432,7 +492,10 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
     Masked pairs weigh exactly 0 and rows sum to 1; a row with no admitted
     key (a padded query, say) weighs all zero.
     The backward pass replays the chain scores -> scale -> softmax ->
-    weighted sum op for op, with dot/mix/flip the dense or band products.
+    weighted sum op for op, with dot/mix/flip the dense or band products;
+    lift turns a band into mix's operand (the dense matrix on the GEMM
+    band path), so that one lifted score gradient serves both q's product
+    and, transposed, k's.
     """
     if q.shape[-1] != k.shape[-1] or k.shape != v.shape or (
             half is not None and q.shape != k.shape):
@@ -440,9 +503,13 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
             f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     swap = partial(np.swapaxes, axis1=-1, axis2=-2)
     dot, mix, flip = (lambda x, y: np.matmul(x, swap(y))), np.matmul, swap
+    lift = lambda band: band
     if half is not None:
-        dot, mix, flip = (partial(f, half=half)
-                          for f in (_band_dot, _band_sum, _band_transpose))
+        if band_uses_gemm(q.shape[-2], half):
+            dot, lift = (partial(f, half=half) for f in (_gemm_band_dot, _gemm_band_lift))
+        else:
+            dot, mix, flip = (partial(f, half=half)
+                              for f in (_band_dot, _band_sum, _band_transpose))
         if keep is None:
             keep = windows(np.ones((q.shape[-2], 1), dtype=bool), half)[..., 0, :]
     scale = 1.0 / math.sqrt(q.shape[-1])
@@ -464,11 +531,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
         gs -= (gs * a).sum(axis=-1, keepdims=True)
         gs *= a
         gs *= scale
+        gs = lift(gs)
         return (_unbroadcast(mix(gs, k.data), q.shape),
                 _unbroadcast(mix(flip(gs), q.data), k.shape),
-                _unbroadcast(mix(flip(a), g), v.shape))
+                _unbroadcast(mix(flip(lift(a)), g), v.shape))
 
-    return _make(mix(a, v.data), (q, k, v), bw), _make(a, (), None)
+    return _make(mix(lift(a), v.data), (q, k, v), bw), _make(a, (), None)
 
 
 # -- log-softmax -------------------------------------------------------------

@@ -52,10 +52,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.warmup_updates < 1:
-            raise ValueError("warmup_updates must be >= 1")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be positive")
-        for name, low in (("max_updates", 0), ("log_every", 1), ("update_freq", 1)):
+            raise ValueError(f"warmup_updates must be >= 1, got {self.warmup_updates}")
+        if not self.peak_lr > 0:
+            raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
+        for name, low in (("seed", 0), ("max_updates", 0), ("log_every", 1),
+                          ("update_freq", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.target_acc is not None and not 0 < self.target_acc <= 1:

@@ -3,7 +3,8 @@
 Each test prints exactly one `A# PASS: ...` or `A# FAIL: ...` line; run
 `pytest tests/test_acceptance.py -s` to watch them stream.  The training
 criterion (A5) really trains all six desk-scale configs, so the full
-suite takes several minutes.
+suite takes several minutes; A3, A5 and A6 (which reuses A5's lc run)
+are marked `slow`, and `pytest -m "not slow"` leaves them out.
 """
 
 import csv as csv_mod
@@ -78,6 +79,7 @@ def test_a2_recomposition():
            f"{r.cases} mixed-head configs, {r.detail}")
 
 
+@pytest.mark.slow
 def test_a3_end_to_end_gradients():
     def d16_config(name: str) -> ModelConfig:
         full = parse_architecture(name)
@@ -122,6 +124,7 @@ def test_a4_count_law():
            f"<= n*(w+1) local, n*ceil(n/chi) conv; {r.detail}")
 
 
+@pytest.mark.slow
 def test_a5_desk_scale_training(workdir):
     outcomes = []
     ok = True
@@ -150,6 +153,7 @@ def test_a5_desk_scale_training(workdir):
               else "; RERUN DIVERGED"))
 
 
+@pytest.mark.slow
 def test_a6_analysis_pipeline(workdir):
     run = trained_run("multiformer_lc", workdir)
     config = toy_model_config("multiformer_lc", vocab_size=TASK.vocab_size,

@@ -166,6 +166,11 @@ class TestAggregate:
         with pytest.raises(ValueError, match="at least one"):
             aggregate_contributions(config, weights, spec, samples=0, seed=0)
 
+    def test_negative_seed_names_its_field(self):
+        spec, config, weights = analysis_setup()
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            aggregate_contributions(config, weights, spec, samples=1, seed=-1)
+
 
 class TestEmit:
     def test_csv_layout(self, tmp_path):

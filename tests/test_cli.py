@@ -113,6 +113,7 @@ class TestTrain:
     @pytest.mark.parametrize("flags,message", [
         (("--steps", "-2"), "max_updates must be >= 0, got -2"),
         (("--steps", "1", "--log-every", "0"), "log_every must be >= 1, got 0"),
+        (("--steps", "1", "--seed", "-1"), "seed must be >= 0, got -1"),
     ])
     def test_bad_step_count_names_its_field(self, ws, capsys, flags, message):
         code = main(["train", "--arch", str(ws / "m.arch"),
@@ -220,6 +221,17 @@ class TestAnalyze:
         assert (ws / "r.csv").exists() and (ws / "r.svg").exists()
         header = (ws / "r.csv").read_text().splitlines()[0]
         assert header.startswith("layer,head,mechanism")
+
+    def test_negative_seed_names_its_field(self, ws, capsys):
+        do_train(ws)
+        capsys.readouterr()
+        code = main(["analyze", "--ckpt", str(ws / "run" / "ckpt_000006.mfck"),
+                     "--arch", str(ws / "m.arch"), "--samples", "2",
+                     "--seed", "-2", "--csv", str(ws / "r.csv"),
+                     "--svg", str(ws / "r.svg")])
+        assert code == EXIT_VALIDATION
+        assert "error: seed must be >= 0, got -2" in capsys.readouterr().err
+        assert not (ws / "r.csv").exists()
 
     def test_arch_mismatch_is_validation(self, ws, capsys):
         do_train(ws)

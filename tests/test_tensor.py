@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import (Parameter, Tensor, attend, band_to_dense, concat,
-                                conv1d, dropout, embedding, ffn, gather_last,
-                                grad_check, layer_norm, log_softmax, matmul,
-                                pack, relu, tsum, unpack, using_dtype, _make,
-                                _topo_order)
+from multiformer.tensor import (Parameter, Tensor, attend, band_to_dense,
+                                band_uses_gemm, concat, conv1d, dropout,
+                                embedding, ffn, gather_last, grad_check,
+                                layer_norm, log_softmax, matmul, pack, relu,
+                                tsum, unpack, using_band_path, using_dtype,
+                                windows, _make, _topo_order)
 
 
 def fd_grad(f, x, i, h=1e-6):
@@ -244,12 +245,18 @@ class TestSoftmaxFamily:
         np.testing.assert_array_equal(x.grad, expect)
 
 
-BAND_CASES = [(half, n) for half in (1, 3) for n in range(2 * half + 2, 21)]
+# Both band edges are hit at every n; half=1 from n=13 on, and half=3 at
+# n=30, run the per-row products, the rest the dense GEMMs.
+BAND_CASES = [(half, n) for half in (1, 3) for n in range(2 * half + 2, 21)] + [(3, 30)]
 
 
 class TestBanded:
-    """Banded attend on [2, 3, n, d_h] float64 inputs, with n small enough
-    that both band edges are hit."""
+    """Banded attend on [2, 3, n, d_h] float64 inputs."""
+
+    def test_cases_cover_both_product_paths(self):
+        for half in (1, 3):
+            paths = {band_uses_gemm(n, half) for h, n in BAND_CASES if h == half}
+            assert paths == {True, False}
 
     @staticmethod
     def inputs(half, n, d_h=4):
@@ -291,6 +298,44 @@ class TestBanded:
                 max_samples=q.size)
         assert report.ok, report.failures()
         assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
+
+    def test_forced_paths_agree_and_restore(self):
+        """n=30, half=3 runs per row; forced onto either pair it gives the
+        same values, and the length rule is back afterwards."""
+        q, k, v, _, band_mask = self.inputs(3, 30)
+        out = {}
+        with using_dtype("float64"):
+            for path in ("gemm", "rows"):
+                with using_band_path(path):
+                    assert band_uses_gemm(30, 3) == (path == "gemm")
+                    out[path] = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=3)
+        assert band_uses_gemm(28, 3) and not band_uses_gemm(30, 3)
+        for a, b in zip(out["gemm"], out["rows"]):
+            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="unknown band path 'dense'"):
+            with using_band_path("dense"):
+                pass
+
+    @pytest.mark.parametrize("half,n", [(1, 6), (1, 30), (3, 20), (3, 40)])
+    def test_junk_rows_leave_valid_rows_bitwise_unchanged(self, half, n):
+        """Masked junk rows appended to each sequence (the padded length
+        stays on the same side of the crossover) leave z and the weights
+        of the first n rows bit for bit the same, in training precision."""
+        extra = 5
+        assert band_uses_gemm(n, half) == band_uses_gemm(n + extra, half)
+        rng = np.random.default_rng(n)
+        q, k, v = (rng.normal(size=(2, n + extra, 16)) for _ in range(3))
+        for x in (q, k, v):
+            x[:, n:] *= 1e3
+        keep = np.ones((2, n + extra), dtype=bool)
+        keep[:, n:] = False
+        keep[1, n - 2] = False
+        band_mask = windows(keep[..., None], half)[..., 0, :]
+        z, w = attend(Tensor(q[:, :n]), Tensor(k[:, :n]), Tensor(v[:, :n]),
+                      band_mask[:, :n], half=half)
+        zj, wj = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=half)
+        assert np.array_equal(zj.data[:, :n], z.data)
+        assert np.array_equal(wj.data[:, :n], w.data)
 
     def test_no_mask_admits_every_in_sequence_key(self):
         """With no mask, the band's off-sequence columns weigh 0: at

@@ -424,6 +424,10 @@ class TestTrainLoop:
         (dict(max_updates=-2), "max_updates must be >= 0, got -2"),
         (dict(log_every=0), "log_every must be >= 1, got 0"),
         (dict(update_freq=0), "update_freq must be >= 1, got 0"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(warmup_updates=0), "warmup_updates must be >= 1, got 0"),
+        (dict(peak_lr=-0.5), "peak_lr must be positive, got -0.5"),
+        (dict(peak_lr=float("nan")), "peak_lr must be positive, got nan"),
     ])
     def test_step_counts_name_their_field(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
