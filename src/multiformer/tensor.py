@@ -380,13 +380,12 @@ _forced_band_path: str | None = None
 
 
 @contextmanager
-def using_band_path(path: str | None):
+def using_band_path(path: str):
     """Temporarily run banded attend on one product pair, "gemm" or
-    "rows", whatever the length, so that checks cover both; None picks
-    by length."""
+    "rows", whatever the length, so that checks cover both."""
     global _forced_band_path
-    if path not in ("gemm", "rows", None):
-        raise ValueError(f"unknown band path {path!r}, expected 'gemm', 'rows' or None")
+    if path not in ("gemm", "rows"):
+        raise ValueError(f"unknown band path {path!r}, expected 'gemm' or 'rows'")
     prev, _forced_band_path = _forced_band_path, path
     try:
         yield

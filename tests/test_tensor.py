@@ -253,11 +253,6 @@ BAND_CASES = [(half, n) for half in (1, 3) for n in range(2 * half + 2, 21)] + [
 class TestBanded:
     """Banded attend on [2, 3, n, d_h] float64 inputs."""
 
-    def test_cases_cover_both_product_paths(self):
-        for half in (1, 3):
-            paths = {band_uses_gemm(n, half) for h, n in BAND_CASES if h == half}
-            assert paths == {True, False}
-
     @staticmethod
     def inputs(half, n, d_h=4):
         rng = np.random.default_rng(1000 * half + n)
