@@ -376,27 +376,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # Banded attend runs dense GEMMs while n is at most this many windows
 # (2*half+1); measured at d_h=16, window 8 and at d_h=64, window 64.
 _BAND_GEMM_WINDOWS = 4
-_forced_band_path: str | None = None
-
-
-@contextmanager
-def using_band_path(path: str):
-    """Temporarily run banded attend on one product pair, "gemm" or
-    "rows", whatever the length, so that checks cover both."""
-    global _forced_band_path
-    if path not in ("gemm", "rows"):
-        raise ValueError(f"unknown band path {path!r}, expected 'gemm' or 'rows'")
-    prev, _forced_band_path = _forced_band_path, path
-    try:
-        yield
-    finally:
-        _forced_band_path = prev
 
 
 def band_uses_gemm(n: int, half: int) -> bool:
     """Whether banded attend over n positions runs its products as GEMMs."""
-    if _forced_band_path is not None:
-        return _forced_band_path == "gemm"
     return n <= _BAND_GEMM_WINDOWS * (2 * half + 1)
 
 

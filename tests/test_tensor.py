@@ -12,8 +12,10 @@ from multiformer.tensor import (Parameter, Tensor, attend, band_to_dense,
                                 band_uses_gemm, concat, conv1d, dropout,
                                 embedding, ffn, gather_last, grad_check,
                                 layer_norm, log_softmax, matmul, pack, relu,
-                                tsum, unpack, using_band_path, using_dtype,
-                                windows, _make, _topo_order)
+                                tsum, unpack, using_dtype, windows,
+                                _band_dot, _band_sum, _band_transpose,
+                                _gemm_band_dot, _gemm_band_lift, _make,
+                                _topo_order)
 
 
 def fd_grad(f, x, i, h=1e-6):
@@ -294,22 +296,25 @@ class TestBanded:
         assert report.ok, report.failures()
         assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
 
-    def test_forced_paths_agree_and_restore(self):
-        """n=30, half=3 runs per row; forced onto either pair it gives the
-        same values, and the length rule is back afterwards."""
-        q, k, v, _, band_mask = self.inputs(3, 30)
-        out = {}
-        with using_dtype("float64"):
-            for path in ("gemm", "rows"):
-                with using_band_path(path):
-                    assert band_uses_gemm(30, 3) == (path == "gemm")
-                    out[path] = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=3)
-        assert band_uses_gemm(28, 3) and not band_uses_gemm(30, 3)
-        for a, b in zip(out["gemm"], out["rows"]):
-            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
-        with pytest.raises(ValueError, match="unknown band path 'dense'"):
-            with using_band_path("dense"):
-                pass
+    @pytest.mark.parametrize("half,n", [(1, 2), (1, 7), (3, 20), (3, 40)])
+    def test_gemm_band_products_match_per_row_ones(self, half, n):
+        """On the same inputs, whatever n is, the GEMM pair gives the
+        per-row pair's band scores, lifts a band to its dense matrix, and
+        its products with that matrix and its transpose are the per-row
+        band sums."""
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(2, 2, n, 5))
+        band = rng.normal(size=(2, n, 2 * half + 1))
+        np.testing.assert_allclose(_gemm_band_dot(x, y, half),
+                                   _band_dot(x, y, half), rtol=0, atol=1e-12)
+        dense = _gemm_band_lift(band, half)
+        inside = windows(np.ones((n, 1), dtype=bool), half)[..., 0, :]
+        assert np.array_equal(dense, band_to_dense(band * inside, 2 * half))
+        np.testing.assert_allclose(dense @ y, _band_sum(band, y, half),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.swapaxes(dense, -1, -2) @ y,
+                                   _band_sum(_band_transpose(band, half), y, half),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("half,n", [(1, 6), (1, 30), (3, 20), (3, 40)])
     def test_junk_rows_leave_valid_rows_bitwise_unchanged(self, half, n):
