@@ -87,7 +87,7 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
     bit for bit.  Runs in inference mode (dropout off).
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     config = dataclasses.replace(config, dropout=0.0)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import Tensor, attend, band_to_dense, conv1d, mul, windows
+from .tensor import Tensor, attend, conv1d, dense_to_band, mul, windows
 
 if TYPE_CHECKING:
     from .mhma import HeadSpec
@@ -53,27 +53,6 @@ class ConvParams:
             raise ValueError(f"compression kernel must be odd and >= 1, got {kernel}")
         if stride < 1:
             raise ValueError(f"compression stride must be >= 1, got {stride}")
-
-
-class BandedWeights:
-    """Attention weights from local attention.
-
-    Banded layout stores one column per window offset: values[..., i, c]
-    is the weight of key i + (c - window//2) on query i.  When the window
-    covers the whole sequence the dense kernel is used instead and values
-    already hold the [n, n] matrix.
-    """
-
-    def __init__(self, values: Tensor, window: int, banded: bool):
-        self.values = values
-        self.window = window
-        self.banded = banded
-
-    def dense(self) -> np.ndarray:
-        """Expand to an [..., n, n] array of weights."""
-        if not self.banded:
-            return self.values.data.copy()
-        return band_to_dense(self.values.data, self.window)
 
 
 def _key_mask(mask, positions: tuple[int, ...]) -> np.ndarray:
@@ -121,31 +100,34 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
 
 def local_attention(q: Tensor, k: Tensor, v: Tensor, params: HeadSpec,
                     mask=None, counter: OpCounter | None = None
-                    ) -> tuple[Tensor, BandedWeights]:
+                    ) -> tuple[Tensor, Tensor]:
     """Sliding-window self-attention: token i attends valid keys j with
     |i - j| <= window//2, window being the local head spec's.
 
     Scores outside the band are never computed, so the work is O(n*w).
-    The accounting adds the number of (query, valid in-band key) pairs.
-    A query whose whole band is padding gets an all-zero weight row;
-    that only happens for queries that are themselves padding, since a
-    valid query always has its valid self in band.
+    The weights come back as an [..., n, window+1] band (see
+    tensor.band_to_dense).  The accounting adds the number of (query,
+    valid in-band key) pairs.  A query whose whole band is padding gets
+    an all-zero weight row; that only happens for queries that are
+    themselves padding, since a valid query always has its valid self in
+    band.
     """
     half = params.window // 2
     if k.shape != q.shape or v.shape != q.shape:
         raise ValueError("local attention is self-attention: q, k, v share one shape")
     keep = _key_mask(mask, q.shape[:-1])
     band_mask = windows(keep[..., None], half)[..., 0, :]
-    # A window that covers every pair runs the dense kernel, which computes
-    # exactly the in-band products and bit-matches full attention.
-    banded = half < q.shape[-2] - 1
-    if banded:
+    if half < q.shape[-2] - 1:
         z, a = attend(q, k, v, band_mask, half=half)
     else:
+        # A window that covers every pair runs the dense kernel, which
+        # computes exactly the in-band products and bit-matches full
+        # attention.
         z, a = attend(q, k, v, keep[..., None, :])
+        a = Tensor(dense_to_band(a.data, params.window))
     if counter is not None:
         counter.add(int(band_mask.sum()))
-    return z, BandedWeights(a, params.window, banded)
+    return z, a
 
 
 def conv_compress(x: Tensor, params: ConvParams, mask=None

@@ -3,9 +3,9 @@ local, or conv-compressed), outputs are concatenated and projected.
 mhma_forward is the one multi-head entry point: encoder self-attention,
 and decoder self- and cross-attention as all-full layers.
 
-Every pass returns each head's output z^h and attention weights beside
-y.  With Wo split into per-head column blocks Wo^h, the layer output
-satisfies
+Every pass returns each head's output z^h beside y; the kernels'
+attention weights are not kept.  With Wo split into per-head column
+blocks Wo^h, the layer output satisfies
 
     y_i = Wo zcat_i + b_o = sum_h Wo^h z_i^h + b_o
 
@@ -94,14 +94,11 @@ class MHMAWeights:
 
 @dataclass
 class AttentionOutput:
-    """Result of one MHMA forward pass: y [..., n, d], and per head (lists
-    of length H) the head output z^h [..., n, d_h] and the attention
-    weights its mechanism returned.
-    """
+    """Result of one MHMA forward pass: y [..., n, d], and per head (a
+    list of length H) the head output z^h [..., n, d_h]."""
 
     y: Tensor
     z: list[Tensor]
-    weights: list
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -150,8 +147,7 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     such as a causal one; it carries x's batch axes ([..., n, m] of x's
     rank), since an unbatched [n, m] mask with batched x is a key mask,
     read as [B, m].  Conv heads sharing a (kernel, stride) reuse one
-    compressed stream per call.  Returns y with every head's z and
-    attention weights.
+    compressed stream per call.  Returns y with every head's z.
     """
     h_count = len(specs)
     if h_count != weights.heads:
@@ -164,7 +160,6 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
 
     compressed: dict[tuple[int, int], tuple[Tensor, np.ndarray]] = {}
     zs: list[Tensor] = []
-    a_list = []
     for spec, wq, wk, wv in zip(specs, weights.wq, weights.wk, weights.wv):
         q = matmul(x, wq)
         stream, keep = kv, mask
@@ -175,15 +170,14 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
             stream, keep = compressed[key]
         k, v = matmul(stream, wk), matmul(stream, wv)
         if spec.mechanism == "local":
-            z, a = local_attention(q, k, v, spec, keep, counter)
+            z, _ = local_attention(q, k, v, spec, keep, counter)
         else:
-            z, a = full_attention(q, k, v, keep, counter)
+            z, _ = full_attention(q, k, v, keep, counter)
         zs.append(z)
-        a_list.append(a)
 
     zcat = concat(zs, axis=-1)
     y = matmul(zcat, weights.wo.mT) + weights.bo
-    return AttentionOutput(y=y, z=zs, weights=a_list)
+    return AttentionOutput(y=y, z=zs)
 
 
 def head_outputs(out: AttentionOutput, weights: MHMAWeights) -> list[np.ndarray]:

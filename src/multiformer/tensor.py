@@ -361,8 +361,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 #
 # Column c of a band row i pairs position i with position i + c - half, for
 # c in [0, 2*half]: the band holds the diagonals |i - j| <= half of an
-# [n, n] matrix.  Positions outside [0, n) read as zeros; attend masks
-# those columns.
+# [n, n] matrix.  Positions outside [0, n) read as zeros; the band mask
+# attend takes masks those columns.
 #
 # The products have two implementations.  Per row, each is one batched
 # matmul against a sliding-window view: n*(2*half+1) multiply-adds per
@@ -400,17 +400,17 @@ def windows(x: np.ndarray, half: int) -> np.ndarray:
 
 def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
     """Expand an [..., n, window+1] band to the [..., n, n] matrix."""
+    return _gemm_band_lift(band, window // 2).copy()
+
+
+def dense_to_band(dense: np.ndarray, window: int) -> np.ndarray:
+    """The [..., n, window+1] band of an [..., n, n] matrix: its diagonals
+    |i - j| <= window//2, zero outside the sequence."""
     half = window // 2
-    n = band.shape[-2]
-    out = np.zeros(band.shape[:-1] + (n,), dtype=band.dtype)
-    for c, delta in enumerate(range(-half, half + 1)):
-        lo = max(0, -delta)
-        hi = min(n, n - delta)
-        if lo >= hi:
-            continue
-        idx_i = np.arange(lo, hi)
-        out[..., idx_i, idx_i + delta] = band[..., lo:hi, c]
-    return out
+    n = dense.shape[-1]
+    p = np.zeros(dense.shape[:-1] + (n + 2 * half,), dtype=dense.dtype)
+    p[..., half:half + n] = dense
+    return _diagonals(p, half).copy()
 
 
 def _band_transpose(band: np.ndarray, half: int) -> np.ndarray:
@@ -468,9 +468,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
     as one node over (q, k, v); returns z and the weights, outside the graph.
 
     Dense (half None): keep is a bool array broadcastable to the [..., n, m]
-    scores, or None.  Banded: q, k, v are [..., n, d_h] and the scores and
-    keep are [..., n, 2*half+1] bands, with off-sequence keys masked; None
-    admits every in-sequence key.
+    scores.  Banded: q, k, v are [..., n, d_h] and the scores and keep are
+    [..., n, 2*half+1] bands, with off-sequence keys masked.
     Masked pairs weigh exactly 0 and rows sum to 1; a row with no admitted
     key (a padded query, say) weighs all zero.
     The backward pass replays the chain scores -> scale -> softmax ->
@@ -492,15 +491,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
         else:
             dot, mix, flip = (partial(f, half=half)
                               for f in (_band_dot, _band_sum, _band_transpose))
-        if keep is None:
-            keep = windows(np.ones((q.shape[-2], 1), dtype=bool), half)[..., 0, :]
     scale = 1.0 / math.sqrt(q.shape[-1])
     a = dot(q.data, k.data)
     a *= scale
-    if keep is not None:
-        # exp(-inf) is exactly 0, so masked pairs come out 0; an empty
-        # row's max and sum are replaced by 0 and 1 so that it stays all zero
-        np.copyto(a, -np.inf, where=~np.asarray(keep, dtype=bool))
+    # exp(-inf) is exactly 0, so masked pairs come out 0; an empty row's
+    # max and sum are replaced by 0 and 1 so that it stays all zero
+    np.copyto(a, -np.inf, where=~np.asarray(keep, dtype=bool))
     rowmax = a.max(axis=-1, keepdims=True)
     a -= np.where(np.isfinite(rowmax), rowmax, 0.0)
     np.exp(a, out=a)

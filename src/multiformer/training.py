@@ -41,12 +41,8 @@ class TrainConfig:
     seed: int = 0
     peak_lr: float = 2e-3
     warmup_updates: int = 10000
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-8
     smoothing: float = 0.1
     log_every: int = 100
-    update_freq: int = 1
     eval_sequences: int = 64
     target_acc: float | None = None
 
@@ -56,7 +52,7 @@ class TrainConfig:
         if not self.peak_lr > 0:
             raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
         for name, low in (("seed", 0), ("max_updates", 0), ("log_every", 1),
-                          ("update_freq", 1)):
+                          ("eval_sequences", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.target_acc is not None and not 0 < self.target_acc <= 1:
@@ -194,10 +190,10 @@ def gen_synthetic_batch(spec: SyntheticTaskSpec, batch: int,
 
 
 def batch_size_for(cfg: TrainConfig, spec: SyntheticTaskSpec) -> int:
-    """Sequences per micro-batch so that target tokens per update is
-    roughly batch_tokens (sentinels included)."""
+    """Sequences per update so that its target tokens number roughly
+    batch_tokens (sentinels included)."""
     avg = (spec.target_len_min + spec.target_len_max) / 2 + 2
-    return max(1, round(cfg.batch_tokens / (avg * cfg.update_freq)))
+    return max(1, round(cfg.batch_tokens / avg))
 
 
 def evaluate(config: ModelConfig, weights: ModelWeights, batch: Seq2SeqBatch,
@@ -276,16 +272,12 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
             break
         lr = inv_sqrt_lr(step, cfg)
         zero_grad(params)
-        for _ in range(cfg.update_freq):
-            batch = gen_synthetic_batch(spec, b_size, data_rng)
-            loss = forward_loss(batch, config, weights, cfg.smoothing,
-                                rng=drop_rng)
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    f"non-finite loss at update {step} (lr {lr:.3g})")
-            scaled = loss * (1.0 / cfg.update_freq) if cfg.update_freq > 1 else loss
-            scaled.backward()
-        adam_step(params, weights.flat, state, lr, cfg.beta1, cfg.beta2, cfg.eps)
+        batch = gen_synthetic_batch(spec, b_size, data_rng)
+        loss = forward_loss(batch, config, weights, cfg.smoothing, rng=drop_rng)
+        if not np.isfinite(loss.data):
+            raise TrainingDiverged(f"non-finite loss at update {step} (lr {lr:.3g})")
+        loss.backward()
+        adam_step(params, weights.flat, state, lr)
         finite = np.isfinite(weights.flat)
         if not finite.all():
             ends = np.cumsum([p.tensor.size for p in params])

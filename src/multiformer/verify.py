@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles as orc
-from .attention import ConvParams, OpCounter, full_attention, local_attention
+from .attention import (ConvParams, OpCounter, conv_compress, full_attention,
+                        local_attention)
 from .mhma import (HeadSpec, MHMAWeights, init_mhma_weights, mhma_forward,
                    mhma_parameters, recompose_check)
 from .model import (ModelConfig, Seq2SeqBatch, forward_loss, init_model_weights,
                     named_parameters)
-from .tensor import Tensor, band_uses_gemm, grad_check, using_dtype
+from .tensor import Tensor, band_to_dense, band_uses_gemm, grad_check, using_dtype
 
 ORACLE_TOL = 1e-6
 RECOMPOSE_TOL_64 = 1e-10
@@ -96,7 +97,7 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
             zl0, al0 = orc.naive_attention(q.data, k.data, v.data, mask,
                                            band_half=w // 2)
             worst = max(worst, float(np.abs(zl.data - zl0).max()),
-                        float(np.abs(al.dense() - al0).max()))
+                        float(np.abs(band_to_dense(al.data, w) - al0).max()))
             band_paths[band_uses_gemm(n, w // 2)] += 1
 
             # band covering everything must reproduce full exactly
@@ -107,7 +108,8 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
                                    f"w={w_all} local differs from full at n={n}")
 
             # two conv heads sharing one compressed stream, through the
-            # production multi-head path
+            # production multi-head path; each head's weights come from
+            # full attention over that stream, which must give its z
             d = d_h * 2
             x = rng.normal(size=(n, d))
             kernel = int(rng.choice([1, 3, 5]))
@@ -118,16 +120,23 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
             cp.bias.data[...] = rng.normal(size=d)
             smask = _suffix_mask(rng, n)
             out = mhma_forward(Tensor(x), conv_specs, mw, smask)
+            stream, skeep = conv_compress(Tensor(x), cp, smask)
             xc0 = orc.naive_conv1d(x * smask[:, None], cp.weights.data,
                                    cp.bias.data, stride=stride,
                                    padding=kernel // 2)
             centers = np.minimum(np.arange(xc0.shape[0]) * stride, n - 1)
             for h in range(2):
+                zc, ac = full_attention(Tensor(x) @ mw.wq[h], stream @ mw.wk[h],
+                                        stream @ mw.wv[h], skeep)
+                if not np.array_equal(zc.data, out.z[h].data):
+                    return SuiteResult("oracle-equivalence", False, ran,
+                                       f"conv head {h} z differs from its kernel "
+                                       f"call at n={n}")
                 zc0, ac0 = orc.naive_attention(
                     x @ mw.wq[h].data, xc0 @ mw.wk[h].data,
                     xc0 @ mw.wv[h].data, smask[centers])
-                worst = max(worst, float(np.abs(out.z[h].data - zc0).max()),
-                            float(np.abs(out.weights[h].data - ac0).max()))
+                worst = max(worst, float(np.abs(zc.data - zc0).max()),
+                            float(np.abs(ac.data - ac0).max()))
 
             # degenerate compression: K=1, stride 1, identity weights
             ident = ConvParams(1, 1, Tensor(np.eye(d)[None]), Tensor(np.zeros(d)))

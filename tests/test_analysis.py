@@ -163,7 +163,7 @@ class TestAggregate:
 
     def test_needs_at_least_one_sample(self):
         spec, config, weights = analysis_setup()
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="^samples must be >= 1, got 0$"):
             aggregate_contributions(config, weights, spec, samples=0, seed=0)
 
     def test_negative_seed_names_its_field(self):

@@ -206,7 +206,7 @@ class TestLocalAttention:
                                         local(w), keep)
             zr, ar = naive_attention(x, x, x, valid=keep, band_half=half)
             np.testing.assert_allclose(z.data, zr, atol=1e-12)
-            np.testing.assert_allclose(bw.dense(), ar, atol=1e-12)
+            np.testing.assert_allclose(band_to_dense(bw.data, w), ar, atol=1e-12)
 
     def test_wide_window_bit_matches_full(self):
         """A window covering every pair must reproduce full attention down
@@ -219,15 +219,16 @@ class TestLocalAttention:
         zf, af = full_attention(Tensor(x), Tensor(x), Tensor(x), keep)
         zl, bl = local_attention(Tensor(x), Tensor(x), Tensor(x),
                                  local(2 * (n - 1)), keep)
+        assert bl.shape == (2, n, 2 * n - 1)  # the band layout on this branch too
         assert np.array_equal(zl.data[keep], zf.data[keep])
-        assert np.array_equal(bl.dense()[keep], af.data[keep])
+        assert np.array_equal(band_to_dense(bl.data, 2 * (n - 1))[keep], af.data[keep])
 
     def test_band_truncates_at_boundaries(self):
         # n=4, w=2: token 0 sees {0,1}, token 3 sees {2,3}
         x = np.eye(4, 3)
         with using_dtype("float64"):
             _, bw = local_attention(Tensor(x), Tensor(x), Tensor(x), local(2))
-        a = bw.dense()
+        a = band_to_dense(bw.data, 2)
         assert a[0, 2] == 0.0 and a[0, 3] == 0.0
         assert a[3, 0] == 0.0 and a[3, 1] == 0.0
         np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-12)
@@ -241,7 +242,7 @@ class TestLocalAttention:
         with using_dtype("float64"):
             z, bw = local_attention(Tensor(x), Tensor(x), Tensor(x),
                                     local(4), keep)
-        a = bw.dense()
+        a = band_to_dense(bw.data, 4)
         # a padded query has no valid in-band key once it sits far enough out
         assert (a[7:] == 0.0).all()
         assert (z.data[7:] == 0.0).all()
@@ -255,8 +256,9 @@ class TestLocalAttention:
         with using_dtype("float64"):
             z, bw = local_attention(Tensor(x), Tensor(x), Tensor(x),
                                     local(window), keep)
-        assert (z.data[1] == 0.0).all() and (bw.dense()[1] == 0.0).all()
-        np.testing.assert_allclose(bw.dense()[0].sum(axis=-1), 1.0, atol=1e-12)
+        a = band_to_dense(bw.data, window)
+        assert (z.data[1] == 0.0).all() and (a[1] == 0.0).all()
+        np.testing.assert_allclose(a[0].sum(axis=-1), 1.0, atol=1e-12)
 
     def test_counter_counts_admissible_pairs_only(self):
         n, w = 12, 4

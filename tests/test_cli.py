@@ -233,6 +233,17 @@ class TestAnalyze:
         assert "error: seed must be >= 0, got -2" in capsys.readouterr().err
         assert not (ws / "r.csv").exists()
 
+    def test_zero_samples_names_its_field(self, ws, capsys):
+        do_train(ws)
+        capsys.readouterr()
+        code = main(["analyze", "--ckpt", str(ws / "run" / "ckpt_000006.mfck"),
+                     "--arch", str(ws / "m.arch"), "--samples", "0",
+                     "--seed", "1", "--csv", str(ws / "r.csv"),
+                     "--svg", str(ws / "r.svg")])
+        assert code == EXIT_VALIDATION
+        assert "error: samples must be >= 1, got 0" in capsys.readouterr().err
+        assert not (ws / "r.csv").exists()
+
     def test_arch_mismatch_is_validation(self, ws, capsys):
         do_train(ws)
         other = ARCH.replace("ffn_dim = 16", "ffn_dim = 32")

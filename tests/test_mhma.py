@@ -9,7 +9,7 @@ from multiformer.mhma import (HeadSpec, MHMAWeights, head_outputs,
                               recompose_check)
 from multiformer.oracles import naive_attention, naive_conv1d, reference_mhsa
 from multiformer.tensor import Parameter, Tensor, grad_check, using_dtype
-from multiformer.attention import ConvParams, OpCounter
+from multiformer.attention import ConvParams, OpCounter, conv_compress, full_attention
 
 MIXED = [HeadSpec("full"), HeadSpec("local", window=4),
          HeadSpec("conv", kernel=3, stride=2),
@@ -134,7 +134,7 @@ class TestForward:
         w = init_mhma_weights(d, MIXED, rng)
         out = mhma_forward(Tensor(rng.normal(size=(3, 5, d))), MIXED, w)
         xi = head_outputs(out, w)
-        assert len(xi) == len(out.z) == len(out.weights) == len(MIXED)
+        assert len(xi) == len(out.z) == len(MIXED)
         for h, z in enumerate(out.z):
             assert xi[h].shape == (3, 5, d)
             assert np.array_equal(
@@ -161,8 +161,9 @@ class TestForward:
         x = Tensor(rng.normal(size=(6, d)))
         with using_dtype("float64"):
             out = mhma_forward(x, MIXED, w)
-        a2, a3 = out.weights[2], out.weights[3]
-        assert a2.data.shape == a3.data.shape == (6, 3)
+        # z's parents are (q, k, v); k's are (compressed stream, wk)
+        s2, s3 = (out.z[h]._parents[1]._parents[0] for h in (2, 3))
+        assert s2 is s3 and s2.shape == (3, d)
 
     def test_padding_invariance_at_valid_positions(self):
         """Appending junk frames under a mask must not change outputs at
@@ -258,14 +259,20 @@ class TestConvHeads:
             cp = w.conv_params[(3, 2)]
             cp.bias.data = rng.normal(size=d)
             out = mhma_forward(Tensor(x), specs, w, keep)
+            # the weights of full attention over the same compressed stream,
+            # which gives each head's z to the last bit
+            stream, skeep = conv_compress(Tensor(x), cp, keep)
+            kernel_calls = [full_attention(Tensor(x) @ w.wq[h], stream @ w.wk[h],
+                                           stream @ w.wv[h], skeep) for h in range(2)]
         xc = naive_conv1d(np.where(keep[:, None], x, 0.0),
                           cp.weights.data, cp.bias.data, 2, 1)
         centers = np.minimum(np.arange(xc.shape[0]) * 2, n - 1)
-        for h in range(2):
+        for h, (z, a) in enumerate(kernel_calls):
+            assert np.array_equal(z.data, out.z[h].data)
             zr, ar = naive_attention(x @ w.wq[h].data, xc @ w.wk[h].data,
                                      xc @ w.wv[h].data, valid=keep[centers])
             np.testing.assert_allclose(out.z[h].data, zr, atol=1e-11)
-            np.testing.assert_allclose(out.weights[h].data, ar, atol=1e-12)
+            np.testing.assert_allclose(a.data, ar, atol=1e-12)
 
     def test_counter_uses_compressed_width(self):
         rng = np.random.default_rng(11)
@@ -290,6 +297,5 @@ class TestConvHeads:
         conv = mhma_forward(x, [HeadSpec("conv", kernel=1, stride=1)] * 2, w_conv)
         full = mhma_forward(x, [HeadSpec("full")] * 2, w)
         for h in range(2):
-            assert np.array_equal(conv.weights[h].data, full.weights[h].data)
             assert np.array_equal(conv.z[h].data, full.z[h].data)
         assert np.array_equal(conv.y.data, full.y.data)

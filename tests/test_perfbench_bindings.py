@@ -3,6 +3,7 @@ wraps call sites by their dotted names, binding the kernels' arguments by
 name.  A refactor that moves or renames one fails here, not only in a
 benchmark run."""
 
+import functools
 import inspect
 from pathlib import Path
 
@@ -19,3 +20,48 @@ def test_every_wrap_point_resolves(monkeypatch):
         if kind == "attention":
             params = inspect.signature(resolve(dotted)[2]).parameters
             assert {"q", "k", "mask", "counter"} <= set(params), dotted
+
+
+def test_tracer_counts_what_the_kernels_return(monkeypatch):
+    """One traced mhma_forward over a padded batch whose heads are full,
+    conv, banded local and a local window covering the sequence: the
+    tracer's score products are the OpCounter's, and its computed
+    products are the sizes of the weights the kernels return."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import numpy as np
+    from tracing import WRAP_POINTS, Tracer
+
+    from multiformer import mhma, model
+    from multiformer.attention import OpCounter
+    from multiformer.tensor import Tensor
+
+    returned = []
+    for name in ("full_attention", "local_attention"):
+        @functools.wraps(getattr(mhma, name))
+        def record(*args, _kernel=getattr(mhma, name), **kwargs):
+            out = _kernel(*args, **kwargs)
+            returned.append(out[1])
+            return out
+        monkeypatch.setattr(mhma, name, record)
+
+    specs = [mhma.HeadSpec("full"), mhma.HeadSpec("conv", kernel=3, stride=2),
+             mhma.HeadSpec("local", window=4), mhma.HeadSpec("local", window=16)]
+    rng = np.random.default_rng(0)
+    weights = mhma.init_mhma_weights(8, specs, rng)
+    x = Tensor(rng.normal(size=(2, 9, 8)))
+    keep = np.ones((2, 9), dtype=bool)
+    keep[1, 6:] = False
+    expected = OpCounter()
+    model.mhma_forward(x, specs, weights, keep, expected)
+
+    returned.clear()
+    tracer = Tracer([p for p in WRAP_POINTS if p[2] in ("attention", "mhma")])
+    tracer.install()
+    try:
+        model.mhma_forward(x, specs, weights, keep, OpCounter())
+    finally:
+        tracer.remove()
+    assert [a.shape for a in returned] == [(2, 9, 9), (2, 9, 5), (2, 9, 5), (2, 9, 17)]
+    assert tracer.counts[("attention.score_products", "")] == expected.score_products
+    assert (tracer.counts[("attention.computed_products", "")]
+            == sum(a.data.size for a in returned))

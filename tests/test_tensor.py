@@ -9,10 +9,10 @@ import pytest
 
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer.tensor import (Parameter, Tensor, attend, band_to_dense,
-                                band_uses_gemm, concat, conv1d, dropout,
-                                embedding, ffn, gather_last, grad_check,
-                                layer_norm, log_softmax, matmul, pack, relu,
-                                tsum, unpack, using_dtype, windows,
+                                band_uses_gemm, concat, conv1d, dense_to_band,
+                                dropout, embedding, ffn, gather_last,
+                                grad_check, layer_norm, log_softmax, matmul,
+                                pack, relu, tsum, unpack, using_dtype, windows,
                                 _band_dot, _band_sum, _band_transpose,
                                 _gemm_band_dot, _gemm_band_lift, _make,
                                 _topo_order)
@@ -184,21 +184,27 @@ class TestSoftmaxFamily:
         np.testing.assert_allclose(a.data[0], [1.0, 0.0, 0.0])
 
     def test_no_mask_equals_all_true_mask(self):
+        """An all-True key mask leaves the scaled softmax of q kᵀ, taken
+        with no mask at all, unchanged to the last bit."""
         q, k, v = (Tensor(x) for x in qkv(np.random.default_rng(10), 4, 9, lead=(3,)))
-        z0, a0 = attend(q, k, v, None)
         z1, a1 = attend(q, k, v, np.ones(9, dtype=bool))
-        assert a0.data.tobytes() == a1.data.tobytes()
-        assert z0.data.tobytes() == z1.data.tobytes()
+        a0 = q.data @ np.swapaxes(k.data, -1, -2)
+        a0 *= 1.0 / np.sqrt(q.shape[-1])
+        a0 -= a0.max(axis=-1, keepdims=True)
+        np.exp(a0, out=a0)
+        a0 /= a0.sum(axis=-1, keepdims=True)
+        assert a0.tobytes() == a1.data.tobytes()
+        assert (a0 @ v.data).tobytes() == z1.data.tobytes()
 
     def test_masked_attend_gradient(self):
         """Dense attend's gradient with respect to every entry of q, k and
-        v, under no mask, a key mask, a per-sequence key mask and a causal
-        mask."""
+        v, under an all-True mask, a key mask, a per-sequence key mask and
+        a causal mask."""
         rng = np.random.default_rng(8)
         n = 5
         q, k, v = qkv(rng, n, n, lead=(2,))
         r = rng.normal(size=q.shape)
-        masks = [None, np.array([True, False, True, True, False]),
+        masks = [np.ones(n, dtype=bool), np.array([True, False, True, True, False]),
                  np.array([[True] * 5, [True, True, False, True, False]])[:, None, :],
                  np.tril(np.ones((n, n), dtype=bool))]
         for mask in masks:
@@ -213,7 +219,7 @@ class TestSoftmaxFamily:
     def test_weights_stay_outside_the_graph(self):
         q, k, v = (Tensor(x, requires_grad=True)
                    for x in qkv(np.random.default_rng(12), 3, 4))
-        z, a = attend(q, k, v, None)
+        z, a = attend(q, k, v, np.ones(4, dtype=bool))
         assert z._parents == (q, k, v)
         assert not a.requires_grad and a._parents == ()
 
@@ -299,17 +305,22 @@ class TestBanded:
     @pytest.mark.parametrize("half,n", [(1, 2), (1, 7), (3, 20), (3, 40)])
     def test_gemm_band_products_match_per_row_ones(self, half, n):
         """On the same inputs, whatever n is, the GEMM pair gives the
-        per-row pair's band scores, lifts a band to its dense matrix, and
-        its products with that matrix and its transpose are the per-row
-        band sums."""
+        per-row pair's band scores, lifts a band to its dense matrix (whose
+        band is the in-sequence part of the first), and its products with
+        that matrix and its transpose are the per-row band sums."""
         rng = np.random.default_rng(n)
         x, y = rng.normal(size=(2, 2, n, 5))
         band = rng.normal(size=(2, n, 2 * half + 1))
         np.testing.assert_allclose(_gemm_band_dot(x, y, half),
                                    _band_dot(x, y, half), rtol=0, atol=1e-12)
         dense = _gemm_band_lift(band, half)
+        i, j = np.indices((n, n))
+        in_band = np.abs(i - j) <= half
+        expect = np.where(in_band, band[..., i, np.clip(j - i + half, 0, 2 * half)], 0.0)
+        assert np.array_equal(dense, expect)
+        assert np.array_equal(band_to_dense(band, 2 * half), expect)
         inside = windows(np.ones((n, 1), dtype=bool), half)[..., 0, :]
-        assert np.array_equal(dense, band_to_dense(band * inside, 2 * half))
+        assert np.array_equal(dense_to_band(dense, 2 * half), band * inside)
         np.testing.assert_allclose(dense @ y, _band_sum(band, y, half),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.swapaxes(dense, -1, -2) @ y,
@@ -338,17 +349,21 @@ class TestBanded:
         assert np.array_equal(wj.data[:, :n], w.data)
 
     def test_no_mask_admits_every_in_sequence_key(self):
-        """With no mask, the band's off-sequence columns weigh 0: at
-        half=1, row 0 splits its weight between keys 0 and 1 alone, and z
-        is dense attention under the tridiagonal mask."""
+        """Under the band mask of a sequence with no padding, the band's
+        off-sequence columns weigh 0: at half=1, row 0 splits its weight
+        between keys 0 and 1 alone, and z is dense attention under the
+        tridiagonal mask."""
+        def in_sequence(n):
+            return windows(np.ones((n, 1), dtype=bool), 1)[..., 0, :]
+
         ones = Tensor(np.ones((4, 2)))
-        _, w = attend(ones, ones, ones, None, half=1)
+        _, w = attend(ones, ones, ones, in_sequence(4), half=1)
         np.testing.assert_array_equal(w.data[0], [0.0, 0.5, 0.5])
         np.testing.assert_array_equal(w.data[-1], [0.5, 0.5, 0.0])
         rng = np.random.default_rng(3)
         q, k, v = qkv(rng, 6, 6, 4, lead=(2,))
         with using_dtype("float64"):
-            z, w = attend(Tensor(q), Tensor(k), Tensor(v), None, half=1)
+            z, w = attend(Tensor(q), Tensor(k), Tensor(v), in_sequence(6), half=1)
             tridiagonal = np.abs(np.subtract.outer(np.arange(6), np.arange(6))) <= 1
             z_d, w_d = attend(Tensor(q), Tensor(k), Tensor(v), tridiagonal)
         np.testing.assert_allclose(z.data, z_d.data, rtol=0, atol=1e-12)
@@ -356,10 +371,11 @@ class TestBanded:
 
     def test_shape_validation(self):
         x = Tensor(np.zeros((5, 2)))
+        keep = np.ones(5, dtype=bool)
         with pytest.raises(ValueError, match="mismatch"):
-            attend(x, x, Tensor(np.zeros((4, 2))), None)
+            attend(x, x, Tensor(np.zeros((4, 2))), keep)
         with pytest.raises(ValueError, match="mismatch"):
-            attend(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), None, half=1)
+            attend(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), keep, half=1)
 
 
 class TestConv1d:
@@ -605,7 +621,7 @@ class TestGradCheckHarness:
 
             def f():
                 h = relu(matmul(x, w))
-                return (attend(h, h, h, None)[0] * h).sum()
+                return (attend(h, h, h, np.ones(3, dtype=bool))[0] * h).sum()
 
             report = grad_check(f, [Parameter("x", x), Parameter("w", w)])
         assert report.ok

@@ -16,8 +16,7 @@ from multiformer.mhma import HeadSpec
 from multiformer.model import (ModelConfig, forward_loss, init_model_weights,
                                named_parameters, teacher_forced_logits,
                                token_accuracy)
-from multiformer.tensor import (Parameter, Tensor, default_dtype, using_dtype,
-                                zero_grad)
+from multiformer.tensor import Parameter, Tensor, default_dtype, using_dtype
 from multiformer.training import (BOS, EOS, PAD, SENTINELS, AdamState,
                                   SyntheticTaskSpec, TrainConfig,
                                   TrainingDiverged, adam_step,
@@ -292,7 +291,6 @@ class TestSyntheticTask:
     def test_batch_size_heuristic(self):
         spec = tiny_spec()  # mean target length 4, plus 2 sentinels
         assert batch_size_for(run_cfg(batch_tokens=32), spec) == 5
-        assert batch_size_for(run_cfg(batch_tokens=32, update_freq=2), spec) == 3
         assert batch_size_for(run_cfg(batch_tokens=1), spec) == 1
 
 
@@ -345,40 +343,6 @@ class TestTrainLoop:
         with open(a.metrics_path) as fa, open(ref.metrics_path) as fr:
             assert fa.readlines()[:2] == fr.readlines()[:2]
 
-    def test_update_freq_accumulates_scaled_micro_batch_gradients(self, tmp_path):
-        """With update_freq=2 an update backpropagates two micro-batches,
-        each loss scaled by 1/2, into the same leaf gradients and takes one
-        Adam step.  A replay that computes each micro-batch's gradients
-        apart, on the same data and dropout streams, and adds them by hand
-        gives the same checkpoint bytes."""
-        spec = tiny_spec()
-        config = dataclasses.replace(tiny_model(spec), dropout=0.1)
-        cfg = run_cfg(max_updates=1, update_freq=2)
-        res = train(config, cfg, spec, tmp_path / "run")
-
-        weights = init_model_weights(config, cfg.seed)
-        params = named_parameters(weights)
-        data_ss, _, drop_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-        data_rng = np.random.default_rng(data_ss)
-        drop_rng = np.random.default_rng(drop_ss)
-        grads = []
-        for _ in range(2):
-            zero_grad(params)
-            batch = gen_synthetic_batch(spec, batch_size_for(cfg, spec), data_rng)
-            loss = forward_loss(batch, config, weights, cfg.smoothing, rng=drop_rng)
-            (loss * 0.5).backward()
-            grads.append([p.tensor.grad for p in params])
-        for p, g0, g1 in zip(params, *grads):
-            p.tensor.grad = g0 + g1
-        adam_step(params, weights.flat, zero_state(weights.flat), inv_sqrt_lr(1, cfg),
-                  cfg.beta1, cfg.beta2, cfg.eps)
-
-        saved = load_checkpoint(res.checkpoint_paths[-1]).arrays
-        assert res.checkpoint_paths[-1].endswith("ckpt_000001.mfck")
-        for p in params:
-            assert (saved[p.name].tobytes()
-                    == p.tensor.data.astype("<f4").tobytes()), p.name
-
     def test_zero_update_run(self, tmp_path):
         spec = tiny_spec()
         res = train(tiny_model(spec), run_cfg(max_updates=0), spec,
@@ -423,7 +387,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("kw,message", [
         (dict(max_updates=-2), "max_updates must be >= 0, got -2"),
         (dict(log_every=0), "log_every must be >= 1, got 0"),
-        (dict(update_freq=0), "update_freq must be >= 1, got 0"),
+        (dict(eval_sequences=0), "eval_sequences must be >= 1, got 0"),
         (dict(seed=-1), "seed must be >= 0, got -1"),
         (dict(warmup_updates=0), "warmup_updates must be >= 1, got 0"),
         (dict(peak_lr=-0.5), "peak_lr must be positive, got -0.5"),
