@@ -142,8 +142,7 @@ def conv_compress(x: Tensor, params: ConvParams, mask=None
     n = x.shape[-2]
     keep = _key_mask(mask, x.shape[:-1])
     xm = mul(x, keep[..., None].astype(x.data.dtype))
-    xc = conv1d(xm, params.weights, params.bias, stride=params.stride,
-                padding=params.kernel // 2)
+    xc = conv1d(xm, params.weights, params.bias, stride=params.stride)
     m = xc.shape[-2]
     centers = np.minimum(np.arange(m) * params.stride, n - 1)
     return xc, keep[..., centers]

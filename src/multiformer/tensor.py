@@ -364,43 +364,71 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # [n, n] matrix.  Positions outside [0, n) read as zeros; the band mask
 # attend takes masks those columns.
 #
-# The products have two implementations.  Per row, each is one batched
-# matmul against a sliding-window view: n*(2*half+1) multiply-adds per
-# feature, but B*n tiny BLAS calls.  At short n those calls cost more
-# than the arithmetic they save, so there the scores are one dense GEMM
-# x yᵀ into a column-padded [n, n+2*half] buffer, read back through a
-# strided view of its diagonals, and a band is lifted into that buffer
-# for one dense GEMM against the values.  attend picks by n and half;
-# the band layout, and the softmax over it, are the same on both paths.
+# Every band product runs over fixed blocks of BAND_BLOCK query rows (the
+# last one ragged).  A block of r rows pairs only with the keys within half
+# of it, so its scores are one dense GEMM x yᵀ into a column-padded
+# [r, r+2*half] buffer, read back through a strided view of its diagonals,
+# and its band is lifted into such a buffer for one dense GEMM against the
+# values (or, transposed, against the queries).  Work and memory grow as
+# n*(BAND_BLOCK + 2*half).  Blocks start at row 0 whatever n is, so rows
+# appended to a sequence reach earlier rows only as masked, zero-weight
+# keys at the end of their last block's sums.
 
-# Banded attend runs dense GEMMs while n is at most this many windows
-# (2*half+1); measured at d_h=16, window 8 and at d_h=64, window 64.
-_BAND_GEMM_WINDOWS = 4
-
-
-def band_uses_gemm(n: int, half: int) -> bool:
-    """Whether banded attend over n positions runs its products as GEMMs."""
-    return n <= _BAND_GEMM_WINDOWS * (2 * half + 1)
+# Query rows per band block: at least the longest toy layer (24 rows), so
+# toy heads run as one block, and below 64, so A1's lengths reach several.
+BAND_BLOCK = 48
 
 
-def _pad_time(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the time axis (-2) by `pad` rows at both ends."""
-    n = x.shape[-2]
-    out = np.zeros(x.shape[:-2] + (n + 2 * pad, x.shape[-1]), dtype=x.dtype)
-    out[..., pad:pad + n, :] = x
-    return out
+def _band_blocks(n: int, half: int):
+    """(r0, r1, lo, hi) per block: rows [r0, r1) and their keys [lo, hi)."""
+    for r0 in range(0, n, BAND_BLOCK):
+        r1 = min(n, r0 + BAND_BLOCK)
+        yield r0, r1, max(0, r0 - half), min(n, r1 + half)
 
 
 def windows(x: np.ndarray, half: int) -> np.ndarray:
     """View [..., n, d] as [..., n, d, 2*half+1]: [..., i, :, c] is row
     i + c - half of x, zero (or False) outside the sequence."""
-    return np.lib.stride_tricks.sliding_window_view(
-        _pad_time(x, half), 2 * half + 1, axis=-2)
+    n = x.shape[-2]
+    p = np.zeros(x.shape[:-2] + (n + 2 * half, x.shape[-1]), dtype=x.dtype)
+    p[..., half:half + n, :] = x
+    return np.lib.stride_tricks.sliding_window_view(p, 2 * half + 1, axis=-2)
+
+
+def _diagonals(p: np.ndarray, half: int) -> np.ndarray:
+    """The [..., r, 2*half+1] band of a column-padded [..., r, r+2*half]
+    matrix, as a view: (i, c) is p[..., i, i + c]."""
+    row, col = p.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        p, shape=p.shape[:-1] + (2 * half + 1,), strides=p.strides[:-2] + (row + col, col))
+
+
+def _band_dot(x: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
+    """s[..., i, c] = x_i · y_{i+c-half}, one GEMM per block of rows."""
+    s = np.empty(x.shape[:-1] + (2 * half + 1,), dtype=np.result_type(x, y))
+    for r0, r1, lo, hi in _band_blocks(x.shape[-2], half):
+        p = np.zeros(x.shape[:-2] + (r1 - r0, r1 - r0 + 2 * half), dtype=s.dtype)
+        np.matmul(x[..., r0:r1, :], np.swapaxes(y[..., lo:hi, :], -1, -2),
+                  out=p[..., lo - r0 + half:hi - r0 + half])
+        s[..., r0:r1, :] = _diagonals(p, half)
+    return s
+
+
+def _band_lifts(band: np.ndarray, half: int):
+    """(r0, r1, lo, hi, m) per block: m is rows [r0, r1) x columns [lo, hi)
+    of the [n, n] matrix whose diagonals |i - j| <= half are band."""
+    for r0, r1, lo, hi in _band_blocks(band.shape[-2], half):
+        p = np.zeros(band.shape[:-2] + (r1 - r0, r1 - r0 + 2 * half), dtype=band.dtype)
+        _diagonals(p, half)[...] = band[..., r0:r1, :]
+        yield r0, r1, lo, hi, p[..., lo - r0 + half:hi - r0 + half]
 
 
 def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
     """Expand an [..., n, window+1] band to the [..., n, n] matrix."""
-    return _gemm_band_lift(band, window // 2).copy()
+    dense = np.zeros(band.shape[:-1] + band.shape[-2:-1], dtype=band.dtype)
+    for r0, r1, lo, hi, m in _band_lifts(band, window // 2):
+        dense[..., r0:r1, lo:hi] = m
+    return dense
 
 
 def dense_to_band(dense: np.ndarray, window: int) -> np.ndarray:
@@ -413,56 +441,27 @@ def dense_to_band(dense: np.ndarray, window: int) -> np.ndarray:
     return _diagonals(p, half).copy()
 
 
-def _band_transpose(band: np.ndarray, half: int) -> np.ndarray:
-    """The band of the transposed [n, n] matrix: out[..., j, c] =
-    band[..., j + c - half, 2*half - c], zero where that row is outside
-    the sequence.  A strided view of the time-padded band."""
-    bp = _pad_time(band, half)
-    row, col = bp.strides[-2:]
-    # Element (j, c) sits at padded row j + c, column 2*half - c.
-    return np.lib.stride_tricks.as_strided(
-        bp[..., 2 * half:], shape=band.shape, strides=bp.strides[:-2] + (row, row - col),
-        writeable=False)
+def _band_mix(band: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
+    """z_i = sum_c band[..., i, c] y_{i+c-half}, one GEMM per block."""
+    z = np.empty(band.shape[:-1] + y.shape[-1:], dtype=np.result_type(band, y))
+    for r0, r1, lo, hi, m in _band_lifts(band, half):
+        np.matmul(m, y[..., lo:hi, :], out=z[..., r0:r1, :])
+    return z
 
 
-def _band_dot(x: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
-    """s[..., i, c] = x_i · y_{i+c-half}, as one batched matmul."""
-    return np.matmul(x[..., None, :], windows(y, half))[..., 0, :]
-
-
-def _band_sum(a: np.ndarray, v: np.ndarray, half: int) -> np.ndarray:
-    """z_i = sum_c a[..., i, c] v_{i+c-half} as one batched matmul."""
-    return np.matmul(windows(v, half), a[..., None])[..., 0]
-
-
-def _diagonals(p: np.ndarray, half: int) -> np.ndarray:
-    """The [..., n, 2*half+1] band of a column-padded [..., n, n+2*half]
-    matrix, as a view: (i, c) is p[..., i, i + c]."""
-    row, col = p.strides[-2:]
-    return np.lib.stride_tricks.as_strided(
-        p, shape=p.shape[:-1] + (2 * half + 1,), strides=p.strides[:-2] + (row + col, col))
-
-
-def _gemm_band_dot(x: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
-    """_band_dot as one dense GEMM x yᵀ."""
-    n = x.shape[-2]
-    p = np.zeros(x.shape[:-1] + (n + 2 * half,), dtype=np.result_type(x, y))
-    np.matmul(x, np.swapaxes(y, -1, -2), out=p[..., half:half + n])
-    return _diagonals(p, half).copy()
-
-
-def _gemm_band_lift(band: np.ndarray, half: int) -> np.ndarray:
-    """The [..., n, n] matrix whose diagonals |i - j| <= half are band."""
-    n = band.shape[-2]
-    p = np.zeros(band.shape[:-1] + (n + 2 * half,), dtype=band.dtype)
-    _diagonals(p, half)[...] = band
-    return p[..., half:half + n]
+def _band_tmix(band: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
+    """_band_mix with the transposed [n, n] matrix: block by block, the
+    rows' y scatter into their keys."""
+    z = np.zeros(band.shape[:-1] + y.shape[-1:], dtype=np.result_type(band, y))
+    for r0, r1, lo, hi, m in _band_lifts(band, half):
+        z[..., lo:hi, :] += np.matmul(np.swapaxes(m, -1, -2), y[..., r0:r1, :])
+    return z
 
 
 # -- attention ---------------------------------------------------------------
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, keep,
+def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
            half: int | None = None) -> tuple[Tensor, Tensor]:
     """softmax(q kᵀ / sqrt(d_h)) v over the (query, key) pairs keep admits,
     as one node over (q, k, v); returns z and the weights, outside the graph.
@@ -473,30 +472,26 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
     Masked pairs weigh exactly 0 and rows sum to 1; a row with no admitted
     key (a padded query, say) weighs all zero.
     The backward pass replays the chain scores -> scale -> softmax ->
-    weighted sum op for op, with dot/mix/flip the dense or band products;
-    lift turns a band into mix's operand (the dense matrix on the GEMM
-    band path), so that one lifted score gradient serves both q's product
-    and, transposed, k's.
+    weighted sum op for op, with dot/mix/tmix the dense or band products
+    x yᵀ, a y and aᵀ y.
     """
+    if not isinstance(keep, np.ndarray):
+        raise TypeError(f"attend keep must be a numpy bool array, got {type(keep).__name__}")
     if q.shape[-1] != k.shape[-1] or k.shape != v.shape or (
             half is not None and q.shape != k.shape):
         raise ValueError(
             f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    swap = partial(np.swapaxes, axis1=-1, axis2=-2)
-    dot, mix, flip = (lambda x, y: np.matmul(x, swap(y))), np.matmul, swap
-    lift = lambda band: band
-    if half is not None:
-        if band_uses_gemm(q.shape[-2], half):
-            dot, lift = (partial(f, half=half) for f in (_gemm_band_dot, _gemm_band_lift))
-        else:
-            dot, mix, flip = (partial(f, half=half)
-                              for f in (_band_dot, _band_sum, _band_transpose))
+    if half is None:
+        swap = partial(np.swapaxes, axis1=-1, axis2=-2)
+        dot, mix, tmix = (lambda x, y: x @ swap(y)), np.matmul, (lambda a, y: swap(a) @ y)
+    else:
+        dot, mix, tmix = (partial(f, half=half) for f in (_band_dot, _band_mix, _band_tmix))
     scale = 1.0 / math.sqrt(q.shape[-1])
     a = dot(q.data, k.data)
     a *= scale
     # exp(-inf) is exactly 0, so masked pairs come out 0; an empty row's
     # max and sum are replaced by 0 and 1 so that it stays all zero
-    np.copyto(a, -np.inf, where=~np.asarray(keep, dtype=bool))
+    np.copyto(a, -np.inf, where=~keep.astype(bool, copy=False))
     rowmax = a.max(axis=-1, keepdims=True)
     a -= np.where(np.isfinite(rowmax), rowmax, 0.0)
     np.exp(a, out=a)
@@ -509,12 +504,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep,
         gs -= (gs * a).sum(axis=-1, keepdims=True)
         gs *= a
         gs *= scale
-        gs = lift(gs)
         return (_unbroadcast(mix(gs, k.data), q.shape),
-                _unbroadcast(mix(flip(gs), q.data), k.shape),
-                _unbroadcast(mix(flip(lift(a)), g), v.shape))
+                _unbroadcast(tmix(gs, q.data), k.shape),
+                _unbroadcast(tmix(a, g), v.shape))
 
-    return _make(mix(lift(a), v.data), (q, k, v), bw), _make(a, (), None)
+    return _make(mix(a, v.data), (q, k, v), bw), _make(a, (), None)
 
 
 # -- log-softmax -------------------------------------------------------------
@@ -568,32 +562,29 @@ def gather_last(x: Tensor, ids: np.ndarray) -> Tensor:
 # -- composite layers ---------------------------------------------------------
 
 
-def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """1-D convolution over the time axis.
+def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """1-D convolution over the time axis, centred: an odd kernel K sees
+    K//2 frames on each side, zero outside the sequence.
 
     x: [..., T, D_in], weights: [K, D_in, D_out], bias: [D_out].
-    Zero-padding on both ends; output length (T + 2*padding - K)//stride + 1.
+    Output frame j is centred on input frame j*stride; length ceil(T/stride).
     """
     if weights.ndim != 3:
         raise ValueError(f"conv1d weights must be [K, D_in, D_out], got {weights.shape}")
     k_size = weights.shape[0]
-    if k_size < 1 or stride < 1 or padding < 0:
-        raise ValueError("conv1d needs K >= 1, stride >= 1, padding >= 0")
-    t = x.shape[-2]
-    if t + 2 * padding < k_size:
-        raise ValueError(
-            f"conv1d input too short: T={t} with padding {padding} < kernel {k_size}")
+    if k_size % 2 == 0 or stride < 1:
+        raise ValueError(f"conv1d needs an odd kernel and stride >= 1, got "
+                         f"K={k_size}, stride={stride}")
     if x.shape[-1] != weights.shape[1]:
         raise ValueError(f"conv1d channel mismatch: {x.shape} vs {weights.shape}")
-    t_out = (t + 2 * padding - k_size) // stride + 1
+    t, pad = x.shape[-2], k_size // 2
+    t_out = (t - 1) // stride + 1
     lead = x.shape[:-2]
     d_in, d_out = weights.shape[1], weights.shape[2]
-    # im2col: output frame j reads input frames j*stride .. j*stride+K-1,
+    # im2col: output frame j reads input frames j*stride-pad .. j*stride+pad,
     # laid out [K, D_in] to match the weights.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        _pad_time(x.data, padding), k_size, axis=-2)[..., ::stride, :, :]
-    cols = np.swapaxes(windows, -1, -2).reshape(lead + (t_out, k_size * d_in))
+    cols = np.swapaxes(windows(x.data, pad)[..., ::stride, :, :], -1, -2).reshape(
+        lead + (t_out, k_size * d_in))
     w2 = weights.data.reshape(k_size * d_in, d_out)
 
     def bw(g):
@@ -601,10 +592,10 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1,
         gx = gw = gb = None
         if x.requires_grad:
             gcols = np.matmul(g, w2.T).reshape(lead + (t_out, k_size, d_in))
-            gxp = np.zeros(lead + (t + 2 * padding, d_in), dtype=g.dtype)
+            gxp = np.zeros(lead + (t + 2 * pad, d_in), dtype=g.dtype)
             for k in range(k_size):
                 gxp[..., k:k + stride * (t_out - 1) + 1:stride, :] += gcols[..., k, :]
-            gx = gxp[..., padding:padding + t, :]
+            gx = gxp[..., pad:pad + t, :]
         if weights.requires_grad:
             gw = np.matmul(cols.reshape(-1, k_size * d_in).T, g2).reshape(weights.shape)
         if bias.requires_grad:

@@ -10,7 +10,7 @@ from multiformer.attention import (ConvParams, OpCounter, conv_compress,
                                    full_attention, local_attention)
 from multiformer.mhma import HeadSpec
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import Tensor, band_to_dense, band_uses_gemm, using_dtype
+from multiformer.tensor import BAND_BLOCK, Tensor, band_to_dense, using_dtype
 
 
 def local(window):
@@ -188,17 +188,16 @@ class TestFullAttention:
 class TestLocalAttention:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_banded_oracle(self, seed):
-        """At a drawn n, and at one length on each side of the crossover
-        where banded attend turns from dense GEMMs to per-row products."""
+        """At a drawn n, and at one length on each side of the first band
+        block boundary, where banded attend turns from one block of query
+        rows to several."""
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(3, 30))
         w = 2 * int(rng.integers(1, 6))
         half = w // 2
-        crossover = next(m for m in range(1, 1000) if not band_uses_gemm(m, half))
-        gemm_n = int(rng.integers(w + 2, crossover))
-        rows_n = int(rng.integers(crossover, crossover + 30))
-        assert band_uses_gemm(gemm_n, half) and not band_uses_gemm(rows_n, half)
-        for n in (n, gemm_n, rows_n):
+        one_block = int(rng.integers(w + 2, BAND_BLOCK + 1))
+        blocks = int(rng.integers(BAND_BLOCK + 1, BAND_BLOCK + 30))
+        for n in (n, one_block, blocks):
             x = rng.normal(size=(n, 6))
             keep = hole_mask(rng, n)
             with using_dtype("float64"):

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import (Parameter, Tensor, attend, band_to_dense,
-                                band_uses_gemm, concat, conv1d, dense_to_band,
+from multiformer.tensor import (BAND_BLOCK, Parameter, Tensor, attend,
+                                band_to_dense, concat, conv1d, dense_to_band,
                                 dropout, embedding, ffn, gather_last,
                                 grad_check, layer_norm, log_softmax, matmul,
                                 pack, relu, tsum, unpack, using_dtype, windows,
-                                _band_dot, _band_sum, _band_transpose,
-                                _gemm_band_dot, _gemm_band_lift, _make,
+                                _band_dot, _band_mix, _band_tmix, _make,
                                 _topo_order)
 
 
@@ -253,9 +252,11 @@ class TestSoftmaxFamily:
         np.testing.assert_array_equal(x.grad, expect)
 
 
-# Both band edges are hit at every n; half=1 from n=13 on, and half=3 at
-# n=30, run the per-row products, the rest the dense GEMMs.
-BAND_CASES = [(half, n) for half in (1, 3) for n in range(2 * half + 2, 21)] + [(3, 30)]
+# Both band edges are hit at every n.  All but the last two run in one
+# band block: 2*BAND_BLOCK + 5 rows end in a ragged third block, and a
+# half wider than a block reaches keys two blocks away.
+BAND_CASES = [(half, n) for half in (1, 3) for n in range(2 * half + 2, 21)] + [
+    (3, 30), (2, 2 * BAND_BLOCK + 5), (BAND_BLOCK + 3, 2 * BAND_BLOCK + 11)]
 
 
 class TestBanded:
@@ -302,38 +303,39 @@ class TestBanded:
         assert report.ok, report.failures()
         assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
 
-    @pytest.mark.parametrize("half,n", [(1, 2), (1, 7), (3, 20), (3, 40)])
-    def test_gemm_band_products_match_per_row_ones(self, half, n):
-        """On the same inputs, whatever n is, the GEMM pair gives the
-        per-row pair's band scores, lifts a band to its dense matrix (whose
-        band is the in-sequence part of the first), and its products with
-        that matrix and its transpose are the per-row band sums."""
+    @pytest.mark.parametrize("half,n", [
+        (1, 2), (1, 7), (3, 20), (3, 40), (3, BAND_BLOCK), (1, 2 * BAND_BLOCK),
+        (3, 2 * BAND_BLOCK + 7), (BAND_BLOCK + 2, 3 * BAND_BLOCK - 5)])
+    def test_blocked_band_products_match_dense_ones(self, half, n):
+        """One block, exactly two, a ragged last block, and a half wider
+        than a block: the band scores are the diagonals of x yᵀ, and the
+        products with a band are those with its dense matrix and its
+        transpose."""
         rng = np.random.default_rng(n)
         x, y = rng.normal(size=(2, 2, n, 5))
         band = rng.normal(size=(2, n, 2 * half + 1))
-        np.testing.assert_allclose(_gemm_band_dot(x, y, half),
-                                   _band_dot(x, y, half), rtol=0, atol=1e-12)
-        dense = _gemm_band_lift(band, half)
         i, j = np.indices((n, n))
         in_band = np.abs(i - j) <= half
+        inside = windows(np.ones((n, 1), dtype=bool), half)[..., 0, :]
+        np.testing.assert_allclose(_band_dot(x, y, half),
+                                   dense_to_band(x @ np.swapaxes(y, -1, -2), 2 * half),
+                                   rtol=0, atol=1e-12)
+        dense = band_to_dense(band, 2 * half)
         expect = np.where(in_band, band[..., i, np.clip(j - i + half, 0, 2 * half)], 0.0)
         assert np.array_equal(dense, expect)
-        assert np.array_equal(band_to_dense(band, 2 * half), expect)
-        inside = windows(np.ones((n, 1), dtype=bool), half)[..., 0, :]
         assert np.array_equal(dense_to_band(dense, 2 * half), band * inside)
-        np.testing.assert_allclose(dense @ y, _band_sum(band, y, half),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.swapaxes(dense, -1, -2) @ y,
-                                   _band_sum(_band_transpose(band, half), y, half),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_band_mix(band, y, half), dense @ y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_band_tmix(band, y, half),
+                                   np.swapaxes(dense, -1, -2) @ y, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("half,n", [(1, 6), (1, 30), (3, 20), (3, 40)])
+    @pytest.mark.parametrize("half,n", [
+        (1, 6), (1, 30), (3, 20), (3, 40), (1, 10), (3, 26), (32, 256),
+        (1, BAND_BLOCK - 2), (4, BAND_BLOCK), (4, 2 * BAND_BLOCK - 3)])
     def test_junk_rows_leave_valid_rows_bitwise_unchanged(self, half, n):
-        """Masked junk rows appended to each sequence (the padded length
-        stays on the same side of the crossover) leave z and the weights
-        of the first n rows bit for bit the same, in training precision."""
+        """Masked junk rows appended to each sequence leave z and the
+        weights of the first n rows bit for bit the same, in training
+        precision, also where the junk starts a new band block."""
         extra = 5
-        assert band_uses_gemm(n, half) == band_uses_gemm(n + extra, half)
         rng = np.random.default_rng(n)
         q, k, v = (rng.normal(size=(2, n + extra, 16)) for _ in range(3))
         for x in (q, k, v):
@@ -377,44 +379,60 @@ class TestBanded:
         with pytest.raises(ValueError, match="mismatch"):
             attend(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), keep, half=1)
 
+    @pytest.mark.parametrize("keep", [None, [True] * 5, True])
+    def test_keep_must_be_an_array(self, keep):
+        """A mask that is not an array (None would mask every pair and
+        give all-zero output) is refused, naming keep."""
+        x = Tensor(np.ones((5, 2)))
+        with pytest.raises(TypeError, match="keep"):
+            attend(x, x, x, keep)
+        with pytest.raises(TypeError, match="keep"):
+            attend(x, x, x, keep, half=1)
+
 
 class TestConv1d:
-    @pytest.mark.parametrize("t,k,stride,padding", [
-        (8, 3, 1, 1), (9, 5, 2, 2), (7, 1, 1, 0), (10, 3, 2, 1), (5, 5, 2, 2),
+    @pytest.mark.parametrize("t,k,stride", [
+        (8, 3, 1), (9, 5, 2), (7, 1, 1), (10, 3, 2), (5, 5, 2), (2, 5, 1),
     ])
-    def test_matches_naive_oracle(self, t, k, stride, padding):
+    def test_matches_naive_oracle(self, t, k, stride):
+        """Zero-padded by k//2 at both ends, so output frame j is centred
+        on input frame j*stride."""
         rng = np.random.default_rng(100 + t + k)
         x = rng.normal(size=(2, t, 3))
         w = rng.normal(size=(k, 3, 4))
         b = rng.normal(size=4)
         with using_dtype("float64"):
-            got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
+            got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride)
+        assert got.shape == (2, -(-t // stride), 4)
         for bi in range(2):
-            want = naive_conv1d(x[bi], w, b, stride, padding)
+            want = naive_conv1d(x[bi], w, b, stride, k // 2)
             np.testing.assert_allclose(got.data[bi], want, atol=1e-12)
 
     def test_shape_validation(self):
         x = Tensor(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="channel"):
             conv1d(x, Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros(4)))
-        with pytest.raises(ValueError, match="too short"):
-            conv1d(x, Tensor(np.zeros((7, 3, 4))), Tensor(np.zeros(4)))
+        for k in (0, 2, 4):
+            with pytest.raises(ValueError, match="odd kernel"):
+                conv1d(x, Tensor(np.zeros((k, 3, 4))), Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match="stride"):
+            conv1d(x, Tensor(np.zeros((3, 3, 4))), Tensor(np.zeros(4)), stride=0)
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
-        for k, stride, padding in ((3, 2, 1), (5, 2, 2), (1, 2, 0)):
+        for k, stride in ((3, 2), (5, 2), (1, 2)):
             with using_dtype("float64"):
                 x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
                 w = Tensor(rng.normal(size=(k, 3, 2)), requires_grad=True)
                 b = Tensor(rng.normal(size=2), requires_grad=True)
 
                 def f():
-                    y = conv1d(x, w, b, stride=stride, padding=padding)
+                    y = conv1d(x, w, b, stride=stride)
                     return (y * y).sum()
 
                 report = grad_check(
                     f, [Parameter("x", x), Parameter("w", w), Parameter("b", b)])
-            assert report.ok, (k, stride, padding, report.failures())
+            assert report.ok, (k, stride, report.failures())
 
 
 def generic_ffn(x, w1, b1, w2, b2):
