@@ -11,6 +11,7 @@ batch dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -73,7 +74,7 @@ def _key_mask(mask, positions: tuple[int, ...]) -> np.ndarray:
 
 
 def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
-                   counter: OpCounter | None = None) -> tuple[Tensor, Tensor]:
+                   counter: OpCounter | None = None, rows=None) -> tuple[Tensor, Tensor]:
     """softmax(q kᵀ / sqrt(d_h)) v over all key positions.
 
     q: [..., n, d_h], k/v: [..., m, d_h].  The bool mask marks valid keys,
@@ -82,6 +83,12 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     say); so with batched q an [n, m] mask is B key masks and needs
     n == B.  A query with no valid key raises.  Counts the n*m score
     products of each sequence.
+
+    rows, a bool [B, n] mask of q's valid rows beside a [B, m] key mask,
+    lets tensor.attend run each sequence alone over its valid rows and
+    keys (see SEQUENCE_PAIRS there).  z is then exactly 0 at padded rows,
+    and the weights come back flat: sequence b's [n_b, m_b] block after
+    sequence b-1's, Σ n_b*m_b in all.
     """
     m = k.shape[-2]
     if np.ndim(mask) == q.ndim:
@@ -90,11 +97,11 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
         keep = _key_mask(mask, q.shape[:-2] + (m,))[..., None, :]
     empty = ~np.broadcast_to(keep.any(axis=-1), q.shape[:-1])
     if empty.any():
-        rows = np.argwhere(empty)[:5]
-        raise ValueError(f"softmax row(s) fully masked at index {rows.tolist()}")
-    z, a = attend(q, k, v, keep)
+        where = np.argwhere(empty)[:5]
+        raise ValueError(f"softmax row(s) fully masked at index {where.tolist()}")
+    z, a = attend(q, k, v, keep, rows=None if rows is None else np.asarray(rows, dtype=bool))
     if counter is not None:
-        counter.add(a.size)
+        counter.add(math.prod(z.shape[:-1]) * m)
     return z, a
 
 

@@ -146,8 +146,11 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     [..., m] for every mechanism.  Full heads also take a per-query mask
     such as a causal one; it carries x's batch axes ([..., n, m] of x's
     rank), since an unbatched [n, m] mask with batched x is a key mask,
-    read as [B, m].  Conv heads sharing a (kernel, stride) reuse one
-    compressed stream per call.  Returns y with every head's z.
+    read as [B, m].  In self-attention a [B, n] mask also marks the
+    valid query rows of full and conv heads, which then run per sequence
+    at paper scale (tensor.SEQUENCE_PAIRS), with z exactly 0 at padded
+    rows.  Conv heads sharing a (kernel, stride) reuse one compressed
+    stream per call.  Returns y with every head's z.
     """
     h_count = len(specs)
     if h_count != weights.heads:
@@ -157,6 +160,9 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     if d != h_count * d_h:
         raise ValueError(f"input width {d} != heads*head_dim {h_count * d_h}")
     kv = x if kv_in is None else kv_in
+    # self-attention over a padded batch: full and conv heads get the frame
+    # mask as their valid query rows (see full_attention)
+    rows = mask if kv_in is None and x.ndim == 3 and np.shape(mask) == x.shape[:-1] else None
 
     compressed: dict[tuple[int, int], tuple[Tensor, np.ndarray]] = {}
     zs: list[Tensor] = []
@@ -172,7 +178,7 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
         if spec.mechanism == "local":
             z, _ = local_attention(q, k, v, spec, keep, counter)
         else:
-            z, _ = full_attention(q, k, v, keep, counter)
+            z, _ = full_attention(q, k, v, keep, counter, rows)
         zs.append(z)
 
     zcat = concat(zs, axis=-1)

@@ -441,28 +441,70 @@ def dense_to_band(dense: np.ndarray, window: int) -> np.ndarray:
     return _diagonals(p, half).copy()
 
 
-def _band_mix(band: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
-    """z_i = sum_c band[..., i, c] y_{i+c-half}, one GEMM per block."""
+def _band_mix(band: np.ndarray, y: np.ndarray, half: int,
+              lifts: list | None = None) -> np.ndarray:
+    """z_i = sum_c band[..., i, c] y_{i+c-half}, one GEMM per block; lifts
+    is list(_band_lifts(band, half)) when the caller already made it."""
     z = np.empty(band.shape[:-1] + y.shape[-1:], dtype=np.result_type(band, y))
-    for r0, r1, lo, hi, m in _band_lifts(band, half):
+    for r0, r1, lo, hi, m in lifts or _band_lifts(band, half):
         np.matmul(m, y[..., lo:hi, :], out=z[..., r0:r1, :])
     return z
 
 
-def _band_tmix(band: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
+def _band_tmix(band: np.ndarray, y: np.ndarray, half: int,
+               lifts: list | None = None) -> np.ndarray:
     """_band_mix with the transposed [n, n] matrix: block by block, the
     rows' y scatter into their keys."""
+    lifts = lifts or list(_band_lifts(band, half))
+    if len(lifts) == 1:  # one block covers the sequence
+        return np.matmul(np.swapaxes(lifts[0][4], -1, -2), y)
     z = np.zeros(band.shape[:-1] + y.shape[-1:], dtype=np.result_type(band, y))
-    for r0, r1, lo, hi, m in _band_lifts(band, half):
+    for r0, r1, lo, hi, m in lifts:
         z[..., lo:hi, :] += np.matmul(np.swapaxes(m, -1, -2), y[..., r0:r1, :])
     return z
 
 
 # -- attention ---------------------------------------------------------------
 
+# A dense head given its batch's valid query rows runs once per sequence,
+# over that sequence's valid rows and keys, when the longest sequence
+# scores at least this many (row, key) pairs.  Below it the calls per
+# sequence cost more than the padded pairs a batched head scores: with no
+# padding at all, per-sequence fwd+bwd matches batched at about 2**17
+# pairs per sequence for B=4 and about 2**16 for B=23, at d_h 16 and 64.
+# The rule reads valid lengths only, so padding appended to a batch never
+# moves a head from one path to the other.  Toy layers (n <= 24) stay
+# batched.
+SEQUENCE_PAIRS = 2 ** 17
+
+
+def _softmax(s: np.ndarray, keep: np.ndarray | None, scale: float) -> np.ndarray:
+    """Scale, mask and softmax the scores s in place, over the last axis."""
+    s *= scale
+    # exp(-inf) is exactly 0, so masked pairs come out 0; an empty row's
+    # max and sum are replaced by 0 and 1 so that it stays all zero
+    if keep is not None:
+        np.copyto(s, -np.inf, where=~keep.astype(bool, copy=False))
+    rowmax = s.max(axis=-1, keepdims=True)
+    s -= np.where(np.isfinite(rowmax), rowmax, 0.0)
+    np.exp(s, out=s)
+    denom = s.sum(axis=-1, keepdims=True)
+    s /= np.where(denom == 0.0, 1.0, denom)
+    return s
+
+
+def _score_grad(ga: np.ndarray, a: np.ndarray, scale: float) -> np.ndarray:
+    """The scores' gradient a * (ga - sum(ga * a)) * scale, built in the
+    weights' fresh gradient ga."""
+    ga -= (ga * a).sum(axis=-1, keepdims=True)
+    ga *= a
+    ga *= scale
+    return ga
+
 
 def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
-           half: int | None = None) -> tuple[Tensor, Tensor]:
+           half: int | None = None, rows: np.ndarray | None = None
+           ) -> tuple[Tensor, Tensor]:
     """softmax(q kᵀ / sqrt(d_h)) v over the (query, key) pairs keep admits,
     as one node over (q, k, v); returns z and the weights, outside the graph.
 
@@ -474,6 +516,13 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
     The backward pass replays the chain scores -> scale -> softmax ->
     weighted sum op for op, with dot/mix/tmix the dense or band products
     x yᵀ, a y and aᵀ y.
+
+    rows (dense only) marks the valid query rows of a [B, n, d_h] batch
+    whose keep is a [B, 1, m] key mask.  When the rule of SEQUENCE_PAIRS
+    holds, each sequence runs that chain alone over its valid rows and
+    keys: z is exactly 0 at padded rows, and so are q's, k's and v's
+    gradients there, and the weights come back flat, each sequence's
+    [n_b, m_b] block after the other.  Otherwise rows is ignored.
     """
     if not isinstance(keep, np.ndarray):
         raise TypeError(f"attend keep must be a numpy bool array, got {type(keep).__name__}")
@@ -481,34 +530,66 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
             half is not None and q.shape != k.shape):
         raise ValueError(
             f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    if rows is not None:
+        if half is not None or q.ndim != 3 or rows.shape != q.shape[:-1] or (
+                rows.dtype != bool or k.shape[:-2] != q.shape[:-2] or keep.ndim < 2
+                or keep.shape[-2] != 1):
+            raise ValueError(f"attend rows {rows.shape} need dense queries and keys "
+                             f"[B, n, d_h] and [B, m, d_h] (got {q.shape}, {k.shape}) "
+                             f"and a [B, 1, m] key mask (got {keep.shape})")
+        # valid pairs never exceed n*m, so short padded batches skip the sums
+        if q.shape[-2] * k.shape[-2] >= SEQUENCE_PAIRS:
+            keys = np.broadcast_to(keep, k.shape[:-2] + (1, k.shape[-2]))[:, 0, :]
+            if (rows.sum(axis=-1) * keys.sum(axis=-1)).max() >= SEQUENCE_PAIRS:
+                return _attend_sequences(q, k, v, rows, keys, scale)
     if half is None:
         swap = partial(np.swapaxes, axis1=-1, axis2=-2)
         dot, mix, tmix = (lambda x, y: x @ swap(y)), np.matmul, (lambda a, y: swap(a) @ y)
     else:
         dot, mix, tmix = (partial(f, half=half) for f in (_band_dot, _band_mix, _band_tmix))
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    a = dot(q.data, k.data)
-    a *= scale
-    # exp(-inf) is exactly 0, so masked pairs come out 0; an empty row's
-    # max and sum are replaced by 0 and 1 so that it stays all zero
-    np.copyto(a, -np.inf, where=~keep.astype(bool, copy=False))
-    rowmax = a.max(axis=-1, keepdims=True)
-    a -= np.where(np.isfinite(rowmax), rowmax, 0.0)
-    np.exp(a, out=a)
-    denom = a.sum(axis=-1, keepdims=True)
-    a /= np.where(denom == 0.0, 1.0, denom)
+    a = _softmax(dot(q.data, k.data), keep, scale)
 
     def bw(g):
-        # gs = a * (ga - sum(ga * a)) * scale, built in ga's fresh buffer
-        gs = dot(g, v.data)
-        gs -= (gs * a).sum(axis=-1, keepdims=True)
-        gs *= a
-        gs *= scale
-        return (_unbroadcast(mix(gs, k.data), q.shape),
-                _unbroadcast(tmix(gs, q.data), k.shape),
+        gs = _score_grad(dot(g, v.data), a, scale)
+        if half is None:
+            gq, gk = mix(gs, k.data), tmix(gs, q.data)
+        else:  # q's and k's gradients share one lift of the band gs
+            lifts = list(_band_lifts(gs, half))
+            gq, gk = mix(gs, k.data, lifts=lifts), tmix(gs, q.data, lifts=lifts)
+        return (_unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape),
                 _unbroadcast(tmix(a, g), v.shape))
 
     return _make(mix(a, v.data), (q, k, v), bw), _make(a, (), None)
+
+
+def _attend_sequences(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray,
+                      keys: np.ndarray, scale: float) -> tuple[Tensor, Tensor]:
+    """attend's dense chain run per sequence over its valid rows and keys."""
+    n_rows, n_keys = rows.sum(axis=-1), keys.sum(axis=-1)
+    flat = np.empty(int((n_rows * n_keys).sum()), dtype=np.result_type(q.data, k.data))
+    weights = [a.reshape(n, m) for a, n, m in
+               zip(np.split(flat, np.cumsum(n_rows * n_keys)[:-1]), n_rows, n_keys)]
+    z = np.zeros(q.shape[:-1] + v.shape[-1:], dtype=np.result_type(flat, v.data))
+    for b, a in enumerate(weights):
+        if a.size:
+            r, c = rows[b], keys[b]
+            np.matmul(q.data[b, r], k.data[b, c].T, out=a)
+            z[b, r] = _softmax(a, None, scale) @ v.data[b, c]
+
+    def bw(g):
+        gq, gk, gv = (np.zeros(t.shape, dtype=g.dtype) for t in (q, k, v))
+        for b, a in enumerate(weights):
+            if a.size:
+                r, c = rows[b], keys[b]
+                gb = g[b, r]
+                gs = _score_grad(gb @ v.data[b, c].T, a, scale)
+                gq[b, r] = gs @ k.data[b, c]
+                gk[b, c] = gs.T @ q.data[b, r]
+                gv[b, c] = a.T @ gb
+        return gq, gk, gv
+
+    return _make(z, (q, k, v), bw), _make(flat, (), None)
 
 
 # -- log-softmax -------------------------------------------------------------

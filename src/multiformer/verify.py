@@ -20,7 +20,8 @@ from .mhma import (HeadSpec, MHMAWeights, init_mhma_weights, mhma_forward,
                    mhma_parameters, recompose_check)
 from .model import (ModelConfig, Seq2SeqBatch, forward_loss, init_model_weights,
                     named_parameters)
-from .tensor import BAND_BLOCK, Tensor, band_to_dense, grad_check, using_dtype
+from .tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Tensor, band_to_dense, grad_check,
+                     using_dtype)
 
 ORACLE_TOL = 1e-6
 RECOMPOSE_TOL_64 = 1e-10
@@ -72,14 +73,52 @@ def _suffix_mask(rng, n: int) -> np.ndarray:
     return valid
 
 
+def _batched_rows_case(rng, long: bool) -> tuple[float, bool]:
+    """Full attention over a padded batch given its valid query rows, per
+    sequence against the oracle: (max deviation, whether it ran per
+    sequence).  long puts one all-valid sequence past SEQUENCE_PAIRS."""
+    n = int(rng.integers(1, 49))
+    if long:
+        n = math.isqrt(SEQUENCE_PAIRS) + n
+    batch, d_h = int(rng.integers(2, 4)), int(rng.integers(1, 9))
+    q, k, v = (rng.normal(size=(batch, n, d_h)) for _ in range(3))
+    rows = np.stack([_random_mask(rng, n) for _ in range(batch)])
+    keys = np.stack([_random_mask(rng, n) for _ in range(batch)])
+    if long:
+        rows[0] = keys[0] = True
+    z, a = full_attention(Tensor(q), Tensor(k), Tensor(v), keys, rows=rows)
+    per_sequence = a.ndim == 1
+    worst, start = 0.0, 0
+    for b in range(batch):
+        z0, a0 = orc.naive_attention(q[b][rows[b]], k[b], v[b], keys[b])
+        if per_sequence:
+            size = z0.shape[0] * int(keys[b].sum())
+            ab = a.data[start:start + size].reshape(z0.shape[0], -1)
+            a0, start = a0[:, keys[b]], start + size
+            worst = max(worst, float(np.abs(z.data[b][~rows[b]]).max(initial=0.0)))
+        else:
+            ab = a.data[b][rows[b]]
+        worst = max(worst, float(np.abs(z.data[b][rows[b]] - z0).max()),
+                    float(np.abs(ab - a0).max()))
+    return worst, per_sequence
+
+
 def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
     """full/local/conv against the explicit-loop references."""
     worst = 0.0
     ran = 0
     band_blocks = {True: 0, False: 0}   # local cases in one band block / several
+    dense_paths = {False: 0, True: 0}   # batched rows cases run batched / per sequence
     with using_dtype("float64"):
         rng = np.random.default_rng(seed)
-        for _ in range(cases):
+        rows_rng = np.random.default_rng(seed + 1)
+        for case in range(cases):
+            # every twentieth case a padded batch given its valid rows,
+            # alternately below and past SEQUENCE_PAIRS
+            if case % 20 == 0:
+                dev, per_sequence = _batched_rows_case(rows_rng, long=case % 40 == 20)
+                worst = max(worst, dev)
+                dense_paths[per_sequence] += 1
             n = int(rng.integers(1, 65))
             d_h = int(rng.integers(1, 9))
             q = Tensor(rng.normal(size=(n, d_h)))
@@ -146,11 +185,14 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
             yf = mhma_forward(Tensor(x), [HeadSpec("full")] * 2, iw, smask).y
             worst = max(worst, float(np.abs(yi.data - yf.data).max()))
             ran += 1
-    # the drawn lengths must reach both one band block and several
-    passed = worst < ORACLE_TOL and all(band_blocks.values())
+    # the drawn lengths must reach both one band block and several, and
+    # both the batched and the per-sequence dense path
+    passed = worst < ORACLE_TOL and all(band_blocks.values()) and all(dense_paths.values())
     return SuiteResult("oracle-equivalence", passed, ran,
                        f"max deviation {worst:.3e} (tol {ORACLE_TOL:g}); local cases "
-                       f"{band_blocks[True]} in one band block, {band_blocks[False]} in several")
+                       f"{band_blocks[True]} in one band block, {band_blocks[False]} in several; "
+                       f"batched full cases {dense_paths[False]} batched, "
+                       f"{dense_paths[True]} per sequence")
 
 
 def run_recomposition_suite(cases: int = 100, seed: int = 7) -> SuiteResult:

@@ -69,7 +69,7 @@ def test_a1_oracle_equivalence():
     r = run_oracle_suite(cases=120)
     report("A1", r.passed,
            f"full/local/conv vs naive loop oracle, {r.cases} seeded cases "
-           f"(n <= 64, random masks), {r.detail}")
+           f"(n <= 64, random masks; padded batches through both dense paths), {r.detail}")
 
 
 def test_a2_recomposition():

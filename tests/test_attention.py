@@ -8,9 +8,10 @@ import pytest
 
 from multiformer.attention import (ConvParams, OpCounter, conv_compress,
                                    full_attention, local_attention)
-from multiformer.mhma import HeadSpec
+from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import BAND_BLOCK, Tensor, band_to_dense, using_dtype
+from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Tensor, band_to_dense,
+                                using_dtype)
 
 
 def local(window):
@@ -356,3 +357,104 @@ class TestConvCompress:
             ConvParams(kernel=4, stride=2, weights=Tensor(np.zeros((4, 2, 2))),
                        bias=Tensor(np.zeros(2)))
 
+
+
+def head_inputs(kind, lengths, n, seed, extra=0, d=16, d_h=8):
+    """float32 q [B, n + extra, d_h] and k, v of one full or conv(3, 2)
+    head over frames with the given valid lengths, each followed by extra
+    junk rows, with the valid query rows and valid keys."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(len(lengths), n, d)).astype(np.float32)
+    rows = np.arange(n) < np.asarray(lengths)[:, None]
+    stream, keys = Tensor(x), rows
+    if kind == "conv":
+        params = ConvParams(3, 2, Tensor(rng.normal(size=(3, d, d)) / 4), Tensor(np.zeros(d)))
+        stream, keys = conv_compress(stream, params, rows)
+    wq, wk, wv = (rng.normal(size=(d, d_h)).astype(np.float32) / 4 for _ in range(3))
+    q, k, v = x @ wq, stream.data @ wk, stream.data @ wv
+
+    def junk(a):  # False in a mask, noise of scale 1e3 in q, k and v
+        tail = np.zeros(a.shape[:1] + (extra,) + a.shape[2:], a.dtype)
+        if a.dtype != bool:
+            tail += 1e3 * rng.normal(size=tail.shape)
+        return np.concatenate([a, tail], axis=1)
+
+    return junk(q), junk(k), junk(v), junk(rows), junk(keys)
+
+
+def run_head(q, k, v, rows, keys, probe, use_rows=True):
+    """full_attention's z, weights and the gradients of (z * probe).sum()."""
+    tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+    z, a = full_attention(tq, tk, tv, keys, rows=rows if use_rows else None)
+    (z * Tensor(probe)).sum().backward()
+    return z.data, a.data, tq.grad, tk.grad, tv.grad
+
+
+@pytest.mark.parametrize("kind", ["full", "conv"])
+class TestPerSequenceHeads:
+    """Full and conv heads over a padded batch whose longest sequence is
+    past tensor.SEQUENCE_PAIRS run per sequence over its valid rows and
+    keys: bit for bit full_attention on each sequence alone, and exact
+    zeros at the padding."""
+
+    @staticmethod
+    def long(kind):
+        """A length whose n_b * m_b is past the rule for this head."""
+        n = int(np.sqrt(SEQUENCE_PAIRS * (2 if kind == "conv" else 1))) + 4
+        return n + n % 2
+
+    def test_each_sequence_matches_full_attention_alone(self, kind):
+        n = self.long(kind)
+        q, k, v, rows, keys = head_inputs(kind, [n - 61, n, 12], n, seed=1)
+        probe = np.random.default_rng(2).normal(size=q.shape).astype(np.float32)
+        z, a, gq, gk, gv = run_head(q, k, v, rows, keys, probe)
+        sizes = rows.sum(axis=-1) * keys.sum(axis=-1)
+        assert a.shape == (sizes.sum(),)
+        for b, (n_b, m_b) in enumerate(zip(rows.sum(axis=-1), keys.sum(axis=-1))):
+            zb, ab, gqb, gkb, gvb = run_head(q[b, :n_b], k[b, :m_b], v[b, :m_b], None,
+                                             None, probe[b, :n_b])
+            assert z[b, :n_b].tobytes() == zb.tobytes()
+            assert a[sizes[:b].sum():sizes[:b + 1].sum()].tobytes() == ab.tobytes()
+            assert gq[b, :n_b].tobytes() == gqb.tobytes()
+            assert gk[b, :m_b].tobytes() == gkb.tobytes()
+            assert gv[b, :m_b].tobytes() == gvb.tobytes()
+        for x, valid in ((z, rows), (gq, rows), (gk, keys), (gv, keys)):
+            assert not x[~valid].any()
+
+    def test_junk_rows_under_the_mask_leave_valid_bytes_unchanged(self, kind):
+        n = self.long(kind)
+        lengths = [n, n - 30]
+        probe = np.random.default_rng(3).normal(size=(2, n + 9, 8)).astype(np.float32)
+        cut = run_head(*head_inputs(kind, lengths, n, seed=4), probe[:, :n])
+        padded = run_head(*head_inputs(kind, lengths, n, seed=4, extra=9), probe)
+        assert padded[1].tobytes() == cut[1].tobytes()
+        for got, want in zip(padded[:1] + padded[2:], cut[:1] + cut[2:]):
+            assert got[:, :want.shape[1]].tobytes() == want.tobytes()
+            assert not got[:, want.shape[1]:].any()
+
+    def test_batch_below_the_rule_stays_batched(self, kind):
+        """Short sequences in a long padded batch give the bytes of the
+        call without valid rows, whose padded rows attend too."""
+        n = int(np.sqrt(SEQUENCE_PAIRS)) // 2
+        q, k, v, rows, keys = head_inputs(kind, [n, n - 7], n, seed=5, extra=n)
+        probe = np.random.default_rng(6).normal(size=q.shape).astype(np.float32)
+        got = run_head(q, k, v, rows, keys, probe)
+        assert got[1].shape == q.shape[:-1] + k.shape[-2:-1]
+        assert got[0][~rows].any()
+        for x, want in zip(got, run_head(q, k, v, rows, keys, probe, use_rows=False)):
+            assert x.tobytes() == want.tobytes()
+
+    def test_self_attention_layer_passes_its_frame_mask_as_rows(self, kind):
+        """mhma_forward runs a head past the rule per sequence in
+        self-attention (z is 0 at padded rows) and batched for
+        cross-attention over the same frames."""
+        n = self.long(kind)
+        rng = np.random.default_rng(7)
+        spec = [HeadSpec("full") if kind == "full" else HeadSpec("conv", kernel=3, stride=2)]
+        weights = init_mhma_weights(8, spec, rng)
+        x = Tensor(rng.normal(size=(2, n + 5, 8)))
+        mask = np.arange(n + 5) < np.array([[n], [n - 40]])
+        z_self = mhma_forward(x, spec, weights, mask).z[0].data
+        assert not z_self[~mask].any() and z_self[mask].all()
+        z_cross = mhma_forward(x, spec, weights, mask, kv_in=x).z[0].data
+        assert z_cross[~mask].all()

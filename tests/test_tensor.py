@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import (BAND_BLOCK, Parameter, Tensor, attend,
+from multiformer import tensor
+from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Parameter, Tensor, attend,
                                 band_to_dense, concat, conv1d, dense_to_band,
                                 dropout, embedding, ffn, gather_last,
                                 grad_check, layer_norm, log_softmax, matmul,
@@ -388,6 +389,111 @@ class TestBanded:
             attend(x, x, x, keep)
         with pytest.raises(TypeError, match="keep"):
             attend(x, x, x, keep, half=1)
+
+
+def ragged_batch(rng, lengths, n, d_h=8, extra=0):
+    """float32 q, k, v [B, n + extra, d_h] whose rows past each sequence's
+    length are junk of scale 1e3, and the [B, n + extra] validity mask."""
+    q, k, v = (rng.normal(size=(len(lengths), n + extra, d_h)).astype(np.float32)
+               for _ in range(3))
+    keep = np.arange(n + extra) < np.asarray(lengths)[:, None]
+    for x in (q, k, v):
+        x[~keep] *= 1e3
+    return q, k, v, keep
+
+
+def attend_rows(q, k, v, keep, probe, rows=True):
+    """attend with keep as the key mask and, if rows, the valid query rows;
+    returns z, the weights and the gradients of (z * probe).sum()."""
+    tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+    z, a = attend(tq, tk, tv, keep[..., None, :], rows=keep if rows else None)
+    (z * Tensor(probe)).sum().backward()
+    return z.data, a.data, tq.grad, tk.grad, tv.grad
+
+
+class TestPerSequenceRows:
+    """Dense attend given valid query rows: past SEQUENCE_PAIRS each
+    sequence runs alone over its valid rows and keys, bit for bit as if
+    called on that sequence, with exact zeros at the padding."""
+
+    LONG = int(np.ceil(np.sqrt(SEQUENCE_PAIRS))) + 3  # n_b * n_b past the rule
+
+    def test_each_sequence_matches_attend_alone_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        lengths = [self.LONG - 40, self.LONG, 9]
+        q, k, v, keep = ragged_batch(rng, lengths, self.LONG)
+        probe = rng.normal(size=q.shape).astype(np.float32)
+        z, a, gq, gk, gv = attend_rows(q, k, v, keep, probe)
+        assert a.shape == (sum(n * n for n in lengths),)
+        start = 0
+        for b, n in enumerate(lengths):
+            zb, ab, gqb, gkb, gvb = attend_rows(q[b, :n], k[b, :n], v[b, :n],
+                                                np.ones(n, dtype=bool), probe[b, :n],
+                                                rows=False)
+            assert z[b, :n].tobytes() == zb.tobytes()
+            assert a[start:start + n * n].tobytes() == ab.tobytes()
+            for got, want in ((gq, gqb), (gk, gkb), (gv, gvb)):
+                assert got[b, :n].tobytes() == want.tobytes()
+            start += n * n
+        for x in (z, gq, gk, gv):
+            assert np.array_equal(x[~keep], np.zeros_like(x[~keep]))
+
+    def test_appended_junk_rows_leave_valid_bytes_unchanged(self):
+        rng = np.random.default_rng(22)
+        lengths = [self.LONG, self.LONG - 100]
+        q, k, v, keep = ragged_batch(rng, lengths, self.LONG, extra=7)
+        probe = rng.normal(size=q.shape).astype(np.float32)
+        cut = attend_rows(q[:, :self.LONG], k[:, :self.LONG], v[:, :self.LONG],
+                          keep[:, :self.LONG], probe[:, :self.LONG])
+        padded = attend_rows(q, k, v, keep, probe)
+        assert padded[1].tobytes() == cut[1].tobytes()
+        for got, want in zip(padded[:1] + padded[2:], cut[:1] + cut[2:]):
+            assert got[:, :self.LONG].tobytes() == want.tobytes()
+            assert not got[:, self.LONG:].any()
+
+    def test_batch_below_the_rule_stays_batched(self):
+        """Lengths whose pairs fall short of the rule, however much padding
+        the batch has, give the bytes of attend without rows."""
+        rng = np.random.default_rng(23)
+        short = int(np.sqrt(SEQUENCE_PAIRS)) - 1
+        q, k, v, keep = ragged_batch(rng, [short, short - 5], short + 200)
+        probe = rng.normal(size=q.shape).astype(np.float32)
+        got = attend_rows(q, k, v, keep, probe)
+        assert got[1].shape == q.shape[:-1] + (q.shape[-2],)
+        for x, want in zip(got, attend_rows(q, k, v, keep, probe, rows=False)):
+            assert x.tobytes() == want.tobytes()
+
+    def test_gradients_every_entry(self, monkeypatch):
+        """Finite differences through a small batch the lowered rule sends
+        per sequence, with queries and keys of different lengths and a
+        sequence with no valid row."""
+        monkeypatch.setattr(tensor, "SEQUENCE_PAIRS", 6)
+        rng = np.random.default_rng(24)
+        q, k, v = qkv(rng, 5, 4, d_h=3, lead=(3,))
+        rows = np.arange(5) < np.array([[5], [2], [0]])
+        keys = np.arange(4) < np.array([[3], [4], [2]])
+        r = rng.normal(size=q.shape)
+        with using_dtype("float64"):
+            tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+            assert attend(tq, tk, tv, keys[:, None, :], rows=rows)[1].shape == (5 * 3 + 2 * 4,)
+            report = grad_check(
+                lambda: (attend(tq, tk, tv, keys[:, None, :], rows=rows)[0] * r).sum(),
+                [Parameter("q", tq), Parameter("k", tk), Parameter("v", tv)],
+                max_samples=q.size)
+        assert report.ok, report.failures()
+        assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
+
+    def test_rows_need_batched_dense_heads_and_a_key_mask(self):
+        x = Tensor(np.zeros((2, 5, 3)))
+        rows = np.ones((2, 5), dtype=bool)
+        with pytest.raises(ValueError, match="rows"):
+            attend(x, x, x, np.ones((2, 5, 5), dtype=bool), rows=rows)
+        with pytest.raises(ValueError, match="rows"):
+            attend(x, x, x, np.ones((2, 5, 3), dtype=bool), half=1, rows=rows)
+        with pytest.raises(ValueError, match="rows"):
+            attend(x, x, x, np.ones((2, 1, 5), dtype=bool), rows=rows[:, :4])
+        with pytest.raises(ValueError, match="rows"):
+            attend(x, x, x, np.ones(5, dtype=bool), rows=rows)
 
 
 class TestConv1d:
