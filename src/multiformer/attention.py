@@ -123,17 +123,14 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: HeadSpec,
     if k.shape != q.shape or v.shape != q.shape:
         raise ValueError("local attention is self-attention: q, k, v share one shape")
     keep = _key_mask(mask, q.shape[:-1])
-    band_mask = windows(keep[..., None], half)[..., 0, :]
-    if half < q.shape[-2] - 1:
-        z, a = attend(q, k, v, band_mask, half=half)
-    else:
-        # A window that covers every pair runs the dense kernel, which
-        # computes exactly the in-band products and bit-matches full
-        # attention.
-        z, a = attend(q, k, v, keep[..., None, :])
+    # A window that covers every pair runs the dense kernel, which computes
+    # exactly the in-band products and bit-matches full attention.
+    banded = half < q.shape[-2] - 1
+    z, a = attend(q, k, v, keep[..., None, :], half=half if banded else None)
+    if not banded:
         a = Tensor(dense_to_band(a.data, params.window))
     if counter is not None:
-        counter.add(int(band_mask.sum()))
+        counter.add(int(windows(keep[..., None], half).sum()))
     return z, a
 
 

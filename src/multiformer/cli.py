@@ -19,7 +19,7 @@ from .analysis import aggregate_contributions, emit_report
 from .checkpoint import CheckpointError, load_into
 from .config import ArchitectureError, parse_architecture, parse_task
 from .model import init_model_weights
-from .training import (CKPT_PATTERN, SENTINELS, TOY_WARMUP, TrainConfig,
+from .training import (CKPT_PATTERN, SENTINELS, TrainConfig,
                        TrainingDiverged, SyntheticTaskSpec, average_checkpoints,
                        read_metrics, select_around_best, train)
 from .verify import run_all
@@ -37,8 +37,7 @@ class NumericalFailure(RuntimeError):
 def _cmd_train(args) -> int:
     config = parse_architecture(args.arch)
     spec = parse_task(args.task)
-    cfg = TrainConfig(max_updates=args.steps, seed=args.seed,
-                      warmup_updates=TOY_WARMUP, log_every=args.log_every)
+    cfg = TrainConfig(max_updates=args.steps, seed=args.seed, log_every=args.log_every)
     result = train(config, cfg, spec, args.out, init_from=args.init_from)
     print(f"trained {result.steps} updates; held-out loss {result.final_loss:.4f}, "
           f"token accuracy {result.final_accuracy:.4f}")

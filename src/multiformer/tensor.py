@@ -67,19 +67,13 @@ def default_dtype():
     return _active_dtype
 
 
-def set_default_dtype(name: str) -> None:
-    global _active_dtype
-    if name not in _DTYPES:
-        raise ValueError(f"unknown dtype {name!r}, expected one of {sorted(_DTYPES)}")
-    _active_dtype = _DTYPES[name]
-
-
 @contextmanager
 def using_dtype(name: str):
     """Temporarily switch the global precision mode."""
     global _active_dtype
-    prev = _active_dtype
-    set_default_dtype(name)
+    if name not in _DTYPES:
+        raise ValueError(f"unknown dtype {name!r}, expected one of {sorted(_DTYPES)}")
+    prev, _active_dtype = _active_dtype, _DTYPES[name]
     try:
         yield
     finally:
@@ -361,8 +355,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 #
 # Column c of a band row i pairs position i with position i + c - half, for
 # c in [0, 2*half]: the band holds the diagonals |i - j| <= half of an
-# [n, n] matrix.  Positions outside [0, n) read as zeros; the band mask
-# attend takes masks those columns.
+# [n, n] matrix.  Positions outside [0, n) read as zeros, or, in the
+# scores attend forms, as -inf like the keys its key mask masks.
 #
 # Every band product runs over fixed blocks of BAND_BLOCK query rows (the
 # last one ragged).  A block of r rows pairs only with the keys within half
@@ -403,13 +397,19 @@ def _diagonals(p: np.ndarray, half: int) -> np.ndarray:
         p, shape=p.shape[:-1] + (2 * half + 1,), strides=p.strides[:-2] + (row + col, col))
 
 
-def _band_dot(x: np.ndarray, y: np.ndarray, half: int) -> np.ndarray:
-    """s[..., i, c] = x_i · y_{i+c-half}, one GEMM per block of rows."""
+def _band_dot(x: np.ndarray, y: np.ndarray, half: int,
+              keys: np.ndarray | None = None) -> np.ndarray:
+    """s[..., i, c] = x_i · y_{i+c-half}, one GEMM per block of rows.  Given
+    a [..., 1, n] key mask keys, s is -inf at masked and off-sequence keys
+    instead of 0 off the sequence."""
     s = np.empty(x.shape[:-1] + (2 * half + 1,), dtype=np.result_type(x, y))
     for r0, r1, lo, hi in _band_blocks(x.shape[-2], half):
-        p = np.zeros(x.shape[:-2] + (r1 - r0, r1 - r0 + 2 * half), dtype=s.dtype)
-        np.matmul(x[..., r0:r1, :], np.swapaxes(y[..., lo:hi, :], -1, -2),
-                  out=p[..., lo - r0 + half:hi - r0 + half])
+        p = np.full(x.shape[:-2] + (r1 - r0, r1 - r0 + 2 * half),
+                    0.0 if keys is None else -np.inf, dtype=s.dtype)
+        block = p[..., lo - r0 + half:hi - r0 + half]
+        np.matmul(x[..., r0:r1, :], np.swapaxes(y[..., lo:hi, :], -1, -2), out=block)
+        if keys is not None:
+            np.copyto(block, -np.inf, where=np.logical_not(keys[..., lo:hi]))
         s[..., r0:r1, :] = _diagonals(p, half)
     return s
 
@@ -509,8 +509,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
     as one node over (q, k, v); returns z and the weights, outside the graph.
 
     Dense (half None): keep is a bool array broadcastable to the [..., n, m]
-    scores.  Banded: q, k, v are [..., n, d_h] and the scores and keep are
-    [..., n, 2*half+1] bands, with off-sequence keys masked.
+    scores.  Banded: q, k, v are [..., n, d_h], keep is a [..., 1, n] key
+    mask, and the scores are [..., n, 2*half+1] bands whose keys outside
+    the sequence are masked too.
     Masked pairs weigh exactly 0 and rows sum to 1; a row with no admitted
     key (a padded query, say) weighs all zero.
     The backward pass replays the chain scores -> scale -> softmax ->
@@ -546,9 +547,14 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
     if half is None:
         swap = partial(np.swapaxes, axis1=-1, axis2=-2)
         dot, mix, tmix = (lambda x, y: x @ swap(y)), np.matmul, (lambda a, y: swap(a) @ y)
+        a = _softmax(dot(q.data, k.data), keep, scale)
     else:
+        if keep.shape[-2:] != (1, q.shape[-2]) or keep.ndim > q.ndim:
+            raise ValueError(f"banded attend keep must be a [..., 1, {q.shape[-2]}] key "
+                             f"mask over q's batch axes {q.shape[:-2]}, got {keep.shape}")
         dot, mix, tmix = (partial(f, half=half) for f in (_band_dot, _band_mix, _band_tmix))
-    a = _softmax(dot(q.data, k.data), keep, scale)
+        # the band scores come masked, so the softmax takes no mask
+        a = _softmax(_band_dot(q.data, k.data, half, keep), None, scale)
 
     def bw(g):
         gs = _score_grad(dot(g, v.data), a, scale)

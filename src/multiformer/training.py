@@ -34,14 +34,18 @@ class TrainingDiverged(RuntimeError):
     """A parameter, the training loss or the held-out loss became non-finite."""
 
 
+# Default warmup, sized for the desk-scale task; label smoothing of every run.
+TOY_WARMUP = 400
+SMOOTHING = 0.1
+
+
 @dataclass
 class TrainConfig:
     max_updates: int
     batch_tokens: int = 512
     seed: int = 0
     peak_lr: float = 2e-3
-    warmup_updates: int = 10000
-    smoothing: float = 0.1
+    warmup_updates: int = TOY_WARMUP
     log_every: int = 100
     eval_sequences: int = 64
     target_acc: float | None = None
@@ -57,9 +61,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.target_acc is not None and not 0 < self.target_acc <= 1:
             raise ValueError("target_acc must lie in (0, 1]")
-
-
-TOY_WARMUP = 400
 
 
 @dataclass
@@ -247,7 +248,7 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
     ckpt_paths: list[str] = []
 
     def snapshot(step: int) -> tuple[float, float]:
-        loss, acc = evaluate(config, weights, held_out, cfg.smoothing)
+        loss, acc = evaluate(config, weights, held_out, SMOOTHING)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite held-out loss at update {step}")
         path = os.path.join(out_dir, CKPT_PATTERN.format(step=step))
@@ -273,7 +274,7 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
         lr = inv_sqrt_lr(step, cfg)
         zero_grad(params)
         batch = gen_synthetic_batch(spec, b_size, data_rng)
-        loss = forward_loss(batch, config, weights, cfg.smoothing, rng=drop_rng)
+        loss = forward_loss(batch, config, weights, SMOOTHING, rng=drop_rng)
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at update {step} (lr {lr:.3g})")
         loss.backward()

@@ -40,9 +40,9 @@ HEAD_MIXES: dict[str, list[str]] = {
 }
 
 
-def build_specs(mix: list[str], window: int = 4) -> list[HeadSpec]:
+def build_specs(mix: list[str]) -> list[HeadSpec]:
     table = {"F": HeadSpec("full"),
-             "L": HeadSpec("local", window=window),
+             "L": HeadSpec("local", window=4),
              "C": HeadSpec("conv", kernel=5, stride=2)}
     return [table[c] for c in mix]
 
@@ -103,15 +103,15 @@ def _batched_rows_case(rng, long: bool) -> tuple[float, bool]:
     return worst, per_sequence
 
 
-def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
+def run_oracle_suite(cases: int = 120) -> SuiteResult:
     """full/local/conv against the explicit-loop references."""
     worst = 0.0
     ran = 0
     band_blocks = {True: 0, False: 0}   # local cases in one band block / several
     dense_paths = {False: 0, True: 0}   # batched rows cases run batched / per sequence
     with using_dtype("float64"):
-        rng = np.random.default_rng(seed)
-        rows_rng = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(2024)
+        rows_rng = np.random.default_rng(2025)
         for case in range(cases):
             # every twentieth case a padded batch given its valid rows,
             # alternately below and past SEQUENCE_PAIRS
@@ -195,7 +195,7 @@ def run_oracle_suite(cases: int = 120, seed: int = 2024) -> SuiteResult:
                        f"{dense_paths[True]} per sequence")
 
 
-def run_recomposition_suite(cases: int = 100, seed: int = 7) -> SuiteResult:
+def run_recomposition_suite(cases: int = 100) -> SuiteResult:
     """y == sum_h xi^h + b_o, in both precision modes."""
     mixes = list(HEAD_MIXES.values())
     worst64 = worst32 = 0.0
@@ -203,7 +203,7 @@ def run_recomposition_suite(cases: int = 100, seed: int = 7) -> SuiteResult:
         mix = mixes[idx % len(mixes)]
         for mode in ("float64", "float32"):
             with using_dtype(mode):
-                rng = np.random.default_rng(seed + idx)
+                rng = np.random.default_rng(7 + idx)
                 n = int(rng.integers(4, 24))
                 d = 16
                 specs = build_specs(mix)
@@ -223,7 +223,7 @@ def run_recomposition_suite(cases: int = 100, seed: int = 7) -> SuiteResult:
         f"{worst32:.3e} in 32-bit (tol {RECOMPOSE_TOL_32:g})")
 
 
-def run_gradcheck_suite(samples_per_tensor: int = 6, seed: int = 5,
+def run_gradcheck_suite(samples_per_tensor: int = 6,
                         mixes: list[str] | None = None) -> SuiteResult:
     """Finite differences through MHMA for each head mix, then through a
     tiny end-to-end model."""
@@ -232,7 +232,7 @@ def run_gradcheck_suite(samples_per_tensor: int = 6, seed: int = 5,
     with using_dtype("float64"):
         names = mixes or list(HEAD_MIXES)
         for mix_name in names:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(5)
             specs = build_specs(HEAD_MIXES[mix_name])
             w = init_mhma_weights(16, specs, rng)
             x = Tensor(rng.normal(size=(10, 16)))
@@ -243,7 +243,7 @@ def run_gradcheck_suite(samples_per_tensor: int = 6, seed: int = 5,
                 return (out.y * out.y).sum() * (1.0 / out.y.size)
 
             rep = grad_check(f, mhma_parameters("m", w), tolerance=GRAD_TOL,
-                             max_samples=samples_per_tensor, seed=seed)
+                             max_samples=samples_per_tensor, seed=5)
             worst = max(worst, rep.max_rel_err())
             checked += sum(e.checked for e in rep.entries)
             if not rep.ok:
@@ -251,12 +251,12 @@ def run_gradcheck_suite(samples_per_tensor: int = 6, seed: int = 5,
                                    f"{mix_name}: {rep.failures()[0].name} at "
                                    f"{rep.max_rel_err():.3e}")
 
-        rng = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(6)
         cfg = ModelConfig(d_model=16, heads=4,
                           encoder_layers=[build_specs(HEAD_MIXES["lc"])],
                           decoder_layers=1, ffn_dim=24, vocab_size=9,
                           input_feature_dim=5)
-        weights = init_model_weights(cfg, seed)
+        weights = init_model_weights(cfg, 5)
         src = Tensor(rng.normal(size=(1, 12, 5)))
         tgt = np.array([[1, 4, 5, 6, 2]])
         batch = Seq2SeqBatch(src, np.ones((1, 12), bool), tgt,
@@ -266,7 +266,7 @@ def run_gradcheck_suite(samples_per_tensor: int = 6, seed: int = 5,
             return forward_loss(batch, cfg, weights, smoothing=0.1)
 
         rep = grad_check(loss_fn, named_parameters(weights), tolerance=GRAD_TOL,
-                         max_samples=max(2, samples_per_tensor // 2), seed=seed)
+                         max_samples=max(2, samples_per_tensor // 2), seed=5)
         worst = max(worst, rep.max_rel_err())
         checked += sum(e.checked for e in rep.entries)
         if not rep.ok:
@@ -277,14 +277,12 @@ def run_gradcheck_suite(samples_per_tensor: int = 6, seed: int = 5,
                        f"max relative error {worst:.3e} (tol {GRAD_TOL:g})")
 
 
-def run_count_suite(lens=(64, 256, 1024), window: int = 64,
-                    stride: int = 2, seed: int = 3) -> SuiteResult:
-    """Score-product accounting: exact laws per mechanism, and the
-    headline ratios at n=1024."""
-    rng = np.random.default_rng(seed)
-    d_h, d = 8, 16
-    ratios = {}
-    for n in lens:
+def run_count_suite() -> SuiteResult:
+    """Score-product accounting: exact laws per mechanism (local window 64,
+    conv stride 2) at n = 64, 256, 1024, and the headline ratios at 1024."""
+    rng = np.random.default_rng(3)
+    d_h, d, window, stride = 8, 16, 64, 2
+    for n in (64, 256, 1024):
         q = Tensor(rng.normal(size=(n, d_h)))
         k = Tensor(rng.normal(size=(n, d_h)))
         v = Tensor(rng.normal(size=(n, d_h)))
@@ -317,19 +315,17 @@ def run_count_suite(lens=(64, 256, 1024), window: int = 64,
         if c_conv.score_products != expect_conv:
             return SuiteResult("count-law", False, 0,
                                f"conv at n={n}: {c_conv.score_products} != {expect_conv}")
-        ratios[n] = (c_local.score_products / c_full.score_products,
-                     c_conv.score_products / c_full.score_products)
-    local_ratio, conv_ratio = ratios[max(lens)]
-    if max(lens) == 1024:
-        if not local_ratio < 0.065:
-            return SuiteResult("count-law", False, len(lens) * 3,
-                               f"local/full at n=1024 is {local_ratio:.4f} >= 0.065")
-        if conv_ratio != 0.5:
-            return SuiteResult("count-law", False, len(lens) * 3,
-                               f"conv/full at n=1024 is {conv_ratio} != 0.5")
+    local_ratio = c_local.score_products / c_full.score_products
+    conv_ratio = c_conv.score_products / c_full.score_products
+    if not local_ratio < 0.065:
+        return SuiteResult("count-law", False, 9,
+                           f"local/full at n=1024 is {local_ratio:.4f} >= 0.065")
+    if conv_ratio != 0.5:
+        return SuiteResult("count-law", False, 9,
+                           f"conv/full at n=1024 is {conv_ratio} != 0.5")
     return SuiteResult(
-        "count-law", True, len(lens) * 3,
-        f"n={max(lens)}: local/full {local_ratio:.4f}, conv/full {conv_ratio:.2f}")
+        "count-law", True, 9,
+        f"n=1024: local/full {local_ratio:.4f}, conv/full {conv_ratio:.2f}")
 
 
 def run_all(fast: bool = False) -> list[SuiteResult]:

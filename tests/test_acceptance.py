@@ -118,7 +118,7 @@ def test_a3_end_to_end_gradients():
 
 
 def test_a4_count_law():
-    r = run_count_suite(lens=(64, 256, 1024), window=64, stride=2)
+    r = run_count_suite()
     report("A4", r.passed,
            f"score-product counts at n in (64, 256, 1024): exact n*m full, "
            f"<= n*(w+1) local, n*ceil(n/chi) conv; {r.detail}")

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from multiformer import attention
 from multiformer.attention import (ConvParams, OpCounter, conv_compress,
                                    full_attention, local_attention)
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
@@ -259,6 +260,27 @@ class TestLocalAttention:
         a = band_to_dense(bw.data, window)
         assert (z.data[1] == 0.0).all() and (a[1] == 0.0).all()
         np.testing.assert_allclose(a[0].sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [4, 64])
+    def test_no_band_mask_without_a_counter(self, window, monkeypatch):
+        """Banded (window 4) and dense (window covers n) alike: a counter
+        counts the in-band valid keys, and without one no band mask is
+        built and z is the same."""
+        rng = np.random.default_rng(9)
+        n, half = 30, window // 2
+        x = Tensor(rng.normal(size=(2, n, 4)))
+        keep = np.stack([hole_mask(rng, n) for _ in range(2)])
+        c = OpCounter()
+        z_c, _ = local_attention(x, x, x, local(window), keep, counter=c)
+        assert c.score_products == sum(int(row[max(0, i - half):i + half + 1].sum())
+                                       for row in keep for i in range(n))
+
+        def no_band_mask(*args):
+            raise AssertionError("local_attention built a band mask")
+
+        monkeypatch.setattr(attention, "windows", no_band_mask)
+        z, _ = local_attention(x, x, x, local(window), keep)
+        assert np.array_equal(z.data, z_c.data)
 
     def test_counter_counts_admissible_pairs_only(self):
         n, w = 12, 4

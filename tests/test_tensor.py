@@ -269,16 +269,14 @@ class TestBanded:
         q, k, v = qkv(rng, n, n, d_h, lead=(2, 3))
         keep = rng.random((2, 3, n)) < 0.8
         keep[..., 0] = True
-        band_mask = np.lib.stride_tricks.sliding_window_view(
-            np.pad(keep, [(0, 0), (0, 0), (half, half)]), 2 * half + 1, axis=-1)
-        return q, k, v, keep, band_mask
+        return q, k, v, keep, keep[..., None, :]
 
     @pytest.mark.parametrize("half,n", BAND_CASES)
     def test_values_match_dense_and_naive_oracle(self, half, n):
-        q, k, v, keep, band_mask = self.inputs(half, n)
+        q, k, v, keep, keys = self.inputs(half, n)
         with using_dtype("float64"):
-            z, w = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=half)
-            dense_mask = band_to_dense(band_mask, 2 * half).astype(bool)
+            z, w = attend(Tensor(q), Tensor(k), Tensor(v), keys, half=half)
+            dense_mask = (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= half) & keys
             z_d, w_d = attend(Tensor(q), Tensor(k), Tensor(v), dense_mask)
         # the band holds exactly the dense kernel's in-band weights
         np.testing.assert_allclose(band_to_dense(w.data, 2 * half), w_d.data, atol=1e-12)
@@ -293,12 +291,12 @@ class TestBanded:
 
     @pytest.mark.parametrize("half,n", BAND_CASES)
     def test_gradients_every_entry(self, half, n):
-        q, k, v, _, band_mask = self.inputs(half, n)
+        q, k, v, _, keys = self.inputs(half, n)
         r_z = np.random.default_rng(n).normal(size=v.shape)
         with using_dtype("float64"):
             tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
             report = grad_check(
-                lambda: (attend(tq, tk, tv, band_mask, half=half)[0] * r_z).sum(),
+                lambda: (attend(tq, tk, tv, keys, half=half)[0] * r_z).sum(),
                 [Parameter("q", tq), Parameter("k", tk), Parameter("v", tv)],
                 max_samples=q.size)
         assert report.ok, report.failures()
@@ -344,20 +342,20 @@ class TestBanded:
         keep = np.ones((2, n + extra), dtype=bool)
         keep[:, n:] = False
         keep[1, n - 2] = False
-        band_mask = windows(keep[..., None], half)[..., 0, :]
+        keys = keep[:, None, :]
         z, w = attend(Tensor(q[:, :n]), Tensor(k[:, :n]), Tensor(v[:, :n]),
-                      band_mask[:, :n], half=half)
-        zj, wj = attend(Tensor(q), Tensor(k), Tensor(v), band_mask, half=half)
+                      keys[..., :n], half=half)
+        zj, wj = attend(Tensor(q), Tensor(k), Tensor(v), keys, half=half)
         assert np.array_equal(zj.data[:, :n], z.data)
         assert np.array_equal(wj.data[:, :n], w.data)
 
     def test_no_mask_admits_every_in_sequence_key(self):
-        """Under the band mask of a sequence with no padding, the band's
+        """Under the key mask of a sequence with no padding, the band's
         off-sequence columns weigh 0: at half=1, row 0 splits its weight
         between keys 0 and 1 alone, and z is dense attention under the
         tridiagonal mask."""
         def in_sequence(n):
-            return windows(np.ones((n, 1), dtype=bool), 1)[..., 0, :]
+            return np.ones((1, n), dtype=bool)
 
         ones = Tensor(np.ones((4, 2)))
         _, w = attend(ones, ones, ones, in_sequence(4), half=1)
@@ -379,6 +377,19 @@ class TestBanded:
             attend(x, x, Tensor(np.zeros((4, 2))), keep)
         with pytest.raises(ValueError, match="mismatch"):
             attend(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), keep, half=1)
+
+    @pytest.mark.parametrize("n,half,shape", [(5, 2, (2, 5, 5)), (5, 1, (5, 3)),
+                                              (4, 1, (4,)), (4, 1, (2, 1, 3)),
+                                              (4, 1, (3, 2, 1, 4))])
+    def test_band_layout_keep_is_refused(self, n, half, shape):
+        """Banded attend takes the [..., 1, n] key mask a dense head takes;
+        an [..., n, 2*half+1] band-layout keep raises naming keep, also
+        when 2*half+1 == n would let it broadcast, and so does a key mask
+        without its query axis, of the wrong length or with more batch
+        axes than q."""
+        x = Tensor(np.ones((2, n, 3)))
+        with pytest.raises(ValueError, match="keep"):
+            attend(x, x, x, np.ones(shape, dtype=bool), half=half)
 
     @pytest.mark.parametrize("keep", [None, [True] * 5, True])
     def test_keep_must_be_an_array(self, keep):

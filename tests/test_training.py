@@ -17,7 +17,7 @@ from multiformer.model import (ModelConfig, forward_loss, init_model_weights,
                                named_parameters, teacher_forced_logits,
                                token_accuracy)
 from multiformer.tensor import Parameter, Tensor, default_dtype, using_dtype
-from multiformer.training import (BOS, EOS, PAD, SENTINELS, AdamState,
+from multiformer.training import (BOS, EOS, PAD, SENTINELS, SMOOTHING, AdamState,
                                   SyntheticTaskSpec, TrainConfig,
                                   TrainingDiverged, adam_step,
                                   average_checkpoints, batch_size_for, evaluate,
@@ -434,7 +434,7 @@ class TestTrainLoop:
         data_ss, _, drop_ss = np.random.SeedSequence(cfg.seed).spawn(3)
         batch = gen_synthetic_batch(spec, batch_size_for(cfg, spec),
                                     np.random.default_rng(data_ss))
-        forward_loss(batch, tiny_model(spec), weights, cfg.smoothing).backward()
+        forward_loss(batch, tiny_model(spec), weights, SMOOTHING).backward()
         with np.errstate(all="ignore"):
             adam_step(params, weights.flat, zero_state(weights.flat),
                       inv_sqrt_lr(1, cfg))
