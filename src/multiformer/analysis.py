@@ -178,14 +178,11 @@ def write_report_svg(report: ContributionReport, path) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_report(report: ContributionReport, csv_path=None, svg_path=None) -> None:
+def emit_report(report: ContributionReport, csv_path, svg_path) -> None:
+    """Write the CSV and the SVG, or neither when a directory is missing."""
     for target in (csv_path, svg_path):
-        if target is None:
-            continue
         parent = os.path.dirname(os.path.abspath(target))
         if not os.path.isdir(parent):
             raise OSError(f"output directory does not exist: {parent}")
-    if csv_path is not None:
-        write_report_csv(report, csv_path)
-    if svg_path is not None:
-        write_report_svg(report, svg_path)
+    write_report_csv(report, csv_path)
+    write_report_svg(report, svg_path)

@@ -19,9 +19,9 @@ from .analysis import aggregate_contributions, emit_report
 from .checkpoint import CheckpointError, load_into
 from .config import ArchitectureError, parse_architecture, parse_task
 from .model import init_model_weights
-from .training import (CKPT_PATTERN, SENTINELS, TrainConfig,
-                       TrainingDiverged, SyntheticTaskSpec, average_checkpoints,
-                       read_metrics, select_around_best, train)
+from .training import (CKPT_PATTERN, TrainConfig, TrainingDiverged,
+                       SyntheticTaskSpec, average_checkpoints, read_metrics,
+                       select_around_best, train)
 from .verify import run_all
 
 EXIT_OK = 0
@@ -50,12 +50,7 @@ def _cmd_analyze(args) -> int:
     config = parse_architecture(args.arch)
     weights = init_model_weights(config, seed=0)
     data = load_into(args.ckpt, config, weights)
-    meta = data.meta_dict()
-    if "task_symbol_count" in meta:
-        spec = SyntheticTaskSpec.from_meta(meta)
-    else:
-        spec = SyntheticTaskSpec(feature_dim=config.input_feature_dim,
-                                 symbol_count=config.vocab_size - SENTINELS)
+    spec = SyntheticTaskSpec.from_meta(data.meta_dict())
     report = aggregate_contributions(config, weights, spec,
                                      samples=args.samples, seed=args.seed)
     emit_report(report, args.csv, args.svg)

@@ -31,6 +31,8 @@ from .tensor import conv1d  # noqa: F401
 
 SUBSAMPLE_KERNEL = 5
 SUBSAMPLE_STRIDE = 2
+# Label smoothing of every training and held-out loss.
+SMOOTHING = 0.1
 
 
 @dataclass
@@ -66,10 +68,6 @@ class ModelConfig:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.heads
 
 
 @dataclass
@@ -340,11 +338,11 @@ def teacher_forced_logits(batch: Seq2SeqBatch, config: ModelConfig,
 
 
 def forward_loss(batch: Seq2SeqBatch, config: ModelConfig, weights: ModelWeights,
-                 smoothing: float = 0.1,
                  rng: np.random.Generator | None = None) -> Tensor:
-    """Teacher-forced label-smoothed cross entropy over non-pad targets."""
+    """Teacher-forced cross entropy, label-smoothed by SMOOTHING, over
+    non-pad targets."""
     logits, labels, label_mask = teacher_forced_logits(batch, config, weights, rng)
-    return label_smoothed_loss(logits, labels, label_mask, smoothing)
+    return label_smoothed_loss(logits, labels, label_mask, SMOOTHING)
 
 
 def token_accuracy(logits: np.ndarray, labels: np.ndarray,

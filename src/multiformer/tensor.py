@@ -123,9 +123,6 @@ class Tensor:
         return _make(np.swapaxes(self.data, -1, -2), (self,),
                      lambda g: (np.swapaxes(g, -1, -2),))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar that consumes its graph.
 
@@ -719,7 +716,11 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _make(y, (x, w1, b1, w2, b2), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+# Added to the variance before its inverse square root.
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     One autodiff node.  Its backward pass does the arithmetic of the chain
@@ -731,7 +732,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     n = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     c = x.data - mu
-    v = (c * c).mean(axis=-1, keepdims=True) + eps
+    v = (c * c).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS
     inv = v ** -0.5
     normed = c * inv
 
@@ -777,7 +778,6 @@ class GradCheckEntry:
 @dataclass
 class GradCheckReport:
     entries: list[GradCheckEntry] = field(default_factory=list)
-    tolerance: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -790,10 +790,15 @@ class GradCheckReport:
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
 
+# Central-difference step of grad_check, in 64-bit.
+FD_STEP = 1e-4
+
+
 def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
-               step: float = 1e-4, tolerance: float = 1e-4,
-               max_samples: int = 256, seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients of f() against central finite differences.
+               tolerance: float = 1e-4, max_samples: int = 256,
+               seed: int = 0) -> GradCheckReport:
+    """Compare analytic gradients of f() against central finite differences
+    of step FD_STEP.
 
     f must be a deterministic scalar-valued closure over params, evaluated
     in float64 mode (finite differences are junk in float32).  Tensors
@@ -814,7 +819,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
     zero_grad(params)
 
     rng = np.random.default_rng(seed)
-    report = GradCheckReport(tolerance=tolerance)
+    report = GradCheckReport()
     for p in params:
         flat = p.tensor.data.reshape(-1)
         size = flat.size
@@ -826,12 +831,12 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
         worst = 0.0
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             f_plus = float(f().data)
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             f_minus = float(f().data)
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             a = float(a_flat[i])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
             worst = max(worst, err)

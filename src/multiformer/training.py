@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_checkpoint, load_into, save_arrays, save_checkpoint
-from .model import (ModelConfig, ModelWeights, Seq2SeqBatch, forward_loss,
-                    init_model_weights, label_smoothed_loss, named_parameters,
-                    teacher_forced_logits, token_accuracy)
+from .model import (SMOOTHING, ModelConfig, ModelWeights, Seq2SeqBatch,
+                    forward_loss, init_model_weights, label_smoothed_loss,
+                    named_parameters, teacher_forced_logits, token_accuracy)
 from .tensor import Tensor, default_dtype, zero_grad
 
 PAD, BOS, EOS = 0, 1, 2
@@ -34,9 +34,12 @@ class TrainingDiverged(RuntimeError):
     """A parameter, the training loss or the held-out loss became non-finite."""
 
 
-# Default warmup, sized for the desk-scale task; label smoothing of every run.
+# Default warmup, sized for the desk-scale task.
 TOY_WARMUP = 400
-SMOOTHING = 0.1
+# Adam's moment decays and denominator floor.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.98, 1e-8
+# Checkpoints averaged each side of the best one (7 in all mid-series).
+AVERAGE_RADIUS = 3
 
 
 @dataclass
@@ -140,8 +143,7 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(params, flat: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-8) -> None:
+def adam_step(params, flat: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place, of `flat`, whose views in
     order are the params' .data; a missing gradient counts as zeros."""
     grads = []
@@ -153,13 +155,13 @@ def adam_step(params, flat: np.ndarray, state: AdamState, lr: float,
         grads.append(g.reshape(-1))
     g = np.concatenate(grads)
     state.step += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    state.v *= beta2
-    state.v += (1.0 - beta2) * (g * g)
-    m_hat = state.m / (1.0 - beta1 ** state.step)
-    v_hat = state.v / (1.0 - beta2 ** state.step)
-    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * g
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * (g * g)
+    m_hat = state.m / (1.0 - BETA1 ** state.step)
+    v_hat = state.v / (1.0 - BETA2 ** state.step)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def gen_synthetic_batch(spec: SyntheticTaskSpec, batch: int,
@@ -197,13 +199,13 @@ def batch_size_for(cfg: TrainConfig, spec: SyntheticTaskSpec) -> int:
     return max(1, round(cfg.batch_tokens / avg))
 
 
-def evaluate(config: ModelConfig, weights: ModelWeights, batch: Seq2SeqBatch,
-             smoothing: float) -> tuple[float, float]:
+def evaluate(config: ModelConfig, weights: ModelWeights,
+             batch: Seq2SeqBatch) -> tuple[float, float]:
     """Held-out teacher-forced loss and token accuracy from one pass, in
     inference mode (dropout off)."""
     config = dataclasses.replace(config, dropout=0.0)
     logits, labels, label_mask = teacher_forced_logits(batch, config, weights)
-    loss = label_smoothed_loss(logits, labels, label_mask, smoothing)
+    loss = label_smoothed_loss(logits, labels, label_mask, SMOOTHING)
     return float(loss.data), token_accuracy(logits.data, labels, label_mask)
 
 
@@ -248,7 +250,7 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
     ckpt_paths: list[str] = []
 
     def snapshot(step: int) -> tuple[float, float]:
-        loss, acc = evaluate(config, weights, held_out, SMOOTHING)
+        loss, acc = evaluate(config, weights, held_out)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"non-finite held-out loss at update {step}")
         path = os.path.join(out_dir, CKPT_PATTERN.format(step=step))
@@ -274,7 +276,7 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
         lr = inv_sqrt_lr(step, cfg)
         zero_grad(params)
         batch = gen_synthetic_batch(spec, b_size, data_rng)
-        loss = forward_loss(batch, config, weights, SMOOTHING, rng=drop_rng)
+        loss = forward_loss(batch, config, weights, rng=drop_rng)
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at update {step} (lr {lr:.3g})")
         loss.backward()
@@ -329,18 +331,17 @@ def average_checkpoints(paths, out_path) -> None:
     save_arrays(out_path, first.arch_hash, averaged, meta)
 
 
-def select_around_best(steps: list[int], losses: list[float],
-                       radius: int = 3) -> list[int]:
-    """Steps of the lowest-loss entry and its `radius` neighbors each
-    side, truncated at the ends of the series (7 total in the middle)."""
+def select_around_best(steps: list[int], losses: list[float]) -> list[int]:
+    """Steps of the lowest-loss entry and its AVERAGE_RADIUS neighbors
+    each side, truncated at the ends of the series."""
     if len(steps) != len(losses) or not steps:
         raise ValueError("need matching, nonempty steps and losses")
     order = np.argsort(steps)
     steps_sorted = [steps[i] for i in order]
     losses_sorted = [losses[i] for i in order]
     best = min(range(len(losses_sorted)), key=lambda i: losses_sorted[i])
-    lo = max(0, best - radius)
-    hi = min(len(steps_sorted), best + radius + 1)
+    lo = max(0, best - AVERAGE_RADIUS)
+    hi = min(len(steps_sorted), best + AVERAGE_RADIUS + 1)
     return steps_sorted[lo:hi]
 
 

@@ -263,7 +263,7 @@ def run_gradcheck_suite(samples_per_tensor: int = 6,
                              np.ones((1, 5), bool))
 
         def loss_fn():
-            return forward_loss(batch, cfg, weights, smoothing=0.1)
+            return forward_loss(batch, cfg, weights)
 
         rep = grad_check(loss_fn, named_parameters(weights), tolerance=GRAD_TOL,
                          max_samples=max(2, samples_per_tensor // 2), seed=5)

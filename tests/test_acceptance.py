@@ -3,11 +3,16 @@
 Each test prints exactly one `A# PASS: ...` or `A# FAIL: ...` line; run
 `pytest tests/test_acceptance.py -s` to watch them stream.  The training
 criterion (A5) really trains all six desk-scale configs, so the full
-suite takes several minutes; A3, A5 and A6 (which reuses A5's lc run)
-are marked `slow`, and `pytest -m "not slow"` leaves them out.
+suite takes minutes; A3, A5 and A6 (which reuses A5's lc run) are marked
+`slow`, and `pytest -m "not slow"` leaves them out.  A3's presets and
+A5's trainings run in spawned processes at one BLAS thread each, one per
+core at most.
 """
 
 import csv as csv_mod
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,7 +44,7 @@ EXPECTED_PRESET_ROWS = {
                        + [[L, L, C, C]] * 4),
 }
 
-_RUNS: dict = {}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def report(code: str, ok: bool, detail: str) -> None:
@@ -47,22 +52,41 @@ def report(code: str, ok: bool, detail: str) -> None:
     assert ok, f"{code}: {detail}"
 
 
+def pool_map(fn, *arg_lists) -> list:
+    """[fn(*args) ...] in spawned processes, each at one BLAS thread, with
+    at most one worker per core; jobs start in the order given."""
+    jobs = len(arg_lists[0])
+    with pytest.MonkeyPatch.context() as env:
+        for var in THREAD_VARS:
+            env.setenv(var, "1")
+        with ProcessPoolExecutor(min(os.cpu_count() or 1, jobs),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, *arg_lists))
+
+
 @pytest.fixture(scope="session")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
 
 
-def trained_run(name: str, workdir):
-    """Train a desk-scale preset once per session (target 90% accuracy,
-    at most 5000 updates) and cache the result."""
-    if name not in _RUNS:
-        config = toy_model_config(name, vocab_size=TASK.vocab_size,
-                                  feature_dim=TASK.feature_dim)
-        cfg = TrainConfig(max_updates=5000, seed=0, peak_lr=2e-3,
-                          warmup_updates=TOY_WARMUP, log_every=100,
-                          batch_tokens=512, target_acc=0.90)
-        _RUNS[name] = train(config, cfg, TASK, workdir / name)
-    return _RUNS[name]
+@pytest.fixture(scope="session")
+def desk_runs(workdir):
+    """Every desk-scale preset trained once per session (target 90%
+    accuracy, at most 5000 updates), plus a seeded rerun of the baseline;
+    keyed by preset, the rerun as "baseline_rerun"."""
+    # The runs that take the most updates go first, so the workers finish
+    # together; with two or more workers the baseline and its rerun start
+    # at once, in two processes.
+    longest = ["baseline", "baseline_rerun", "conv_attention"]
+    names = longest + [n for n in PRESET_NAMES if n not in longest]
+    configs = [toy_model_config(n.removesuffix("_rerun"), vocab_size=TASK.vocab_size,
+                                feature_dim=TASK.feature_dim) for n in names]
+    cfg = TrainConfig(max_updates=5000, seed=0, peak_lr=2e-3,
+                      warmup_updates=TOY_WARMUP, log_every=100,
+                      batch_tokens=512, target_acc=0.90)
+    results = pool_map(train, configs, [cfg] * len(names), [TASK] * len(names),
+                       [workdir / n for n in names])
+    return dict(zip(names, results))
 
 
 def test_a1_oracle_equivalence():
@@ -79,38 +103,39 @@ def test_a2_recomposition():
            f"{r.cases} mixed-head configs, {r.detail}")
 
 
+def preset_gradient_check(name: str) -> tuple[float, str | None]:
+    """A3's check of one preset at d_model=16: (max relative error, the
+    first failing parameter or None)."""
+    full = parse_architecture(name)
+    layers = []
+    for layer in full.encoder_layers:
+        layers.append([HeadSpec("local", window=8)
+                       if s.mechanism == "local" else s for s in layer])
+    cfg = ModelConfig(d_model=16, heads=4, encoder_layers=layers,
+                      decoder_layers=2, ffn_dim=32, vocab_size=9,
+                      input_feature_dim=5)
+    with using_dtype("float64"):
+        weights = init_model_weights(cfg, seed=3)
+        rng = np.random.default_rng(17)
+        batch = Seq2SeqBatch(
+            source_features=Tensor(rng.normal(size=(1, 28, 5))),
+            source_mask=np.ones((1, 28), bool),
+            target_tokens=np.array([[1, 4, 5, 6, 2]]),
+            target_mask=np.ones((1, 5), bool))
+        rep = grad_check(lambda: forward_loss(batch, cfg, weights),
+                         named_parameters(weights), tolerance=1e-4,
+                         max_samples=2, seed=11)
+    if rep.ok:
+        return rep.max_rel_err(), None
+    bad = rep.failures()[0]
+    return rep.max_rel_err(), f"{name}:{bad.name}@{bad.max_rel_err:.2e}"
+
+
 @pytest.mark.slow
 def test_a3_end_to_end_gradients():
-    def d16_config(name: str) -> ModelConfig:
-        full = parse_architecture(name)
-        layers = []
-        for layer in full.encoder_layers:
-            layers.append([HeadSpec("local", window=8)
-                           if s.mechanism == "local" else s for s in layer])
-        return ModelConfig(d_model=16, heads=4, encoder_layers=layers,
-                           decoder_layers=2, ffn_dim=32, vocab_size=9,
-                           input_feature_dim=5)
-
-    worst = 0.0
-    failures = []
-    with using_dtype("float64"):
-        for name in PRESET_NAMES:
-            cfg = d16_config(name)
-            weights = init_model_weights(cfg, seed=3)
-            rng = np.random.default_rng(17)
-            batch = Seq2SeqBatch(
-                source_features=Tensor(rng.normal(size=(1, 28, 5))),
-                source_mask=np.ones((1, 28), bool),
-                target_tokens=np.array([[1, 4, 5, 6, 2]]),
-                target_mask=np.ones((1, 5), bool))
-
-            rep = grad_check(lambda: forward_loss(batch, cfg, weights, 0.1),
-                             named_parameters(weights), step=1e-4,
-                             tolerance=1e-4, max_samples=2, seed=11)
-            worst = max(worst, rep.max_rel_err())
-            if not rep.ok:
-                bad = rep.failures()[0]
-                failures.append(f"{name}:{bad.name}@{bad.max_rel_err:.2e}")
+    checked = pool_map(preset_gradient_check, PRESET_NAMES)
+    worst = max(err for err, _ in checked)
+    failures = [bad for _, bad in checked if bad is not None]
     report("A3", not failures,
            f"finite differences through all six presets at d_model=16 "
            f"(step 1e-4, 64-bit), max relative error {worst:.3e}"
@@ -125,23 +150,17 @@ def test_a4_count_law():
 
 
 @pytest.mark.slow
-def test_a5_desk_scale_training(workdir):
+def test_a5_desk_scale_training(desk_runs):
     outcomes = []
     ok = True
     for name in PRESET_NAMES:
-        res = trained_run(name, workdir)
+        res = desk_runs[name]
         reached = res.final_accuracy >= 0.90 and res.steps <= 5000
         ok = ok and reached
         outcomes.append(f"{name} {res.final_accuracy:.3f}@{res.steps}")
 
     # determinism: an identically seeded rerun reproduces metrics exactly
-    first = trained_run("baseline", workdir)
-    config = toy_model_config("baseline", vocab_size=TASK.vocab_size,
-                              feature_dim=TASK.feature_dim)
-    cfg = TrainConfig(max_updates=5000, seed=0, peak_lr=2e-3,
-                      warmup_updates=TOY_WARMUP, log_every=100,
-                      batch_tokens=512, target_acc=0.90)
-    again = train(config, cfg, TASK, workdir / "baseline_rerun")
+    first, again = desk_runs["baseline"], desk_runs["baseline_rerun"]
     with open(first.metrics_path, "rb") as fa, \
             open(again.metrics_path, "rb") as fb:
         deterministic = fa.read() == fb.read()
@@ -154,8 +173,8 @@ def test_a5_desk_scale_training(workdir):
 
 
 @pytest.mark.slow
-def test_a6_analysis_pipeline(workdir):
-    run = trained_run("multiformer_lc", workdir)
+def test_a6_analysis_pipeline(workdir, desk_runs):
+    run = desk_runs["multiformer_lc"]
     config = toy_model_config("multiformer_lc", vocab_size=TASK.vocab_size,
                               feature_dim=TASK.feature_dim)
     arch_path = workdir / "multiformer_lc_toy.arch"

@@ -228,15 +228,18 @@ class TestEmit:
         # mechanism border colors present
         assert "#e87d0d" in text and "#8e44ad" in text
 
-    def test_emit_selected_outputs_only(self, tmp_path):
-        rep = small_report()
-        emit_report(rep, csv_path=tmp_path / "only.csv")
-        assert (tmp_path / "only.csv").exists()
-        assert not (tmp_path / "only.svg").exists()
-
     def test_emit_missing_directory(self, tmp_path):
         rep = small_report()
         with pytest.raises(OSError, match="directory"):
-            emit_report(rep, csv_path=tmp_path / "nope" / "r.csv")
+            emit_report(rep, tmp_path / "nope" / "r.csv", tmp_path / "r.svg")
         with pytest.raises(OSError, match="directory"):
-            emit_report(rep, svg_path=tmp_path / "nope" / "r.svg")
+            emit_report(rep, tmp_path / "r.csv", tmp_path / "nope" / "r.svg")
+
+    @pytest.mark.parametrize("missing", ["csv", "svg"])
+    def test_emit_writes_neither_file_when_a_directory_is_missing(self, tmp_path,
+                                                                   missing):
+        paths = {"csv": tmp_path / "r.csv", "svg": tmp_path / "r.svg"}
+        paths[missing] = tmp_path / "nope" / f"r.{missing}"
+        with pytest.raises(OSError):
+            emit_report(small_report(), paths["csv"], paths["svg"])
+        assert list(tmp_path.rglob("*")) == []

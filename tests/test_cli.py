@@ -254,10 +254,17 @@ class TestAnalyze:
                      "--svg", str(ws / "r.svg")])
         assert code == EXIT_VALIDATION
 
-    def test_checkpoint_missing_a_task_key_is_validation(self, ws, capsys):
+    @pytest.mark.parametrize("dropped", [
+        pytest.param(["task_noise"], id="task_noise"),
+        pytest.param(["task_symbol_count"], id="task_symbol_count"),
+        pytest.param([k for k, _ in SyntheticTaskSpec().meta()], id="every_task_key"),
+    ])
+    def test_checkpoint_missing_a_task_key_is_validation(self, ws, capsys, dropped):
+        """The trained task is rebuilt from the checkpoint's task keys
+        alone: a missing one is named, never guessed from the model."""
         do_train(ws)
         data = load_checkpoint(ws / "run" / "ckpt_000006.mfck")
-        meta = [(k, v) for k, v in data.meta if k != "task_noise"]
+        meta = [(k, v) for k, v in data.meta if k not in dropped]
         save_arrays(ws / "cut.mfck", data.arch_hash, data.arrays, meta)
         capsys.readouterr()
         code = main(["analyze", "--ckpt", str(ws / "cut.mfck"),
@@ -265,7 +272,9 @@ class TestAnalyze:
                      "--seed", "1", "--csv", str(ws / "r.csv"),
                      "--svg", str(ws / "r.svg")])
         assert code == EXIT_VALIDATION
-        assert "task_noise" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(key in err for key in dropped), err
+        assert not (ws / "r.csv").exists()
 
     def test_missing_checkpoint_is_io(self, ws, capsys):
         code = main(["analyze", "--ckpt", str(ws / "absent.mfck"),

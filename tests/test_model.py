@@ -462,7 +462,7 @@ class TestEndToEndGradients:
             w = init_model_weights(cfg, seed=5)
             batch = make_batch(rng, cfg, b=1, t=12, u=4)
             params = named_parameters(w)
-            report = grad_check(lambda: forward_loss(batch, cfg, w, 0.1),
+            report = grad_check(lambda: forward_loss(batch, cfg, w),
                                 params, max_samples=2, seed=1)
         assert report.ok, [e.name for e in report.failures()]
         assert report.max_rel_err() < 1e-4
@@ -479,7 +479,7 @@ class TestEndToEndGradients:
             batch.source_mask = np.arange(16) < np.array([[16], [9], [5]])
             batch.source_features.data[~batch.source_mask] *= 50.0
             batch.target_mask[2, 3:] = False
-            report = grad_check(lambda: forward_loss(batch, cfg, w, 0.1),
+            report = grad_check(lambda: forward_loss(batch, cfg, w),
                                 named_parameters(w), max_samples=2, seed=2)
         assert report.ok, [e.name for e in report.failures()]
         assert report.max_rel_err() < 1e-4

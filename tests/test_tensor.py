@@ -14,6 +14,7 @@ from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Parameter, Tensor, a
                                 dropout, embedding, ffn, gather_last,
                                 grad_check, layer_norm, log_softmax, matmul,
                                 pack, relu, tsum, unpack, using_dtype, windows,
+                                zero_grad,
                                 _band_dot, _band_mix, _band_tmix, _make,
                                 _topo_order)
 
@@ -147,7 +148,7 @@ class TestPackRows:
                 [Parameter("x", x), Parameter("w", w)])
         assert report.ok, report.failures()
         # padded rows of x reach nothing, so their gradient is exactly 0
-        x.zero_grad()
+        zero_grad([Parameter("x", x)])
         (unpack(pack(x, keep), keep) * r).sum().backward()
         np.testing.assert_array_equal(x.grad, np.where(keep[..., None], r, 0.0))
 
@@ -669,7 +670,7 @@ class TestAutogradEngine:
         (x * 3.0).sum().backward()
         (x * 3.0).sum().backward()
         np.testing.assert_array_equal(x.grad, [6.0, 6.0])
-        x.zero_grad()
+        zero_grad([Parameter("x", x)])
         assert x.grad is None
 
     def test_graph_pruning_skips_frozen_leaves(self):

@@ -17,7 +17,7 @@ from multiformer.model import (ModelConfig, forward_loss, init_model_weights,
                                named_parameters, teacher_forced_logits,
                                token_accuracy)
 from multiformer.tensor import Parameter, Tensor, default_dtype, using_dtype
-from multiformer.training import (BOS, EOS, PAD, SENTINELS, SMOOTHING, AdamState,
+from multiformer.training import (BOS, EOS, PAD, SENTINELS, AdamState,
                                   SyntheticTaskSpec, TrainConfig,
                                   TrainingDiverged, adam_step,
                                   average_checkpoints, batch_size_for, evaluate,
@@ -155,7 +155,7 @@ class TestAdam:
             for p in params:
                 p.tensor.grad = (None if p.name == skipped else
                                  rng.normal(size=p.tensor.shape).astype(p.tensor.data.dtype))
-            adam_step(params, weights.flat, state, lr, beta1, beta2, eps)
+            adam_step(params, weights.flat, state, lr)
             for p in params:
                 g = p.tensor.grad if p.tensor.grad is not None else np.zeros_like(data[p.name])
                 m[p.name] *= beta1
@@ -434,7 +434,7 @@ class TestTrainLoop:
         data_ss, _, drop_ss = np.random.SeedSequence(cfg.seed).spawn(3)
         batch = gen_synthetic_batch(spec, batch_size_for(cfg, spec),
                                     np.random.default_rng(data_ss))
-        forward_loss(batch, tiny_model(spec), weights, SMOOTHING).backward()
+        forward_loss(batch, tiny_model(spec), weights).backward()
         with np.errstate(all="ignore"):
             adam_step(params, weights.flat, zero_state(weights.flat),
                       inv_sqrt_lr(1, cfg))
@@ -473,10 +473,10 @@ class TestEvaluate:
 
         for name in ("encode", "decode"):
             monkeypatch.setattr(multiformer.model, name, counting(name))
-        loss, acc = evaluate(config, weights, batch, 0.1)
+        loss, acc = evaluate(config, weights, batch)
         assert calls == ["encode", "decode"]
         plain = dataclasses.replace(config, dropout=0.0)
-        assert loss == float(forward_loss(batch, plain, weights, 0.1).data)
+        assert loss == float(forward_loss(batch, plain, weights).data)
         logits, labels, label_mask = teacher_forced_logits(batch, plain, weights)
         assert acc == token_accuracy(logits.data, labels, label_mask)
 
@@ -571,8 +571,9 @@ class TestSelection:
         assert select_around_best([0, 10, 20], [3, 2, 1]) == [0, 10, 20]
 
     def test_accepts_unsorted_input(self):
-        got = select_around_best([30, 0, 20, 10], [6, 9, 1, 8], radius=1)
-        assert got == [10, 20, 30]
+        got = select_around_best([80, 30, 0, 70, 20, 60, 10, 50, 40],
+                                 [8, 6, 9, 6, 7, 4, 8, 1, 5])
+        assert got == [20, 30, 40, 50, 60, 70, 80]
 
     def test_validation(self):
         with pytest.raises(ValueError):
