@@ -74,9 +74,9 @@ def desk_runs(workdir):
     """Every desk-scale preset trained once per session (target 90%
     accuracy, at most 5000 updates), plus a seeded rerun of the baseline;
     keyed by preset, the rerun as "baseline_rerun"."""
-    # The runs that take the most updates go first, so the workers finish
-    # together; with two or more workers the baseline and its rerun start
-    # at once, in two processes.
+    # The runs that take the most updates go first, so that none of them
+    # starts last; with two or more workers the baseline and its rerun
+    # start at once, in two processes.
     longest = ["baseline", "baseline_rerun", "conv_attention"]
     names = longest + [n for n in PRESET_NAMES if n not in longest]
     configs = [toy_model_config(n.removesuffix("_rerun"), vocab_size=TASK.vocab_size,
