@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import Tensor, attend, conv1d, dense_to_band, mul, windows
+from .tensor import Tensor, attend, conv1d, mul, windows
 
 if TYPE_CHECKING:
     from .mhma import HeadSpec
@@ -123,12 +123,7 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: HeadSpec,
     if k.shape != q.shape or v.shape != q.shape:
         raise ValueError("local attention is self-attention: q, k, v share one shape")
     keep = _key_mask(mask, q.shape[:-1])
-    # A window that covers every pair runs the dense kernel, which computes
-    # exactly the in-band products and bit-matches full attention.
-    banded = half < q.shape[-2] - 1
-    z, a = attend(q, k, v, keep[..., None, :], half=half if banded else None)
-    if not banded:
-        a = Tensor(dense_to_band(a.data, params.window))
+    z, a = attend(q, k, v, keep[..., None, :], half=half)
     if counter is not None:
         counter.add(int(windows(keep[..., None], half).sum()))
     return z, a

@@ -119,9 +119,13 @@ def save_arrays(path, arch_hash: str, arrays: dict[str, np.ndarray],
         raise HeaderError(f"architecture hash {arch_hash!r} contains a newline")
     names = sorted(arrays)
     lines = [f"version {FORMAT_VERSION}", f"arch {arch_hash}"]
+    keys: set[str] = set()
     for key, value in meta or []:
         if " " in key or "\n" in key or "\n" in value:
             raise HeaderError(f"illegal meta entry {key!r}")
+        if key in keys:
+            raise HeaderError(f"repeated meta key {key!r}")
+        keys.add(key)
         lines.append(f"meta {key} {value}")
     blobs = []
     for name in names:
@@ -160,20 +164,21 @@ def load_checkpoint(path) -> CheckpointData:
         raise HeaderError(f"{path}: header is not UTF-8 text") from e
     off += hlen
 
-    arch_hash = None
-    version = None
+    single: dict[str, str] = {}   # the version and arch lines
     meta: list[tuple[str, str]] = []
     table: list[tuple[str, tuple[int, ...], int]] = []
     # split on "\n" alone, the separator save_arrays writes: str.splitlines
     # would also break meta values and names at \r, \x0b, \x85, \u2028 and more
     for line in header.removesuffix("\n").split("\n"):
         kind, _, rest = line.partition(" ")
-        if kind == "version":
-            version = rest
-        elif kind == "arch":
-            arch_hash = rest
+        if kind in ("version", "arch"):
+            if kind in single:
+                raise HeaderError(f"{path}: repeated header line {line!r}")
+            single[kind] = rest
         elif kind == "meta":
             key, _, value = rest.partition(" ")
+            if any(key == k for k, _ in meta):
+                raise HeaderError(f"{path}: repeated meta key {key!r}")
             meta.append((key, value))
         elif kind == "param":
             fields = rest.rsplit(" ", 2)
@@ -196,6 +201,7 @@ def load_checkpoint(path) -> CheckpointData:
             table.append((name, shape, count))
         else:
             raise HeaderError(f"{path}: unknown header line {line!r}")
+    version, arch_hash = single.get("version"), single.get("arch")
     if version != str(FORMAT_VERSION):
         raise HeaderError(f"{path}: unsupported format version {version!r}")
     if arch_hash is None:

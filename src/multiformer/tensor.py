@@ -428,16 +428,6 @@ def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
     return dense
 
 
-def dense_to_band(dense: np.ndarray, window: int) -> np.ndarray:
-    """The [..., n, window+1] band of an [..., n, n] matrix: its diagonals
-    |i - j| <= window//2, zero outside the sequence."""
-    half = window // 2
-    n = dense.shape[-1]
-    p = np.zeros(dense.shape[:-1] + (n + 2 * half,), dtype=dense.dtype)
-    p[..., half:half + n] = dense
-    return _diagonals(p, half).copy()
-
-
 def _band_mix(band: np.ndarray, y: np.ndarray, half: int,
               lifts: list | None = None) -> np.ndarray:
     """z_i = sum_c band[..., i, c] y_{i+c-half}, one GEMM per block; lifts

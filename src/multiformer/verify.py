@@ -139,12 +139,11 @@ def run_oracle_suite(cases: int = 120) -> SuiteResult:
                         float(np.abs(band_to_dense(al.data, w) - al0).max()))
             band_blocks[n <= BAND_BLOCK] += 1
 
-            # band covering everything must reproduce full exactly
+            # a band covering every pair is full attention
             w_all = 2 * max(1, n - 1)
-            zx, _ = local_attention(q, k, v, HeadSpec("local", window=w_all), mask)
-            if not np.array_equal(zx.data, z.data):
-                return SuiteResult("oracle-equivalence", False, ran,
-                                   f"w={w_all} local differs from full at n={n}")
+            zx, ax = local_attention(q, k, v, HeadSpec("local", window=w_all), mask)
+            worst = max(worst, float(np.abs(zx.data - z0).max()),
+                        float(np.abs(band_to_dense(ax.data, w_all) - a0).max()))
 
             # two conv heads sharing one compressed stream, through the
             # production multi-head path; each head's weights come from

@@ -209,20 +209,39 @@ class TestLocalAttention:
             np.testing.assert_allclose(z.data, zr, atol=1e-12)
             np.testing.assert_allclose(band_to_dense(bw.data, w), ar, atol=1e-12)
 
-    def test_wide_window_bit_matches_full(self):
-        """A window covering every pair must reproduce full attention down
-        to the last bit, not merely within tolerance."""
+    def test_covering_window_matches_full_attention(self):
+        """A window covering every pair runs the band kernel as one block
+        whose keys are the whole sequence: its band is [n, 2n-1], and it
+        gives full attention's z and weights."""
         rng = np.random.default_rng(4)
         n = 9
         x = rng.normal(size=(2, n, 5))
         keep = np.ones((2, n), dtype=bool)
         keep[1, 6:] = False
-        zf, af = full_attention(Tensor(x), Tensor(x), Tensor(x), keep)
-        zl, bl = local_attention(Tensor(x), Tensor(x), Tensor(x),
-                                 local(2 * (n - 1)), keep)
-        assert bl.shape == (2, n, 2 * n - 1)  # the band layout on this branch too
-        assert np.array_equal(zl.data[keep], zf.data[keep])
-        assert np.array_equal(band_to_dense(bl.data, 2 * (n - 1))[keep], af.data[keep])
+        with using_dtype("float64"):
+            zl, bl = local_attention(Tensor(x), Tensor(x), Tensor(x),
+                                     local(2 * (n - 1)), keep)
+        assert bl.shape == (2, n, 2 * n - 1)
+        for b in range(2):
+            z0, a0 = naive_attention(x[b], x[b], x[b], valid=keep[b])
+            np.testing.assert_allclose(zl.data[b], z0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(band_to_dense(bl.data[b], 2 * (n - 1)), a0,
+                                       rtol=0, atol=1e-12)
+
+    def test_short_sequence_bytes_ignore_appended_padding(self):
+        """A toy local head (window 8, float32, d_h 16) over n <= 5 valid
+        rows: the valid rows of z are the unpadded call's bit for bit,
+        whatever junk rows the mask appends, so the padded length picks no
+        kernel."""
+        rng = np.random.default_rng(30)
+        for n in range(1, 6):
+            x = rng.normal(size=(3, 2, n + 60, 16)).astype(np.float32)
+            z0, _ = local_attention(*(Tensor(t[:, :n]) for t in x), local(8))
+            for junk in range(1, 61):
+                keep = np.broadcast_to(np.arange(n + junk) < n, (2, n + junk))
+                z, _ = local_attention(*(Tensor(t[:, :n + junk]) for t in x),
+                                       local(8), keep)
+                assert np.array_equal(z.data[:, :n], z0.data), f"n={n}, junk={junk}"
 
     def test_band_truncates_at_boundaries(self):
         # n=4, w=2: token 0 sees {0,1}, token 3 sees {2,3}
@@ -250,7 +269,7 @@ class TestLocalAttention:
 
     @pytest.mark.parametrize("window", [2, 20])
     def test_all_padding_sequence_gives_zero_rows(self, window):
-        """Banded (window 2) and dense (window covers n) alike."""
+        """A narrow window (2) and one covering n (20) alike."""
         x = np.random.default_rng(6).normal(size=(2, 6, 3))
         keep = np.ones((2, 6), dtype=bool)
         keep[1] = False
@@ -263,7 +282,7 @@ class TestLocalAttention:
 
     @pytest.mark.parametrize("window", [4, 64])
     def test_no_band_mask_without_a_counter(self, window, monkeypatch):
-        """Banded (window 4) and dense (window covers n) alike: a counter
+        """A narrow window (4) and one covering n (64) alike: a counter
         counts the in-band valid keys, and without one no band mask is
         built and z is the same."""
         rng = np.random.default_rng(9)

@@ -356,10 +356,15 @@ class TestCheckpointRoundTrip:
                     {"w": np.ones(1, dtype="<f4")}, meta)
         assert load_checkpoint(tmp_path / "m.mfck").meta == meta
 
-    def test_meta_key_with_space_rejected(self, tmp_path):
-        with pytest.raises(HeaderError, match="illegal meta"):
+    @pytest.mark.parametrize("meta,match", [
+        ([("bad key", "v")], "illegal meta"),
+        ([("k", "1"), ("j", "2"), ("k", "3")], "repeated meta key 'k'"),
+    ], ids=["space", "repeated-key"])
+    def test_meta_key_with_space_rejected(self, tmp_path, meta, match):
+        with pytest.raises(HeaderError, match=match):
             save_arrays(tmp_path / "m.mfck", "feed" * 4,
-                        {"w": np.ones(1, dtype="<f4")}, [("bad key", "v")])
+                        {"w": np.ones(1, dtype="<f4")}, meta)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_array_rejected(self, tmp_path):
         # load refuses a size below 1, so save must not write one
@@ -468,7 +473,14 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize("header,match", [
         (b"version 1\narch \xff\xfe\n", "not UTF-8"),
         (b"version 1\narch feedfeed\nparam w 2 two\n", "bad count field"),
-    ], ids=["not-utf8", "non-integer-count"])
+        (b"version 1\nversion 1\narch feedfeed\nparam w 2 2\n",
+         "repeated header line 'version 1'"),
+        (b"version 1\narch feedfeed\narch 0123456789abcdef\nparam w 2 2\n",
+         "repeated header line 'arch 0123456789abcdef'"),
+        (b"version 1\narch feedfeed\nmeta k 1\nmeta k 2\nparam w 2 2\n",
+         "repeated meta key 'k'"),
+    ], ids=["not-utf8", "non-integer-count", "repeated-version", "repeated-arch",
+            "repeated-meta-key"])
     def test_malformed_header_raises_header_error(self, tmp_path, header, match):
         p = tmp_path / "x.mfck"
         write_raw(p, header, b"\x00" * 8)

@@ -503,7 +503,7 @@ class TestGraphSize:
     def test_each_head_is_one_attention_node(self):
         """Every head's scale, mask, softmax and value product is one node
         over its (q, k, v) projections: full, conv over compressed keys,
-        and local with a banded and with a sequence-wide (dense) window."""
+        and local with a window narrower than n and one covering it."""
         rng = np.random.default_rng(6)
         specs = [HeadSpec("full"), HeadSpec("conv", kernel=3, stride=2),
                  HeadSpec("local", window=4), HeadSpec("local", window=16)]
@@ -511,7 +511,8 @@ class TestGraphSize:
         x = Tensor(rng.normal(size=(2, 9, 8)), requires_grad=True)
         keep = np.ones((2, 9), dtype=bool)
         keep[1, 6:] = False
-        # window 4 runs banded; window 16 covers n=9 and runs the dense kernel
+        # window 4 is narrower than n=9; window 16 covers it, so its band's
+        # keys are the whole sequence
         assert specs[2].window // 2 < 9 - 1 <= specs[3].window // 2
         out = mhma_forward(x, specs, w, keep)
         for h, z in enumerate(out.z):

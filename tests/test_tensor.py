@@ -10,11 +10,10 @@ import pytest
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer import tensor
 from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Parameter, Tensor, attend,
-                                band_to_dense, concat, conv1d, dense_to_band,
-                                dropout, embedding, ffn, gather_last,
-                                grad_check, layer_norm, log_softmax, matmul,
-                                pack, relu, tsum, unpack, using_dtype, windows,
-                                zero_grad,
+                                band_to_dense, concat, conv1d, dropout,
+                                embedding, ffn, gather_last, grad_check,
+                                layer_norm, log_softmax, matmul, pack, relu,
+                                tsum, unpack, using_dtype, zero_grad,
                                 _band_dot, _band_mix, _band_tmix, _make,
                                 _topo_order)
 
@@ -290,7 +289,10 @@ class TestBanded:
                 np.testing.assert_allclose(band_to_dense(w.data[b, h], 2 * half),
                                            a_ref, atol=1e-12)
 
-    @pytest.mark.parametrize("half,n", BAND_CASES)
+    # the widest case finite-differences about 15,400 forward passes (14-16 s
+    # on a 2-vCPU VM), so it runs with the slow tests
+    @pytest.mark.parametrize("half,n", BAND_CASES[:-1] + [
+        pytest.param(*BAND_CASES[-1], marks=pytest.mark.slow)])
     def test_gradients_every_entry(self, half, n):
         q, k, v, _, keys = self.inputs(half, n)
         r_z = np.random.default_rng(n).normal(size=v.shape)
@@ -316,14 +318,15 @@ class TestBanded:
         band = rng.normal(size=(2, n, 2 * half + 1))
         i, j = np.indices((n, n))
         in_band = np.abs(i - j) <= half
-        inside = windows(np.ones((n, 1), dtype=bool), half)[..., 0, :]
-        np.testing.assert_allclose(_band_dot(x, y, half),
-                                   dense_to_band(x @ np.swapaxes(y, -1, -2), 2 * half),
+        scores = _band_dot(x, y, half)
+        np.testing.assert_allclose(band_to_dense(scores, 2 * half),
+                                   np.where(in_band, x @ np.swapaxes(y, -1, -2), 0.0),
                                    rtol=0, atol=1e-12)
+        # and zero off the sequence, where band_to_dense does not look
+        assert np.count_nonzero(scores) == np.count_nonzero(band_to_dense(scores, 2 * half))
         dense = band_to_dense(band, 2 * half)
         expect = np.where(in_band, band[..., i, np.clip(j - i + half, 0, 2 * half)], 0.0)
         assert np.array_equal(dense, expect)
-        assert np.array_equal(dense_to_band(dense, 2 * half), band * inside)
         np.testing.assert_allclose(_band_mix(band, y, half), dense @ y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(_band_tmix(band, y, half),
                                    np.swapaxes(dense, -1, -2) @ y, rtol=0, atol=1e-12)
