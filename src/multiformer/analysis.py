@@ -20,6 +20,7 @@ import numpy as np
 from .checkpoint import durable_write
 from .mhma import AttentionOutput, MHMAWeights, head_outputs
 from .model import ModelConfig, ModelWeights, encode
+from .tensor import no_grad
 from .training import SyntheticTaskSpec, gen_synthetic_batch
 
 CSV_HEADER = "layer,head,mechanism,median_contribution,normalized_share"
@@ -84,7 +85,7 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
 
     Sequences are processed in fixed-size batches from a seeded stream,
     so the pooled multiset (and hence every median) is reproducible
-    bit for bit.  Runs in inference mode (dropout off).
+    bit for bit.  Runs in inference mode (dropout off, no graph).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -100,8 +101,9 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
         b = min(ANALYSIS_BATCH, remaining)
         remaining -= b
         batch = gen_synthetic_batch(spec, b, rng)
-        _, keep, outs = encode(batch.source_features, batch.source_mask,
-                               config, weights)
+        with no_grad():
+            _, keep, outs = encode(batch.source_features, batch.source_mask,
+                                   config, weights)
         valid = np.asarray(keep, bool)
         token_count += int(valid.sum())
         for pool, out, layer in zip(pools, outs, weights.encoder):

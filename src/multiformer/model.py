@@ -257,7 +257,7 @@ def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
     p = config.dropout
     h, keep = subsample(source, source_mask, weights.subsampler)
     positions = sinusoidal_positions(keep.shape[-1], config.d_model)
-    h = dropout(h + Tensor(positions[np.nonzero(keep)[-1]]), p, rng)
+    h = dropout(h + positions[np.nonzero(keep)[-1]], p, rng)
     outs: list[AttentionOutput] = []
     for specs, layer in zip(config.encoder_layers, weights.encoder):
         out = mhma_forward(unpack(h, keep), specs, layer.mhma, keep, counter)
@@ -287,7 +287,7 @@ def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,
     causal = np.tril(np.ones((u, u), dtype=bool))
     self_keep = np.logical_and(causal, tmask[..., None, :])
     h = mul(embedding(weights.embed, target_in), math.sqrt(config.d_model))
-    h = dropout(h + Tensor(sinusoidal_positions(u, config.d_model)), p, rng)
+    h = dropout(h + sinusoidal_positions(u, config.d_model), p, rng)
     full_specs = [HeadSpec("full")] * config.heads
     for layer in weights.decoder:
         a = dropout(mhma_forward(h, full_specs, layer.self_attn, self_keep).y,

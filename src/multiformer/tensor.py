@@ -83,6 +83,23 @@ def using_dtype(name: str):
 # The backward rule of a node that a backward() sweep has passed.
 _CONSUMED = object()
 
+# False inside no_grad(): nodes then keep no graph.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph in the body: every node made there keeps no parents
+    and no backward rule, so it holds nothing for a backward and frees
+    what its rule would have read.  For passes whose outputs are only
+    read, never backpropagated."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
 
 class Tensor:
     """A dense n-d array with optional gradient tracking.
@@ -218,11 +235,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Internal node constructor; skips dtype normalization and drops the
-    graph entirely when no parent tracks gradients."""
+    graph entirely when no parent tracks gradients or under no_grad()."""
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         t.requires_grad = True
         t._parents = tuple(parents)
         t._backward = backward
@@ -642,6 +659,8 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     x: [..., T, D_in], weights: [K, D_in, D_out], bias: [D_out].
     Output frame j is centred on input frame j*stride; length ceil(T/stride).
+    One GEMM over im2col columns, a strided view of a zero-padded copy of
+    x; the node keeps neither, and its backward rebuilds them from x.
     """
     if weights.ndim != 3:
         raise ValueError(f"conv1d weights must be [K, D_in, D_out], got {weights.shape}")
@@ -655,28 +674,33 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     t_out = (t - 1) // stride + 1
     lead = x.shape[:-2]
     d_in, d_out = weights.shape[1], weights.shape[2]
-    # im2col: output frame j reads input frames j*stride-pad .. j*stride+pad,
-    # laid out [K, D_in] to match the weights.
-    cols = np.swapaxes(windows(x.data, pad)[..., ::stride, :, :], -1, -2).reshape(
-        lead + (t_out, k_size * d_in))
     w2 = weights.data.reshape(k_size * d_in, d_out)
+
+    def im2col():
+        # output frame j reads input frames j*stride-pad .. j*stride+pad,
+        # laid out [K, D_in] to match the weights
+        return np.swapaxes(windows(x.data, pad)[..., ::stride, :, :], -1, -2).reshape(
+            lead + (t_out, k_size * d_in))
 
     def bw(g):
         g2 = g.reshape(-1, d_out)
         gx = gw = gb = None
+        # the weights first, so the rebuilt columns are gone before gx's buffers
+        if weights.requires_grad:
+            gw = np.matmul(im2col().reshape(-1, k_size * d_in).T, g2).reshape(weights.shape)
         if x.requires_grad:
             gcols = np.matmul(g, w2.T).reshape(lead + (t_out, k_size, d_in))
             gxp = np.zeros(lead + (t + 2 * pad, d_in), dtype=g.dtype)
             for k in range(k_size):
                 gxp[..., k:k + stride * (t_out - 1) + 1:stride, :] += gcols[..., k, :]
             gx = gxp[..., pad:pad + t, :]
-        if weights.requires_grad:
-            gw = np.matmul(cols.reshape(-1, k_size * d_in).T, g2).reshape(weights.shape)
         if bias.requires_grad:
             gb = g2.sum(axis=0)
         return gx, gw, gb
 
-    return _make(np.matmul(cols, w2) + bias.data, (x, weights, bias), bw)
+    out = np.matmul(im2col(), w2)
+    out += bias.data
+    return _make(out, (x, weights, bias), bw)
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -684,9 +708,10 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     One autodiff node that keeps only the rectified hidden activation h;
     h > 0 exactly where the rectifier's input was, so h also gives its
-    mask.  The backward pass replays the matmul -> add -> relu -> matmul
-    -> add chain in reverse with that chain's own ops, so gradients are
-    bit for bit those of the generic nodes.
+    mask.  The backward takes w2's gradient and that mask from h and
+    releases h before h's own gradient is made.  It replays the matmul ->
+    add -> relu -> matmul -> add chain in reverse with that chain's own
+    ops, so gradients are bit for bit those of the generic nodes.
     """
     h = np.matmul(x.data, w1.data)
     h += b1.data
@@ -695,10 +720,13 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     y += b2.data
 
     def bw(g):
+        nonlocal h
+        gw2 = _unbroadcast(np.matmul(np.swapaxes(h, -1, -2), g), w2.shape)
+        live = h > 0
+        h = None  # a graph's backward runs once
         # gh is made here, so masking it in place is safe; g may be shared.
         gh = np.matmul(g, np.swapaxes(w2.data, -1, -2))
-        gw2 = _unbroadcast(np.matmul(np.swapaxes(h, -1, -2), g), w2.shape)
-        np.multiply(gh, h > 0, out=gh)
+        np.multiply(gh, live, out=gh)
         return (_unbroadcast(np.matmul(gh, np.swapaxes(w1.data, -1, -2)), x.shape),
                 _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gh), w1.shape),
                 _unbroadcast(gh, b1.shape), gw2, _unbroadcast(g, b2.shape))
@@ -713,28 +741,34 @@ LAYER_NORM_EPS = 1e-5
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
-    One autodiff node.  Its backward pass does the arithmetic of the chain
-    mean -> centre -> variance -> rsqrt -> scale -> shift in reverse, step
-    for step and in the order generic mean and elementwise nodes for that
-    chain would, so gradients, and the checkpoints trained with them, are
-    bit for bit those of that chain.
+    One autodiff node that keeps the centred input c and per-row
+    statistics besides its output; the normalized c * inv is recomputed
+    where the backward reads it.  The backward does the arithmetic of the
+    chain mean -> centre -> variance -> rsqrt -> scale -> shift in
+    reverse, step for step and in the order generic mean and elementwise
+    nodes for that chain would, so gradients, and the checkpoints trained
+    with them, are bit for bit those of that chain.
     """
     n = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     c = x.data - mu
     v = (c * c).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS
     inv = v ** -0.5
-    normed = c * inv
 
     def bw(g):
         gn = g * gain.data
         gv = _unbroadcast(gn * c, inv.shape) * -0.5 * v ** -1.5
         t = gv / n * c
-        gc = gn * inv + t + t  # c*c reaches c twice; 2*t would round differently
+        gc = gn * inv
+        gc += t
+        gc += t  # c*c reaches c twice; 2*t would round differently
         gx = gc + _unbroadcast(-gc, mu.shape) / n
-        return gx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape)
+        return gx, _unbroadcast(g * (c * inv), gain.shape), _unbroadcast(g, bias.shape)
 
-    return _make(normed * gain.data + bias.data, (x, gain, bias), bw)
+    out = c * inv
+    out *= gain.data
+    out += bias.data
+    return _make(out, (x, gain, bias), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -821,10 +855,11 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
         worst = 0.0
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + FD_STEP
-            f_plus = float(f().data)
-            flat[i] = orig - FD_STEP
-            f_minus = float(f().data)
+            with no_grad():
+                flat[i] = orig + FD_STEP
+                f_plus = float(f().data)
+                flat[i] = orig - FD_STEP
+                f_minus = float(f().data)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             a = float(a_flat[i])

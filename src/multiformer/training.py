@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, load_into, save_arrays, save_checkpoint
 from .model import (SMOOTHING, ModelConfig, ModelWeights, Seq2SeqBatch,
                     forward_loss, init_model_weights, label_smoothed_loss,
                     named_parameters, teacher_forced_logits, token_accuracy)
-from .tensor import Tensor, default_dtype, zero_grad
+from .tensor import Tensor, default_dtype, no_grad, zero_grad
 
 PAD, BOS, EOS = 0, 1, 2
 SENTINELS = 3
@@ -202,10 +202,11 @@ def batch_size_for(cfg: TrainConfig, spec: SyntheticTaskSpec) -> int:
 def evaluate(config: ModelConfig, weights: ModelWeights,
              batch: Seq2SeqBatch) -> tuple[float, float]:
     """Held-out teacher-forced loss and token accuracy from one pass, in
-    inference mode (dropout off)."""
+    inference mode (dropout off, no graph)."""
     config = dataclasses.replace(config, dropout=0.0)
-    logits, labels, label_mask = teacher_forced_logits(batch, config, weights)
-    loss = label_smoothed_loss(logits, labels, label_mask, SMOOTHING)
+    with no_grad():
+        logits, labels, label_mask = teacher_forced_logits(batch, config, weights)
+        loss = label_smoothed_loss(logits, labels, label_mask, SMOOTHING)
     return float(loss.data), token_accuracy(logits.data, labels, label_mask)
 
 

@@ -3,7 +3,7 @@ and the test suite: oracle equivalence, output recomposition, gradient
 checks, and the complexity count laws.
 
 Everything runs seed-pinned and, where tolerances matter, in the 64-bit
-precision mode.
+precision mode.  Forward-only suites build no graph (tensor.no_grad).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .mhma import (HeadSpec, MHMAWeights, init_mhma_weights, mhma_forward,
 from .model import (ModelConfig, Seq2SeqBatch, forward_loss, init_model_weights,
                     named_parameters)
 from .tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Tensor, band_to_dense, grad_check,
-                     using_dtype)
+                     no_grad, using_dtype)
 
 ORACLE_TOL = 1e-6
 RECOMPOSE_TOL_64 = 1e-10
@@ -103,6 +103,7 @@ def _batched_rows_case(rng, long: bool) -> tuple[float, bool]:
     return worst, per_sequence
 
 
+@no_grad()
 def run_oracle_suite(cases: int = 120) -> SuiteResult:
     """full/local/conv against the explicit-loop references."""
     worst = 0.0
@@ -194,6 +195,7 @@ def run_oracle_suite(cases: int = 120) -> SuiteResult:
                        f"{dense_paths[True]} per sequence")
 
 
+@no_grad()
 def run_recomposition_suite(cases: int = 100) -> SuiteResult:
     """y == sum_h xi^h + b_o, in both precision modes."""
     mixes = list(HEAD_MIXES.values())
@@ -276,6 +278,7 @@ def run_gradcheck_suite(samples_per_tensor: int = 6,
                        f"max relative error {worst:.3e} (tol {GRAD_TOL:g})")
 
 
+@no_grad()
 def run_count_suite() -> SuiteResult:
     """Score-product accounting: exact laws per mechanism (local window 64,
     conv stride 2) at n = 64, 256, 1024, and the headline ratios at 1024."""

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multiformer import model
+from multiformer import analysis, model, tensor, training
 from multiformer.attention import OpCounter
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
@@ -16,8 +16,8 @@ from multiformer.model import (FFNWeights, ModelConfig, Seq2SeqBatch, decode,
                                sinusoidal_positions, subsample,
                                teacher_forced_logits, token_accuracy)
 from multiformer.oracles import reference_mhsa
-from multiformer.tensor import (Tensor, _topo_order, attend, dropout, ffn,
-                                grad_check, layer_norm, matmul, relu,
+from multiformer.tensor import (Tensor, _topo_order, attend, conv1d, dropout,
+                                ffn, grad_check, layer_norm, matmul, relu,
                                 using_dtype)
 from multiformer.training import SyntheticTaskSpec, gen_synthetic_batch
 
@@ -552,9 +552,23 @@ class TestGraphSize:
         assert len(_topo_order(out)) == 4
 
 
+def _traced(fn):
+    """fn()'s result and the traced memory it left allocated, above where
+    it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return result, grown
+
+
 class TestMemory:
-    """Arrays the FFN graph keeps and the peak of one attention backward,
-    as traced by tracemalloc, which sees NumPy's data buffers."""
+    """Arrays the fused nodes keep, the peaks of their backwards, and the
+    graph passes under no_grad() do not build, as traced by tracemalloc,
+    which sees NumPy's data buffers."""
 
     def test_ffn_keeps_one_hidden_array(self):
         rng = np.random.default_rng(7)
@@ -562,13 +576,7 @@ class TestMemory:
         w = FFNWeights(*(Tensor(rng.normal(size=s), requires_grad=True)
                          for s in [(16, 256), (256,), (256, 16), (16,)]))
         hidden = 4 * 64 * 256 * 4
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = model._ffn(x, w)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        out, grown = _traced(lambda: model._ffn(x, w))
         # the rectified hidden activation, the output and a little slack
         assert grown <= hidden + out.data.nbytes + hidden // 16, grown / hidden
 
@@ -587,3 +595,103 @@ class TestMemory:
             tracemalloc.stop()
         # the [B, n, m] gradient buffer and one product of it with the weights
         assert peak <= 2.25 * a.data.nbytes, peak / a.data.nbytes
+
+    def test_conv1d_keeps_no_columns(self):
+        """The im2col columns its GEMM reads, a strided view of a zero-padded
+        copy of x, are gone after the forward; the backward rebuilds them
+        from x."""
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(4, 256, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 32, 32)), requires_grad=True)
+        b = Tensor(rng.normal(size=32), requires_grad=True)
+        out, grown = _traced(lambda: conv1d(x, w, b))
+        # the output and a little slack; the padded copy alone is one more
+        assert grown <= out.data.nbytes * 9 // 8, grown / out.data.nbytes
+
+    def test_ffn_backward_releases_the_hidden_array(self):
+        """w2's gradient and the rectifier's mask are taken from h, and h is
+        freed before its own gradient exists, so the backward peaks at the
+        bool mask and small products above its start, not at h's gradient
+        beside h (1.25 hidden arrays)."""
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(1024, 8)), requires_grad=True)
+        w = [Tensor(rng.normal(size=s), requires_grad=True)
+             for s in [(8, 256), (256,), (256, 8), (8,)]]
+        g = rng.normal(size=(1024, 8)).astype(np.float32)
+        hidden = 1024 * 256 * 4
+        tracemalloc.start()
+        try:
+            out = ffn(x, *w)  # h is traced, so its release shows
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < hidden / 2, peak / hidden
+
+    def test_layer_norm_keeps_one_row_array(self):
+        """Besides its output the node keeps the centred input and [.., 1]
+        row statistics; the normalized rows are recomputed in the
+        backward."""
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(256, 64)), requires_grad=True)
+        gain, bias = (Tensor(rng.normal(size=64), requires_grad=True) for _ in range(2))
+        out, grown = _traced(lambda: layer_norm(x, gain, bias))
+        assert grown <= out.data.nbytes * 17 // 8, grown / out.data.nbytes
+
+    def test_no_grad_nodes_keep_no_graph(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+        with tensor.no_grad():
+            nodes = [matmul(x, w), relu(x), x + x, x.sum(),
+                     *attend(x, x, x, np.ones(3, dtype=bool))]
+            with tensor.no_grad():
+                nodes.append(x * 2.0)
+            nodes.append(x * 3.0)  # leaving an inner no_grad() keeps the outer one
+        for node in nodes:
+            assert not node.requires_grad
+            assert node._parents == () and node._backward is None
+        assert matmul(x, w)._parents == (x, w)
+
+    def test_no_grad_restores_the_graph_when_its_body_raises(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with tensor.no_grad():
+                1 / 0
+        y = x * 2.0
+        assert y.requires_grad and y._parents == (x,)
+
+    def test_graph_free_passes_match_a_pass_with_a_graph(self, monkeypatch):
+        """evaluate and aggregate_contributions build no graph, and they
+        return exactly what the same passes with a graph give."""
+        spec = SyntheticTaskSpec()
+        config = toy_model_config("multiformer_lc", vocab_size=spec.vocab_size,
+                                  feature_dim=spec.feature_dim)
+        weights = init_model_weights(config, seed=0)
+        batch = gen_synthetic_batch(spec, 6, np.random.default_rng(1))
+        tracked, real_encode = [], model.encode
+
+        def spy(*args, **kwargs):
+            states, keep, outs = real_encode(*args, **kwargs)
+            tracked.append(states.requires_grad)
+            return states, keep, outs
+
+        monkeypatch.setattr(model, "encode", spy)
+        monkeypatch.setattr(analysis, "encode", spy)
+        loss, acc = training.evaluate(config, weights, batch)
+        report = analysis.aggregate_contributions(config, weights, spec, samples=5, seed=2)
+        assert tracked == [False, False]
+
+        logits, labels, label_mask = teacher_forced_logits(batch, config, weights)
+        assert logits.requires_grad
+        assert loss == float(label_smoothed_loss(logits, labels, label_mask,
+                                                 model.SMOOTHING).data)
+        assert acc == token_accuracy(logits.data, labels, label_mask)
+        sampled = gen_synthetic_batch(spec, 5, np.random.default_rng(2))
+        _, keep, outs = encode(sampled.source_features, sampled.source_mask, config, weights)
+        assert outs[0].y.requires_grad
+        medians = [np.median(analysis.head_contribution(out, layer.mhma)[keep], axis=0)
+                   for out, layer in zip(outs, weights.encoder)]
+        assert np.array_equal(report.medians, np.stack(medians))

@@ -2,7 +2,10 @@
 
     python3 tools/digest_outputs.py
 
-Runs the package of the checkout this file lives in, at one BLAS thread:
+The first line, `# numpy ...; blas ...; cpu ...`, names what the digests
+depend on besides the code: the NumPy version, the BLAS build with the
+kernel it chose for this CPU, and the CPU.  Then it runs the package of
+the checkout this file lives in, at one BLAS thread:
 
 - each of the six toy presets at dropout 0 and 0.1: `mf train --seed 3
   --steps 4 --log-every 1`, then `mf avg-ckpt`, then `mf analyze
@@ -16,7 +19,8 @@ Runs the package of the checkout this file lives in, at one BLAS thread:
   parameter, in checkpoint order).
 
 Two checkouts whose outputs match print the same lines, so `diff` of the
-two listings shows every output a change moved.
+two listings shows every output a change moved.  tests/output_digests.txt
+holds this listing, and tests/test_output_digests.py checks it.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import contextlib  # noqa: E402
+import ctypes  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import platform  # noqa: E402
 import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -50,6 +56,42 @@ PAPER_MIXES = {"full": "full full full full",
                "conv": "conv(5,2) conv(5,2) conv(5,2) conv(5,2)",
                "lc": "local(64) local(64) conv(5,2) conv(5,2)"}
 PAPER_FRAMES, PAPER_VALID = 4096, (4096, 3584, 3072, 2560)
+
+
+def _openblas_config() -> str | None:
+    """OpenBLAS's own config line, which names the kernel it chose at run
+    time; None where the loaded BLAS cannot be found or is not OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        so = ctypes.CDLL(lib)
+        # NumPy's wheels bundle scipy-openblas; a system OpenBLAS has no prefix
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+            fn = getattr(so, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return " ".join(fn().decode().split())
+    return None
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return f"{line.split(':', 1)[1].strip()} ({platform.machine()})"
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def environment() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = f"{blas.get('name')} {blas.get('version')}"
+    return f"# numpy {np.__version__}; blas {_openblas_config() or build}; cpu {_cpu()}"
 
 
 def _mf(*argv: str) -> None:
@@ -116,6 +158,7 @@ def paper_digests():
 
 
 def main() -> int:
+    print(environment(), flush=True)
     with tempfile.TemporaryDirectory(prefix="digest_outputs_") as work:
         for digest, path in toy_digests(work):
             print(digest, path, flush=True)
