@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import Tensor, attend, conv1d, mul, windows
+from .tensor import Tensor, attend, check_conv, conv1d, mul, windows
 
 if TYPE_CHECKING:
     from .mhma import HeadSpec
@@ -45,15 +45,7 @@ class ConvParams:
     bias: Tensor
 
     def __post_init__(self):
-        self.check(self.kernel, self.stride)
-
-    @staticmethod
-    def check(kernel: int, stride: int) -> None:
-        """Reject a kernel/stride pair that cannot define a compression."""
-        if kernel < 1 or kernel % 2 == 0:
-            raise ValueError(f"compression kernel must be odd and >= 1, got {kernel}")
-        if stride < 1:
-            raise ValueError(f"compression stride must be >= 1, got {stride}")
+        check_conv(self.kernel, self.stride)
 
 
 def _key_mask(mask, positions: tuple[int, ...]) -> np.ndarray:
@@ -109,7 +101,8 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: HeadSpec,
                     mask=None, counter: OpCounter | None = None
                     ) -> tuple[Tensor, Tensor]:
     """Sliding-window self-attention: token i attends valid keys j with
-    |i - j| <= window//2, window being the local head spec's.
+    |i - j| <= window//2, window being the local head spec's.  q, k and v
+    share one shape [..., n, d_h]; tensor.attend rejects any other.
 
     Scores outside the band are never computed, so the work is O(n*w).
     The weights come back as an [..., n, window+1] band (see
@@ -120,12 +113,11 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, params: HeadSpec,
     band.
     """
     half = params.window // 2
-    if k.shape != q.shape or v.shape != q.shape:
-        raise ValueError("local attention is self-attention: q, k, v share one shape")
     keep = _key_mask(mask, q.shape[:-1])
     z, a = attend(q, k, v, keep[..., None, :], half=half)
     if counter is not None:
-        counter.add(int(windows(keep[..., None], half).sum()))
+        # no key lies further than n - 1 from its query
+        counter.add(int(windows(keep[..., None], min(half, q.shape[-2] - 1)).sum()))
     return z, a
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -195,7 +196,7 @@ def load_checkpoint(path) -> CheckpointData:
             except ValueError as e:
                 raise HeaderError(f"{path}: {name}: bad count field {count_s!r}, "
                                   "want a positive integer") from e
-            if int(np.prod(shape, dtype=np.int64)) != count:
+            if math.prod(shape) != count:
                 raise HeaderError(
                     f"{path}: {name} count {count} != product of shape {shape}")
             table.append((name, shape, count))

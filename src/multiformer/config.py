@@ -14,7 +14,8 @@
 Each block line contributes `repeat` identical encoder layers listing one
 head spec per head.  The declared encoder_layers total must match the sum
 of repeats.  Named presets ship with the package and resolve anywhere a
-file path is accepted.
+file path is accepted.  Task files hold `key = value` lines only; both
+formats go through one line reader, _read_keys.
 """
 
 from __future__ import annotations
@@ -31,10 +32,17 @@ from .training import SyntheticTaskSpec
 PRESET_NAMES = ("baseline", "local_attention", "conv_attention",
                 "multiformer_lc", "multiformer_v1", "multiformer_v2")
 
-_REQUIRED = ("d_model", "heads", "decoder_layers", "ffn_dim", "vocab_size",
-             "feature_dim", "encoder_layers")
-_OPTIONAL_INT = ("max_source_len", "max_target_len")
-_KNOWN_KEYS = frozenset(_REQUIRED) | frozenset(_OPTIONAL_INT) | {"dropout"}
+# An architecture file's keys and their types, in the order
+# format_architecture writes them.  Each sets the ModelConfig field of its
+# name, except two: feature_dim sets input_feature_dim, and encoder_layers
+# is the layer count the block lines must sum to.  A key whose field has a
+# default may be left out.
+_ARCH_KEYS = {"d_model": int, "heads": int, "decoder_layers": int, "ffn_dim": int,
+              "vocab_size": int, "feature_dim": int, "encoder_layers": int,
+              "dropout": float, "max_source_len": int, "max_target_len": int}
+_FIELDS = {key: key for key in _ARCH_KEYS} | {"feature_dim": "input_feature_dim"}
+_DEFAULTED = {f.name for f in dataclasses.fields(ModelConfig)
+              if f.default is not dataclasses.MISSING}
 
 _SPEC_RE = re.compile(r"^(full|local\((\d+)\)|conv\((\d+),(\d+)\))$")
 
@@ -47,14 +55,44 @@ def _fail(source: str, lineno: int, message: str):
     raise ArchitectureError(f"{source}:{lineno}: {message}")
 
 
-def _fail_field(source: str, key_lines: dict[str, int], error: ValueError):
+def _fail_field(source: str, field_lines: dict[str, int], error: ValueError):
     """Report a ModelConfig or SyntheticTaskSpec error, whose message names
     the rejected field, at the line that set the first field it names
-    that the file set.  The file's feature_dim is ModelConfig's
-    input_feature_dim."""
-    words = re.findall(r"\w+", str(error).replace("input_feature_dim", "feature_dim"))
-    lineno = next((key_lines[w] for w in words if w in key_lines), 0)
+    that the file set."""
+    words = re.findall(r"\w+", str(error))
+    lineno = next((field_lines[w] for w in words if w in field_lines), 0)
     _fail(source, lineno, str(error))
+
+
+def _read_keys(text: str, source: str, types: dict[str, type], block=None
+               ) -> tuple[dict, dict[str, int]]:
+    """The `key = value` lines of a config file, each value converted by
+    its key's type in types, and the line that set each key.  `#` starts
+    a comment, and blank lines are skipped.  Lines starting with `block`
+    go to block(line, lineno, raw) when block is given."""
+    values: dict = {}
+    key_lines: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if block is not None and line.startswith("block"):
+            block(line, lineno, raw)
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            _fail(source, lineno, f"unrecognized line {raw.strip()!r}")
+        if key not in types:
+            _fail(source, lineno, f"unknown key {key!r}")
+        if key in values:
+            _fail(source, lineno, f"duplicate key {key!r}")
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            _fail(source, lineno, f"bad value for {key}: {value!r}")
+        key_lines[key] = lineno
+    return values, key_lines
 
 
 def parse_head_spec(token: str, source: str = "<spec>", lineno: int = 0) -> HeadSpec:
@@ -73,50 +111,31 @@ def parse_head_spec(token: str, source: str = "<spec>", lineno: int = 0) -> Head
 
 
 def parse_architecture_text(text: str, source: str = "<text>") -> ModelConfig:
-    scalars: dict[str, float] = {}
-    key_lines: dict[str, int] = {}
     blocks: list[tuple[int, list[HeadSpec], int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("block"):
-            head, _, specs_part = line.partition(":")
-            fields = head.split()
-            if len(fields) != 2 or not specs_part.strip():
-                _fail(source, lineno, f"malformed block line {raw.strip()!r}")
-            try:
-                repeat = int(fields[1])
-            except ValueError:
-                _fail(source, lineno, f"block repeat must be an integer, got {fields[1]!r}")
-            if repeat < 1:
-                _fail(source, lineno, f"block repeat must be >= 1, got {repeat}")
-            specs = [parse_head_spec(tok, source, lineno)
-                     for tok in specs_part.split()]
-            blocks.append((repeat, specs, lineno))
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _KNOWN_KEYS:
-                _fail(source, lineno, f"unknown key {key!r}")
-            if key in scalars:
-                _fail(source, lineno, f"duplicate key {key!r}")
-            try:
-                scalars[key] = float(value) if key == "dropout" else int(value)
-            except ValueError:
-                _fail(source, lineno, f"bad value for {key}: {value!r}")
-            key_lines[key] = lineno
-        else:
-            _fail(source, lineno, f"unrecognized line {raw.strip()!r}")
 
-    for key in _REQUIRED:
-        if key not in scalars:
+    def block(line: str, lineno: int, raw: str) -> None:
+        head, _, specs_part = line.partition(":")
+        fields = head.split()
+        if len(fields) != 2 or not specs_part.strip():
+            _fail(source, lineno, f"malformed block line {raw.strip()!r}")
+        try:
+            repeat = int(fields[1])
+        except ValueError:
+            _fail(source, lineno, f"block repeat must be an integer, got {fields[1]!r}")
+        if repeat < 1:
+            _fail(source, lineno, f"block repeat must be >= 1, got {repeat}")
+        specs = [parse_head_spec(tok, source, lineno) for tok in specs_part.split()]
+        blocks.append((repeat, specs, lineno))
+
+    values, key_lines = _read_keys(text, source, _ARCH_KEYS, block)
+    for key in _ARCH_KEYS:
+        if key not in values and _FIELDS[key] not in _DEFAULTED:
             _fail(source, 0, f"missing required key {key!r}")
     if not blocks:
         _fail(source, 0, "no block lines")
 
-    heads = int(scalars["heads"])
-    declared = int(scalars["encoder_layers"])
+    heads = values["heads"]
+    declared = values.pop("encoder_layers")
     layers: list[list[HeadSpec]] = []
     for repeat, specs, lineno in blocks:
         if len(specs) != heads:
@@ -127,19 +146,11 @@ def parse_architecture_text(text: str, source: str = "<text>") -> ModelConfig:
         _fail(source, blocks[-1][2],
               f"blocks sum to {len(layers)} layers, encoder_layers declares {declared}")
 
-    kwargs = dict(
-        d_model=int(scalars["d_model"]), heads=heads, encoder_layers=layers,
-        decoder_layers=int(scalars["decoder_layers"]),
-        ffn_dim=int(scalars["ffn_dim"]), vocab_size=int(scalars["vocab_size"]),
-        input_feature_dim=int(scalars["feature_dim"]),
-        dropout=float(scalars.get("dropout", 0.0)))
-    for key in _OPTIONAL_INT:
-        if key in scalars:
-            kwargs[key] = int(scalars[key])
     try:
-        return ModelConfig(**kwargs)
+        return ModelConfig(encoder_layers=layers,
+                           **{_FIELDS[key]: value for key, value in values.items()})
     except ValueError as e:
-        _fail_field(source, key_lines, e)
+        _fail_field(source, {_FIELDS[key]: n for key, n in key_lines.items()}, e)
 
 
 def preset_path(name: str):
@@ -163,19 +174,13 @@ def parse_architecture(path_or_preset) -> ModelConfig:
 def format_architecture(config: ModelConfig) -> str:
     """Serialize a config back to the text format (blocks merged by
     consecutive identical layers)."""
-    lines = [
-        f"d_model = {config.d_model}",
-        f"heads = {config.heads}",
-        f"decoder_layers = {config.decoder_layers}",
-        f"ffn_dim = {config.ffn_dim}",
-        f"vocab_size = {config.vocab_size}",
-        f"feature_dim = {config.input_feature_dim}",
-        f"encoder_layers = {len(config.encoder_layers)}",
-    ]
-    if config.dropout:
-        lines.append(f"dropout = {config.dropout}")
-    lines.append(f"max_source_len = {config.max_source_len}")
-    lines.append(f"max_target_len = {config.max_target_len}")
+    lines = []
+    for key in _ARCH_KEYS:
+        value = getattr(config, _FIELDS[key])
+        if key == "encoder_layers":
+            value = len(value)
+        if key != "dropout" or value:  # no line for no dropout
+            lines.append(f"{key} = {value}")
     lines.append("")
     runs: list[tuple[list[str], int]] = []
     for layer in config.encoder_layers:
@@ -195,26 +200,9 @@ _TASK_KEYS = SyntheticTaskSpec.field_types()
 def parse_task_text(text: str, source: str = "<text>"):
     """Task files are `key = value` lines for SyntheticTaskSpec fields;
     omitted keys keep their defaults."""
-    kwargs = {}
-    key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or key not in _TASK_KEYS:
-            _fail(source, lineno, f"unknown task line {raw.strip()!r} "
-                  f"(keys: {', '.join(sorted(_TASK_KEYS))})")
-        if key in kwargs:
-            _fail(source, lineno, f"duplicate key {key!r}")
-        try:
-            kwargs[key] = _TASK_KEYS[key](value)
-        except ValueError:
-            _fail(source, lineno, f"bad value for {key}: {value!r}")
-        key_lines[key] = lineno
+    values, key_lines = _read_keys(text, source, _TASK_KEYS)
     try:
-        return SyntheticTaskSpec(**kwargs)
+        return SyntheticTaskSpec(**values)
     except ValueError as e:
         _fail_field(source, key_lines, e)
 

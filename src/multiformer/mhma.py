@@ -22,7 +22,7 @@ import numpy as np
 
 from .attention import (ConvParams, OpCounter, conv_compress, full_attention,
                         local_attention)
-from .tensor import Parameter, Tensor, concat, default_dtype, matmul
+from .tensor import Parameter, Tensor, check_conv, concat, default_dtype, matmul
 
 # The hyperparameter fields each mechanism takes; the others must be None.
 MECHANISM_FIELDS = {"full": (), "local": ("window",), "conv": ("kernel", "stride")}
@@ -35,7 +35,7 @@ class HeadSpec:
     window applies to local heads only: each token attends window//2
     neighbors on each side, plus itself.  kernel and stride apply to conv
     heads only.  Construction rejects missing or extraneous fields, an
-    odd or too small window, and what ConvParams rejects.
+    odd or too small window, and what tensor.check_conv rejects.
     """
 
     mechanism: str
@@ -57,7 +57,7 @@ class HeadSpec:
                 raise ValueError(
                     f"window must be an even integer >= 2, got {self.window}")
         elif self.mechanism == "conv":
-            ConvParams.check(self.kernel, self.stride)
+            check_conv(self.kernel, self.stride)
 
     def label(self) -> str:
         if self.mechanism == "local":

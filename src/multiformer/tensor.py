@@ -373,12 +373,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # scores attend forms, as -inf like the keys its key mask masks.
 #
 # Every band product runs over fixed blocks of BAND_BLOCK query rows (the
-# last one ragged).  A block of r rows pairs only with the keys within half
-# of it, so its scores are one dense GEMM x yᵀ into a column-padded
-# [r, r+2*half] buffer, read back through a strided view of its diagonals,
-# and its band is lifted into such a buffer for one dense GEMM against the
-# values (or, transposed, against the queries).  Work and memory grow as
-# n*(BAND_BLOCK + 2*half).  Blocks start at row 0 whatever n is, so rows
+# last one ragged).  No key lies further than reach = min(half, n - 1)
+# from its query, so a block of r rows pairs only with the keys within
+# reach of it: its scores are one dense GEMM x yᵀ into a column-padded
+# [r, r+2*reach] buffer, read back through a strided view of its
+# diagonals, and its band is lifted into such a buffer for one dense GEMM
+# against the values (or, transposed, against the queries).  Work and
+# memory grow as n*(BAND_BLOCK + 2*reach); the band alone keeps all
+# 2*half+1 columns.  Blocks start at row 0 whatever n is, so rows
 # appended to a sequence reach earlier rows only as masked, zero-weight
 # keys at the end of their last block's sums.
 
@@ -416,25 +418,27 @@ def _band_dot(x: np.ndarray, y: np.ndarray, half: int,
     """s[..., i, c] = x_i · y_{i+c-half}, one GEMM per block of rows.  Given
     a [..., 1, n] key mask keys, s is -inf at masked and off-sequence keys
     instead of 0 off the sequence."""
-    s = np.empty(x.shape[:-1] + (2 * half + 1,), dtype=np.result_type(x, y))
-    for r0, r1, lo, hi in _band_blocks(x.shape[-2], half):
-        p = np.full(x.shape[:-2] + (r1 - r0, r1 - r0 + 2 * half),
-                    0.0 if keys is None else -np.inf, dtype=s.dtype)
-        block = p[..., lo - r0 + half:hi - r0 + half]
+    off = 0.0 if keys is None else -np.inf
+    reach = min(half, x.shape[-2] - 1)
+    s = np.full(x.shape[:-1] + (2 * half + 1,), off, dtype=np.result_type(x, y))
+    for r0, r1, lo, hi in _band_blocks(x.shape[-2], reach):
+        p = np.full(x.shape[:-2] + (r1 - r0, r1 - r0 + 2 * reach), off, dtype=s.dtype)
+        block = p[..., lo - r0 + reach:hi - r0 + reach]
         np.matmul(x[..., r0:r1, :], np.swapaxes(y[..., lo:hi, :], -1, -2), out=block)
         if keys is not None:
             np.copyto(block, -np.inf, where=np.logical_not(keys[..., lo:hi]))
-        s[..., r0:r1, :] = _diagonals(p, half)
+        s[..., r0:r1, half - reach:half + reach + 1] = _diagonals(p, reach)
     return s
 
 
 def _band_lifts(band: np.ndarray, half: int):
     """(r0, r1, lo, hi, m) per block: m is rows [r0, r1) x columns [lo, hi)
     of the [n, n] matrix whose diagonals |i - j| <= half are band."""
-    for r0, r1, lo, hi in _band_blocks(band.shape[-2], half):
-        p = np.zeros(band.shape[:-2] + (r1 - r0, r1 - r0 + 2 * half), dtype=band.dtype)
-        _diagonals(p, half)[...] = band[..., r0:r1, :]
-        yield r0, r1, lo, hi, p[..., lo - r0 + half:hi - r0 + half]
+    reach = min(half, band.shape[-2] - 1)
+    for r0, r1, lo, hi in _band_blocks(band.shape[-2], reach):
+        p = np.zeros(band.shape[:-2] + (r1 - r0, r1 - r0 + 2 * reach), dtype=band.dtype)
+        _diagonals(p, reach)[...] = band[..., r0:r1, half - reach:half + reach + 1]
+        yield r0, r1, lo, hi, p[..., lo - r0 + reach:hi - r0 + reach]
 
 
 def band_to_dense(band: np.ndarray, window: int) -> np.ndarray:
@@ -653,6 +657,14 @@ def gather_last(x: Tensor, ids: np.ndarray) -> Tensor:
 # -- composite layers ---------------------------------------------------------
 
 
+def check_conv(kernel: int, stride: int) -> None:
+    """Reject a kernel size and stride conv1d cannot run: the kernel must
+    be odd, so that it centres on its frame, and both must be >= 1."""
+    if kernel < 1 or kernel % 2 == 0 or stride < 1:
+        raise ValueError(f"conv needs an odd kernel >= 1 and a stride >= 1, "
+                         f"got kernel {kernel}, stride {stride}")
+
+
 def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """1-D convolution over the time axis, centred: an odd kernel K sees
     K//2 frames on each side, zero outside the sequence.
@@ -665,9 +677,7 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if weights.ndim != 3:
         raise ValueError(f"conv1d weights must be [K, D_in, D_out], got {weights.shape}")
     k_size = weights.shape[0]
-    if k_size % 2 == 0 or stride < 1:
-        raise ValueError(f"conv1d needs an odd kernel and stride >= 1, got "
-                         f"K={k_size}, stride={stride}")
+    check_conv(k_size, stride)
     if x.shape[-1] != weights.shape[1]:
         raise ValueError(f"conv1d channel mismatch: {x.shape} vs {weights.shape}")
     t, pad = x.shape[-2], k_size // 2
@@ -772,15 +782,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when p == 0, without drawing from rng."""
+    """Inverted dropout; identity when p == 0, without drawing from rng.
+    The node keeps the bool keep mask, a byte per element, and its
+    backward rebuilds the float multiplier from it."""
     if p <= 0.0:
         return x
     if rng is None:
         raise ValueError("dropout enabled but no rng passed")
     if p >= 1.0:
         raise ValueError("dropout rate must be < 1")
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return mul(x, keep)
+    keep = rng.random(x.shape) >= p
+
+    def scaled():
+        return keep.astype(x.data.dtype) / (1.0 - p)
+
+    return _make(x.data * scaled(), (x,), lambda g: (g * scaled(),))
 
 
 def zero_grad(params: Sequence[Parameter]) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 from . import oracles as orc
 from .attention import (ConvParams, OpCounter, conv_compress, full_attention,
                         local_attention)
+from .config import parse_head_spec
 from .mhma import (HeadSpec, MHMAWeights, init_mhma_weights, mhma_forward,
                    mhma_parameters, recompose_check)
 from .model import (ModelConfig, Seq2SeqBatch, forward_loss, init_model_weights,
@@ -28,23 +29,17 @@ RECOMPOSE_TOL_64 = 1e-10
 RECOMPOSE_TOL_32 = 1e-5
 GRAD_TOL = 1e-4
 
-# Head mixes covering every published layer pattern plus the degenerate ones.
-HEAD_MIXES: dict[str, list[str]] = {
-    "all_full": ["F", "F", "F", "F"],
-    "all_local": ["L", "L", "L", "L"],
-    "all_conv": ["C", "C", "C", "C"],
-    "lc": ["L", "L", "C", "C"],
-    "v1_low": ["L", "C", "C", "C"],
-    "v2_mid": ["L", "L", "L", "C"],
-    "mixed_full": ["F", "L", "C", "F"],
-}
-
-
-def build_specs(mix: list[str]) -> list[HeadSpec]:
-    table = {"F": HeadSpec("full"),
-             "L": HeadSpec("local", window=4),
-             "C": HeadSpec("conv", kernel=5, stride=2)}
-    return [table[c] for c in mix]
+# Head mixes covering every published layer pattern plus the degenerate
+# ones, in the head grammar of architecture files.
+HEAD_MIXES: dict[str, list[HeadSpec]] = {
+    name: [parse_head_spec(token) for token in mix.split()] for name, mix in (
+        ("all_full", "full full full full"),
+        ("all_local", "local(4) local(4) local(4) local(4)"),
+        ("all_conv", "conv(5,2) conv(5,2) conv(5,2) conv(5,2)"),
+        ("lc", "local(4) local(4) conv(5,2) conv(5,2)"),
+        ("v1_low", "local(4) conv(5,2) conv(5,2) conv(5,2)"),
+        ("v2_mid", "local(4) local(4) local(4) conv(5,2)"),
+        ("mixed_full", "full local(4) conv(5,2) full"))}
 
 
 @dataclass
@@ -140,11 +135,12 @@ def run_oracle_suite(cases: int = 120) -> SuiteResult:
                         float(np.abs(band_to_dense(al.data, w) - al0).max()))
             band_blocks[n <= BAND_BLOCK] += 1
 
-            # a band covering every pair is full attention
-            w_all = 2 * max(1, n - 1)
-            zx, ax = local_attention(q, k, v, HeadSpec("local", window=w_all), mask)
-            worst = max(worst, float(np.abs(zx.data - z0).max()),
-                        float(np.abs(band_to_dense(ax.data, w_all) - a0).max()))
+            # a band covering every pair is full attention, also a band
+            # reaching far past both ends of the sequence
+            for w_all in (2 * max(1, n - 1), 2 * n + 64):
+                zx, ax = local_attention(q, k, v, HeadSpec("local", window=w_all), mask)
+                worst = max(worst, float(np.abs(zx.data - z0).max()),
+                            float(np.abs(band_to_dense(ax.data, w_all) - a0).max()))
 
             # two conv heads sharing one compressed stream, through the
             # production multi-head path; each head's weights come from
@@ -201,13 +197,12 @@ def run_recomposition_suite(cases: int = 100) -> SuiteResult:
     mixes = list(HEAD_MIXES.values())
     worst64 = worst32 = 0.0
     for idx in range(cases):
-        mix = mixes[idx % len(mixes)]
+        specs = mixes[idx % len(mixes)]
         for mode in ("float64", "float32"):
             with using_dtype(mode):
                 rng = np.random.default_rng(7 + idx)
                 n = int(rng.integers(4, 24))
                 d = 16
-                specs = build_specs(mix)
                 w = init_mhma_weights(d, specs, rng)
                 x = Tensor(rng.normal(size=(n, d)))
                 mask = _suffix_mask(rng, n)
@@ -234,7 +229,7 @@ def run_gradcheck_suite(samples_per_tensor: int = 6,
         names = mixes or list(HEAD_MIXES)
         for mix_name in names:
             rng = np.random.default_rng(5)
-            specs = build_specs(HEAD_MIXES[mix_name])
+            specs = HEAD_MIXES[mix_name]
             w = init_mhma_weights(16, specs, rng)
             x = Tensor(rng.normal(size=(10, 16)))
             mask = np.array([True] * 8 + [False] * 2)
@@ -254,7 +249,7 @@ def run_gradcheck_suite(samples_per_tensor: int = 6,
 
         rng = np.random.default_rng(6)
         cfg = ModelConfig(d_model=16, heads=4,
-                          encoder_layers=[build_specs(HEAD_MIXES["lc"])],
+                          encoder_layers=[HEAD_MIXES["lc"]],
                           decoder_layers=1, ffn_dim=24, vocab_size=9,
                           input_feature_dim=5)
         weights = init_model_weights(cfg, 5)

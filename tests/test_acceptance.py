@@ -1,7 +1,8 @@
 """Acceptance suite: one test per shipped criterion, A1 through A8.
 
 Each test prints exactly one `A# PASS: ...` or `A# FAIL: ...` line; run
-`pytest tests/test_acceptance.py -s` to watch them stream.  The training
+`pytest tests/test_acceptance.py -s` to watch them stream.  A6 also
+prints one JSON line, the head-relevance report over A5's runs.  The training
 criterion (A5) really trains all six desk-scale configs, so the full
 suite takes minutes; A3, A5 and A6 (which reuses A5's lc run) are marked
 `slow`, and `pytest -m "not slow"` leaves them out.  A3's presets and
@@ -10,6 +11,7 @@ core at most.
 """
 
 import csv as csv_mod
+import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from multiformer.checkpoint import load_checkpoint, save_arrays
+from multiformer.analysis import aggregate_contributions
+from multiformer.checkpoint import load_checkpoint, load_into, save_arrays
 from multiformer.cli import main
 from multiformer.config import (PRESET_NAMES, format_architecture,
                                 parse_architecture, toy_model_config)
@@ -27,7 +30,8 @@ from multiformer.model import (ModelConfig, Seq2SeqBatch, forward_loss,
                                named_parameters)
 from multiformer.tensor import Tensor, grad_check, using_dtype
 from multiformer.training import (TOY_WARMUP, SyntheticTaskSpec, TrainConfig,
-                                  average_checkpoints, inv_sqrt_lr, train)
+                                  average_checkpoints, inv_sqrt_lr, read_metrics,
+                                  train)
 from multiformer.verify import (run_count_suite, run_oracle_suite,
                                 run_recomposition_suite)
 
@@ -172,6 +176,56 @@ def test_a5_desk_scale_training(desk_runs):
               else "; RERUN DIVERGED"))
 
 
+def spearman(x, y) -> float | None:
+    """Spearman's rank correlation, tied values taking their average
+    rank; None when either side is constant."""
+    def ranks(values):
+        values = np.asarray(values, dtype=np.float64)
+        r = np.empty(len(values))
+        r[values.argsort()] = np.arange(1, len(values) + 1)
+        for v in np.unique(values):
+            r[values == v] = r[values == v].mean()
+        return r
+
+    rx, ry = ranks(x), ranks(y)
+    if rx.std() == 0 or ry.std() == 0:
+        return None
+    return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def head_relevance(desk_runs) -> dict:
+    """The paper's claim that layers whose heads contribute evenly train
+    better, beside A5's runs: per preset, the mean and minimum layer
+    entropy of the head contribution shares of its final checkpoint
+    (seed 11, 500 samples), its updates to 0.90, and its held-out loss at
+    the largest step every run logged; then Spearman's rank correlation
+    of the mean entropy with each.  Relevance is the norm of each head's
+    projected output (Kobayashi et al. 2020, arXiv 2004.10102)."""
+    logs = {name: read_metrics(desk_runs[name].metrics_path) for name in PRESET_NAMES}
+    step = max(set.intersection(*(set(steps) for steps, _ in logs.values())))
+    presets = {}
+    for name in PRESET_NAMES:
+        config = toy_model_config(name, vocab_size=TASK.vocab_size,
+                                  feature_dim=TASK.feature_dim)
+        weights = init_model_weights(config, seed=0)
+        load_into(desk_runs[name].checkpoint_paths[-1], config, weights)
+        entropy = aggregate_contributions(config, weights, TASK, samples=500,
+                                          seed=11).layer_entropy()
+        steps, losses = logs[name]
+        presets[name] = {"entropy_mean": float(entropy.mean()),
+                         "entropy_min": float(entropy.min()),
+                         "updates_to_0.90": desk_runs[name].steps,
+                         "held_out_loss": losses[steps.index(step)]}
+    column = {key: [p[key] for p in presets.values()]
+              for key in ("entropy_mean", "updates_to_0.90", "held_out_loss")}
+    return {"report": "head_relevance", "samples": 500, "seed": 11,
+            "loss_step": step, "presets": presets,
+            "spearman_entropy_vs_loss": spearman(column["entropy_mean"],
+                                                 column["held_out_loss"]),
+            "spearman_entropy_vs_updates": spearman(column["entropy_mean"],
+                                                    column["updates_to_0.90"])}
+
+
 @pytest.mark.slow
 def test_a6_analysis_pipeline(workdir, desk_runs):
     run = desk_runs["multiformer_lc"]
@@ -204,6 +258,8 @@ def test_a6_analysis_pipeline(workdir, desk_runs):
     labels_ok = got_labels == want_labels
 
     ok = identical and grid_ok and medians_ok and sums_ok and labels_ok
+    # reported beside A5's runs, not gated: six single-seed points
+    print("\n" + json.dumps(head_relevance(desk_runs)))
     report("A6", ok,
            f"analyze over 500 samples: {l_count}x{h_count} grid, medians >= 0, "
            f"share rows sum to 1 within {max(abs(s - 1.0) for s in share_sums):.1e}, "

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from multiformer import attention
+from multiformer import attention, tensor
 from multiformer.attention import (ConvParams, OpCounter, conv_compress,
                                    full_attention, local_attention)
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
@@ -228,6 +228,45 @@ class TestLocalAttention:
             np.testing.assert_allclose(band_to_dense(bl.data[b], 2 * (n - 1)), a0,
                                        rtol=0, atol=1e-12)
 
+    def test_wide_window_buffers_stop_at_the_sequence(self, monkeypatch):
+        """local(64) at n=20 keeps its [n, 65] band, but no block buffer its
+        forward, its backward or band_to_dense fills is wider than
+        r + 2(n-1) columns for r rows: no key lies further than n-1 from
+        its query.  z, the gradients and the band's inner columns are
+        those of the covering window 2(n-1), and the outer columns are
+        0."""
+        rng = np.random.default_rng(12)
+        n, w, cover = 20, 64, 2 * (20 - 1)
+        x = rng.normal(size=(3, 2, n, 5))
+        keep = np.ones((2, n), dtype=bool)
+        keep[1, 13:] = False
+        widths, real = [], tensor._diagonals
+
+        def spy(p, half):
+            widths.append(p.shape[-1] - p.shape[-2])
+            return real(p, half)
+
+        monkeypatch.setattr(tensor, "_diagonals", spy)
+        runs = []
+        for window in (w, cover):
+            with using_dtype("float64"):
+                q, k, v = (Tensor(t, requires_grad=True) for t in x)
+                z, band = local_attention(q, k, v, local(window), keep)
+                (z * z).sum().backward()
+            runs.append((z.data, band.data, band_to_dense(band.data, window),
+                         q.grad, k.grad, v.grad))
+        assert widths and max(widths) <= 2 * (n - 1), max(widths)
+        (z, band, dense, *grads), (z_c, band_c, *rest_c) = runs
+        assert band.shape == (2, n, w + 1)
+        off = w // 2 - (n - 1)
+        assert not band[..., :off].any() and not band[..., -off:].any()
+        for got, want in zip([z, band[..., off:-off], dense, *grads], [z_c, band_c, *rest_c]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for b in range(2):
+            z0, a0 = naive_attention(x[0, b], x[1, b], x[2, b], valid=keep[b])
+            np.testing.assert_allclose(z[b], z0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dense[b], a0, rtol=0, atol=1e-12)
+
     def test_short_sequence_bytes_ignore_appended_padding(self):
         """A toy local head (window 8, float32, d_h 16) over n <= 5 valid
         rows: the valid rows of z are the unpadded call's bit for bit,
@@ -321,7 +360,7 @@ class TestLocalAttention:
         with pytest.raises(ValueError, match="window must be an even integer"):
             HeadSpec("local", window=0)
         x = Tensor(np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="self-attention"):
+        with pytest.raises(ValueError, match="shape mismatch"):
             local_attention(x, Tensor(np.zeros((5, 2))), x, local(2))
 
     def test_band_to_dense_offsets(self):

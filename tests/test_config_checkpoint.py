@@ -1,6 +1,7 @@
 """Architecture/task file parsing, the shipped presets, and the binary
 checkpoint format with its error taxonomy."""
 
+import io
 import os
 import re
 import stat
@@ -9,8 +10,9 @@ import struct
 import numpy as np
 import pytest
 
-from multiformer.checkpoint import (MAGIC, HashMismatchError, HeaderError,
-                                    MagicError, TruncatedPayloadError,
+from multiformer import checkpoint
+from multiformer.checkpoint import (MAGIC, CheckpointError, HashMismatchError,
+                                    HeaderError, MagicError, TruncatedPayloadError,
                                     config_hash, load_checkpoint, load_into,
                                     save_arrays, save_checkpoint)
 from multiformer.config import (PRESET_NAMES, ArchitectureError,
@@ -216,7 +218,8 @@ class TestTaskFiles:
         assert spec.redundancy == SyntheticTaskSpec().redundancy
 
     @pytest.mark.parametrize("text,match", [
-        ("wibble = 3", "unknown task line"),
+        ("wibble = 3", "unknown key"),
+        ("wibble", "unrecognized line"),
         ("noise = soft", "bad value"),
         ("symbol_count = 4\nsymbol_count = 4", "duplicate"),
         ("symbol_count = 1", "two symbols"),
@@ -486,6 +489,44 @@ class TestCheckpointErrors:
         write_raw(p, header, b"\x00" * 8)
         with pytest.raises(HeaderError, match=match):
             load_checkpoint(p)
+
+    def test_huge_dimension_is_a_header_error(self, tmp_path):
+        """A dimension past int64 is compared as a Python int, not
+        overflowed on the way."""
+        p = tmp_path / "x.mfck"
+        write_raw(p, self.header(params="param w 99999999999999999999x3 6\n"),
+                  b"\x00" * 24)
+        with pytest.raises(HeaderError, match="w count 6 != product of shape"):
+            load_checkpoint(p)
+
+    def test_damage_raises_only_checkpoint_errors(self, tmp_path, monkeypatch):
+        """Every truncation of a small checkpoint raises a CheckpointError,
+        and every single-byte change either raises one or loads; no other
+        exception escapes the loader.  Changes that load are those to the
+        payload and to free header text (the arch hash, a meta value):
+        catching them needs a payload digest in the header, format v2 of
+        ROADMAP item 4."""
+        good = tmp_path / "good.mfck"
+        save_arrays(good, "feed" * 4, {"a": np.arange(3, dtype="<f4"),
+                                       "b": np.ones((2, 1), "<f4")}, [("k", "v1")])
+        raw = good.read_bytes()
+
+        def loads(data: bytes) -> bool:
+            # the loader reads data as the file's bytes
+            monkeypatch.setattr(checkpoint, "open", lambda *_: io.BytesIO(data),
+                                raising=False)
+            try:
+                load_checkpoint("x.mfck")
+            except CheckpointError:
+                return False
+            return True
+
+        assert not any(loads(raw[:cut]) for cut in range(len(raw)))
+        payload = len(raw) - 4 * 5  # the file ends in five float32 values
+        for i in range(len(raw)):
+            outcomes = [loads(raw[:i] + bytes([b]) + raw[i + 1:])
+                        for b in range(256) if b != raw[i]]
+            assert i < payload or all(outcomes), f"payload byte {i} changed, not loaded"
 
     def test_negative_sizes_cannot_read_past_their_array(self, tmp_path):
         """The counts -1 + 2 match a 4-byte payload, but count -1 would

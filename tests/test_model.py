@@ -640,6 +640,14 @@ class TestMemory:
         out, grown = _traced(lambda: layer_norm(x, gain, bias))
         assert grown <= out.data.nbytes * 17 // 8, grown / out.data.nbytes
 
+    def test_dropout_keeps_a_bool_mask(self):
+        """Besides its output the node keeps one byte per element, its bool
+        keep mask; the backward rebuilds the float multiplier from it."""
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(512, 256)), requires_grad=True)
+        out, grown = _traced(lambda: dropout(x, 0.1, np.random.default_rng(0)))
+        assert grown <= out.data.nbytes * 11 // 8, grown / out.data.nbytes
+
     def test_no_grad_nodes_keep_no_graph(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
