@@ -13,6 +13,11 @@ trustworthy.
 
 Gradients accumulate across backward() calls until explicitly zeroed,
 matching the usual training-loop contract.
+
+The graph is kept apart from the data: an inner tensor points to a node
+that holds its parents' places in the graph and its backward rule, not
+its array, and a rule keeps only the arrays it reads.  So an output the
+caller drops is freed at once unless some rule reads it.
 """
 
 from __future__ import annotations
@@ -101,16 +106,34 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """An inner tensor's place in the graph: one entry per parent (the
+    parent's node, a leaf that requires grad itself, or _UNTRACKED) and
+    the backward rule, which maps the output's gradient to one gradient,
+    or None, per parent.  It holds no array of its own."""
+
+    __slots__ = ("requires_grad", "_parents", "_backward")
+
+    def __init__(self, requires_grad: bool, parents: tuple, backward: Callable | None):
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward = backward
+
+
+# The graph entry of every parent that tracks no gradient.
+_UNTRACKED = _Node(False, (), None)
+
+
 class Tensor:
     """A dense n-d array with optional gradient tracking.
 
-    Tensors built from operations remember their parents and a backward
-    rule; calling backward() on a scalar result fills .grad on every
-    reachable leaf that has requires_grad set.  Tensors built by
-    operations keep no .grad, so a graph holds no gradient arrays.
+    A tensor built from operations points to its graph node (_Node);
+    calling backward() on a scalar result fills .grad on every reachable
+    leaf that has requires_grad set.  Tensors built by operations keep no
+    .grad, so a graph holds no gradient arrays.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -119,8 +142,21 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable | None = None
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable | None:
+        return None if self._node is None else self._node._backward
+
+    def _entry(self):
+        """What a child's _parents holds for this tensor."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else _UNTRACKED
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -151,10 +187,11 @@ class Tensor:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no tracked dependencies")
-        order = _topo_order(self)
+        root = self._entry()
+        order = _topo_order(root)
         if any(node._backward is _CONSUMED for node in order):
             raise ValueError("backward() reaches a node an earlier backward() consumed")
-        pending: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.data.dtype)}
+        pending: dict[int, np.ndarray] = {id(root): np.ones((), dtype=self.data.dtype)}
         while order:
             node = order.pop()
             g = pending.pop(id(node), None)
@@ -214,10 +251,12 @@ class Parameter:
     tensor: Tensor
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root) -> list:
+    """The graph entries a sweep from root (a tensor or an entry) visits,
+    parents before children."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -234,19 +273,16 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Internal node constructor; skips dtype normalization and drops the
-    graph entirely when no parent tracks gradients or under no_grad()."""
+    """Internal constructor of an operation's output; skips dtype
+    normalization, and gives the output no node when no parent tracks
+    gradients or under no_grad()."""
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        t.requires_grad = True
-        t._parents = tuple(parents)
-        t._backward = backward
-    else:
-        t.requires_grad = False
-        t._parents = ()
-        t._backward = None
+    t.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    t._node = None
+    if t.requires_grad:
+        t._node = _Node(True, tuple(p._entry() for p in parents), backward)
     return t
 
 
@@ -264,20 +300,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
+    a_shape = a.shape
     if not isinstance(b, Tensor):
-        return _make(a.data + b, (a,), lambda g: (_unbroadcast(g, a.shape),))
-    data = a.data + b.data
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+        return _make(a.data + b, (a,), lambda g: (_unbroadcast(g, a_shape),))
+    b_shape = b.shape
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
+
+
+def _read_across(a: Tensor, b: Tensor):
+    """What the backward of a product of a and b reads: b's data for a's
+    gradient and a's data for b's, each kept only when that gradient is
+    made, i.e. when its parent tracks one."""
+    return (b.data if a.requires_grad else None), (a.data if b.requires_grad else None)
 
 
 def mul(a: Tensor, b) -> Tensor:
+    a_shape = a.shape
     if not isinstance(b, Tensor):
-        return _make(a.data * b, (a,), lambda g: (_unbroadcast(g * b, a.shape),))
-    data = a.data * b.data
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+        return _make(a.data * b, (a,), lambda g: (_unbroadcast(g * b, a_shape),))
+    b_shape = b.shape
+    for_a, for_b = _read_across(a, b)
+
+    def bw(g):
+        return (None if for_a is None else _unbroadcast(g * for_a, a_shape),
+                None if for_b is None else _unbroadcast(g * for_b, b_shape))
+
+    return _make(a.data * b.data, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -285,8 +334,10 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """The backward keeps the bool mask out > 0, which is a > 0, not a."""
     data = np.maximum(a.data, 0)
-    return _make(data, (a,), lambda g: (g * (a.data > 0),))
+    live = data > 0
+    return _make(data, (a,), lambda g: (g * live,))
 
 
 # -- reductions ------------------------------------------------------------
@@ -294,14 +345,15 @@ def relu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=False),)
+            return (np.broadcast_to(g, shape).astype(g.dtype, copy=False),)
         gx = g
         if not keepdims:
             gx = np.expand_dims(gx, axis)
-        return (np.broadcast_to(gx, a.shape),)
+        return (np.broadcast_to(gx, shape),)
 
     return _make(data, (a,), bw)
 
@@ -326,9 +378,10 @@ def pack(x: Tensor, keep: np.ndarray) -> Tensor:
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != x.shape[:-1]:
         raise ValueError(f"pack: mask {keep.shape} does not match rows {x.shape[:-1]}")
+    shape = x.shape
 
     def bw(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx = np.zeros(shape, dtype=g.dtype)
         gx[keep] = g
         return (gx,)
 
@@ -356,10 +409,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
+    a_shape, b_shape = a.shape, b.shape
+    for_a, for_b = _read_across(a, b)
 
     def bw(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = gb = None
+        if for_a is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(for_a, -1, -2)), a_shape)
+        if for_b is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(for_b, -1, -2), g), b_shape)
         return ga, gb
 
     return _make(data, (a, b), bw)
@@ -645,9 +703,10 @@ def gather_last(x: Tensor, ids: np.ndarray) -> Tensor:
     """Pick one element along the last axis per leading position."""
     ids = np.asarray(ids)
     data = np.take_along_axis(x.data, ids[..., None], axis=-1)[..., 0]
+    shape, dtype = x.shape, x.data.dtype
 
     def bw(g):
-        z = np.zeros_like(x.data)
+        z = np.zeros(shape, dtype=dtype)
         np.put_along_axis(z, ids[..., None], g[..., None], axis=-1)
         return (z,)
 
@@ -792,9 +851,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     if p >= 1.0:
         raise ValueError("dropout rate must be < 1")
     keep = rng.random(x.shape) >= p
+    dtype = x.data.dtype
 
     def scaled():
-        return keep.astype(x.data.dtype) / (1.0 - p)
+        return keep.astype(dtype) / (1.0 - p)
 
     return _make(x.data * scaled(), (x,), lambda g: (g * scaled(),))
 

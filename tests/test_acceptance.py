@@ -78,10 +78,13 @@ def desk_runs(workdir):
     """Every desk-scale preset trained once per session (target 90%
     accuracy, at most 5000 updates), plus a seeded rerun of the baseline;
     keyed by preset, the rerun as "baseline_rerun"."""
-    # The runs that take the most updates go first, so that none of them
-    # starts last; with two or more workers the baseline and its rerun
-    # start at once, in two processes.
-    longest = ["baseline", "baseline_rerun", "conv_attention"]
+    # Longest first, so that no long run starts last.  Two at once on two
+    # cores, baseline and its rerun took 42 s each, conv_attention 40 s,
+    # local_attention 30.5, multiformer_v2 30.0, v1 29.9 and lc 29.2 s;
+    # with two or more workers the baseline and its rerun start at once,
+    # in two processes.
+    longest = ["baseline", "baseline_rerun", "conv_attention", "local_attention",
+               "multiformer_v2", "multiformer_v1"]
     names = longest + [n for n in PRESET_NAMES if n not in longest]
     configs = [toy_model_config(n.removesuffix("_rerun"), vocab_size=TASK.vocab_size,
                                 feature_dim=TASK.feature_dim) for n in names]

@@ -161,9 +161,12 @@ class TestForward:
         x = Tensor(rng.normal(size=(6, d)))
         with using_dtype("float64"):
             out = mhma_forward(x, MIXED, w)
-        # z's parents are (q, k, v); k's are (compressed stream, wk)
+        # z's parents are (q, k, v); k's are (compressed stream, wk); the
+        # stream's node is the conv's, over (masked x, weights, bias)
         s2, s3 = (out.z[h]._parents[1]._parents[0] for h in (2, 3))
-        assert s2 is s3 and s2.shape == (3, d)
+        conv = w.conv_params[(3, 2)]
+        assert s2 is s3 and s2.requires_grad
+        assert s2._parents[1:] == (conv.weights, conv.bias)
 
     def test_padding_invariance_at_valid_positions(self):
         """Appending junk frames under a mask must not change outputs at

@@ -648,6 +648,42 @@ class TestMemory:
         out, grown = _traced(lambda: dropout(x, 0.1, np.random.default_rng(0)))
         assert grown <= out.data.nbytes * 11 // 8, grown / out.data.nbytes
 
+    def test_padded_encoder_layer_keeps_what_its_rules_read(self):
+        """After the forward of one padded full-head layer (with its
+        subsampler), the bytes left allocated are the states and the
+        arrays the backward rules read, listed here; no output a rule
+        does not read stays behind while the graph lives."""
+        b, t, feat, d, heads, hidden = 4, 1024, 8, 64, 4, 256
+        cfg = ModelConfig(d_model=d, heads=heads, encoder_layers=[FULL * 2],
+                          decoder_layers=1, ffn_dim=hidden, vocab_size=5,
+                          input_feature_dim=feat)
+        w = init_model_weights(cfg, seed=3)
+        rng = np.random.default_rng(15)
+        mask = np.arange(t) < np.array([t, 7 * t // 8, 3 * t // 4, 5 * t // 8])[:, None]
+        source = Tensor(rng.normal(size=(b, t, feat)) * mask[..., None])
+        n = t // 4  # frames at the layer
+        rows = int(mask[:, ::4].sum())  # valid ones, packed
+        f32 = 4
+        kept = {
+            "conv 1 input, masked source": b * t * feat * f32,
+            "relu 1 mask": b * (t // 2) * d,
+            "conv 2 input, masked": b * (t // 2) * d * f32,
+            "relu 2 mask": b * n * d,
+            "projections' input, unpacked": b * n * d * f32,
+            "each head's q, k, v": heads * 3 * b * n * (d // heads) * f32,
+            "each head's weights": heads * b * n * n * f32,
+            "heads concatenated, for wo": b * n * d * f32,
+            "layer norm 1, centred input": rows * d * f32,
+            "ffn input": rows * d * f32,
+            "ffn hidden": rows * hidden * f32,
+            "layer norm 2, centred input": rows * d * f32,
+            "states": b * n * d * f32,
+        }
+        states, grown = _traced(lambda: encode(source, mask, cfg, w)[0])
+        assert states.shape == (b, n, d)
+        budget = sum(kept.values())
+        assert grown <= budget * 17 // 16, grown / budget
+
     def test_no_grad_nodes_keep_no_graph(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)

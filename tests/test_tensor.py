@@ -3,6 +3,7 @@ central finite differences, and the bookkeeping rules (accumulation,
 pruning, precision modes) that the rest of the package relies on."""
 
 import platform
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from multiformer import tensor
 from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Parameter, Tensor, attend,
                                 band_to_dense, concat, conv1d, dropout,
                                 embedding, ffn, gather_last, grad_check,
-                                layer_norm, log_softmax, matmul, pack, relu,
+                                layer_norm, log_softmax, matmul, mul, pack, relu,
                                 tsum, unpack, using_dtype, zero_grad,
                                 _band_dot, _band_mix, _band_tmix, _make,
-                                _topo_order)
+                                _Node, _topo_order)
 
 
 def fd_grad(f, x, i, h=1e-6):
@@ -689,9 +690,13 @@ class TestAutogradEngine:
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         h = relu(matmul(x, w))
         loss = (h * h).sum()
-        inner = [node for node in _topo_order(loss) if node._backward is not None]
+        inner = [node for node in _topo_order(loss._node) if node._backward is not None]
         loss.backward()
-        assert inner and all(node.grad is None for node in inner)
+        # inner nodes have no gradient slot at all, and the inner tensors
+        # they stand for keep none
+        assert len(inner) == 4 and all(type(node) is _Node for node in inner)
+        assert not any(hasattr(node, "grad") for node in inner)
+        assert h.grad is None and loss.grad is None
         mask = x.data @ w.data > 0
         gh = 2.0 * np.where(mask, x.data @ w.data, 0.0)
         np.testing.assert_allclose(x.grad, gh @ w.data.T, rtol=1e-6)
@@ -727,6 +732,52 @@ class TestAutogradEngine:
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
         ((x * 3.0) * (x * 3.0)).sum().backward()
         np.testing.assert_array_equal(x.grad, [3.0 + 18.0, 3.0 + 36.0])
+
+    def test_dropped_outputs_are_freed_while_their_graph_lives(self):
+        """An output no backward rule reads is freed as soon as the caller
+        drops it: the conv output its rectifier replaces by a bool mask,
+        the rectified frames pack gathers rows from, and the packed rows a
+        constant is added to.  The backward then gives the gradients a
+        pass that kept them gives."""
+        rng = np.random.default_rng(30)
+        arrays = [rng.normal(size=s) for s in [(2, 8, 4), (3, 4, 4), (4,)]]
+        keep = np.ones((2, 8), dtype=bool)
+        keep[1, 5:] = False
+        grads = []
+        for drop in (False, True):
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            c = conv1d(x, w, b)
+            h = relu(c)
+            rows = pack(h, keep)
+            out = rows + 1.0
+            loss = (out * out).sum()
+            if drop:
+                freed = [weakref.ref(t.data) for t in (c, h, rows)]
+                del c, h, rows
+                assert [r() is None for r in freed] == [True] * 3
+            loss.backward()
+            grads.append([t.grad for t in (x, w, b)])
+        for kept, dropped in zip(*grads):
+            np.testing.assert_array_equal(kept, dropped)
+
+    def test_a_product_keeps_nothing_for_an_untracked_factor(self):
+        """mul and matmul keep the untracked factor's data for the tracked
+        one's gradient, but not the tracked one's data, which only the
+        untracked factor's gradient reads; they return None for it."""
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 4)))
+        g = rng.normal(size=(3, 4)).astype(np.float32)
+        cases = [(mul, c, g, g * c.data), (matmul, c.mT, g[:, :3], g[:, :3] @ c.data)]
+        for op, other, g_out, want in cases:
+            h = x * 2.0
+            y = op(h, other)
+            freed = weakref.ref(h.data)
+            del h
+            assert freed() is None
+            gh, gc = y._backward(g_out)
+            assert gc is None
+            np.testing.assert_array_equal(gh, want)
 
     def test_shared_node_gets_summed_gradient(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
