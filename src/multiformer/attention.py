@@ -35,17 +35,16 @@ class OpCounter:
 
 @dataclass
 class ConvParams:
-    """Compression conv for keys/values: kernel size, stride (the
-    compression factor), and the conv weights/bias.  Odd kernels only, so
+    """Compression conv for keys/values: stride (the compression factor)
+    and the conv weights [K, D_in, D_out] and bias.  Odd kernels K only, so
     that the compressed length is exactly ceil(n / stride)."""
 
-    kernel: int
     stride: int
     weights: Tensor
     bias: Tensor
 
     def __post_init__(self):
-        check_conv(self.kernel, self.stride)
+        check_conv(self.weights.shape[0], self.stride)
 
 
 def _key_mask(mask, positions: tuple[int, ...]) -> np.ndarray:

@@ -132,7 +132,7 @@ def init_mhma_weights(d: int, specs: list[HeadSpec],
             continue
         w = trainable(glorot(rng, s.kernel * d, d, (s.kernel, d, d)))
         b = trainable(np.zeros(d, dtype=default_dtype()))
-        conv_params[key] = ConvParams(s.kernel, s.stride, w, b)
+        conv_params[key] = ConvParams(s.stride, w, b)
     return MHMAWeights(wq, wk, wv, wo, bo, conv_params)
 
 

@@ -161,7 +161,7 @@ def init_model_weights(config: ModelConfig, seed: int) -> ModelWeights:
         params.extend(mhma_parameters(prefix, w))
         return w
 
-    sub = [ConvParams(k, SUBSAMPLE_STRIDE,
+    sub = [ConvParams(SUBSAMPLE_STRIDE,
                       trainable(f"sub.conv{i}.weights",
                                 glorot(rng, k * width, d, (k, width, d))),
                       zeros(f"sub.conv{i}.bias", d))
@@ -330,8 +330,8 @@ def teacher_forced_logits(batch: Seq2SeqBatch, config: ModelConfig,
     """
     if batch.target_tokens.shape[-1] < 2:
         raise ValueError("targets must hold at least a begin and end sentinel")
-    enc, enc_mask, _ = encode(batch.source_features, batch.source_mask,
-                              config, weights, rng=rng)
+    enc, enc_mask = encode(batch.source_features, batch.source_mask,
+                           config, weights, rng=rng)[:2]
     logits = decode(batch.target_tokens[..., :-1], batch.target_mask[..., :-1],
                     enc, enc_mask, config, weights, rng=rng)
     return logits, batch.target_tokens[..., 1:], batch.target_mask[..., 1:]

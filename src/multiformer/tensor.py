@@ -544,13 +544,11 @@ def _band_tmix(band: np.ndarray, y: np.ndarray, half: int,
 SEQUENCE_PAIRS = 2 ** 17
 
 
-def _softmax(s: np.ndarray, keep: np.ndarray | None, scale: float) -> np.ndarray:
-    """Scale, mask and softmax the scores s in place, over the last axis."""
+def _softmax(s: np.ndarray, scale: float) -> np.ndarray:
+    """Scale and softmax the scores s, -inf where masked, in place, over the last axis."""
     s *= scale
     # exp(-inf) is exactly 0, so masked pairs come out 0; an empty row's
     # max and sum are replaced by 0 and 1 so that it stays all zero
-    if keep is not None:
-        np.copyto(s, -np.inf, where=~keep.astype(bool, copy=False))
     rowmax = s.max(axis=-1, keepdims=True)
     s -= np.where(np.isfinite(rowmax), rowmax, 0.0)
     np.exp(s, out=s)
@@ -574,94 +572,95 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
     """softmax(q kᵀ / sqrt(d_h)) v over the (query, key) pairs keep admits,
     as one node over (q, k, v); returns z and the weights, outside the graph.
 
-    Dense (half None): keep is a bool array broadcastable to the [..., n, m]
-    scores.  Banded: q, k, v are [..., n, d_h], keep is a [..., 1, n] key
-    mask, and the scores are [..., n, 2*half+1] bands whose keys outside
-    the sequence are masked too.
+    q, k and v share their batch axes.  Dense (half None): keep is a bool
+    array broadcastable to the [..., n, m] scores.  Banded: q, k, v are
+    [..., n, d_h], keep is a [..., 1, n] key mask, and the scores are
+    [..., n, 2*half+1] bands whose keys outside the sequence are masked too.
     Masked pairs weigh exactly 0 and rows sum to 1; a row with no admitted
     key (a padded query, say) weighs all zero.
-    The backward pass replays the chain scores -> scale -> softmax ->
-    weighted sum op for op, with dot/mix/tmix the dense or band products
-    x yᵀ, a y and aᵀ y.
+    The chain scores -> scale -> softmax -> weighted sum, and its backward
+    op for op, run once per part: a query index, a key index, a key mask
+    and the buffer, if any, the part's weights are made in.  The layout,
+    dense or band, supplies the products x yᵀ (-inf where the mask masks),
+    a y and aᵀ y.  A batched or band head is one part.
 
     rows (dense only) marks the valid query rows of a [B, n, d_h] batch
     whose keep is a [B, 1, m] key mask.  When the rule of SEQUENCE_PAIRS
-    holds, each sequence runs that chain alone over its valid rows and
-    keys: z is exactly 0 at padded rows, and so are q's, k's and v's
+    holds, each sequence with valid pairs is a part over its valid rows
+    and keys: z is exactly 0 at padded rows, and so are q's, k's and v's
     gradients there, and the weights come back flat, each sequence's
     [n_b, m_b] block after the other.  Otherwise rows is ignored.
     """
     if not isinstance(keep, np.ndarray):
         raise TypeError(f"attend keep must be a numpy bool array, got {type(keep).__name__}")
-    if q.shape[-1] != k.shape[-1] or k.shape != v.shape or (
+    if q.shape[-1] != k.shape[-1] or k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or (
             half is not None and q.shape != k.shape):
         raise ValueError(
             f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[-1])
+    parts, flat = [(..., ..., keep, None)], None
     if rows is not None:
         if half is not None or q.ndim != 3 or rows.shape != q.shape[:-1] or (
-                rows.dtype != bool or k.shape[:-2] != q.shape[:-2] or keep.ndim < 2
-                or keep.shape[-2] != 1):
+                rows.dtype != bool or keep.ndim < 2 or keep.shape[-2] != 1):
             raise ValueError(f"attend rows {rows.shape} need dense queries and keys "
                              f"[B, n, d_h] and [B, m, d_h] (got {q.shape}, {k.shape}) "
                              f"and a [B, 1, m] key mask (got {keep.shape})")
-        # valid pairs never exceed n*m, so short padded batches skip the sums
-        if q.shape[-2] * k.shape[-2] >= SEQUENCE_PAIRS:
+        pairs = rows.sum(axis=-1) * keep.sum(axis=-1)[..., 0]
+        if pairs.max(initial=0) >= SEQUENCE_PAIRS:
             keys = np.broadcast_to(keep, k.shape[:-2] + (1, k.shape[-2]))[:, 0, :]
-            if (rows.sum(axis=-1) * keys.sum(axis=-1)).max() >= SEQUENCE_PAIRS:
-                return _attend_sequences(q, k, v, rows, keys, scale)
+            flat = np.empty(int(pairs.sum()), dtype=np.result_type(q.data, k.data))
+            parts = [((b, rows[b]), (b, keys[b]), None,
+                      flat[end - p:end].reshape(-1, keys[b].sum()))
+                     for b, (p, end) in enumerate(zip(pairs, np.cumsum(pairs))) if p]
     if half is None:
-        swap = partial(np.swapaxes, axis1=-1, axis2=-2)
-        dot, mix, tmix = (lambda x, y: x @ swap(y)), np.matmul, (lambda a, y: swap(a) @ y)
-        a = _softmax(dot(q.data, k.data), keep, scale)
+        def dot(x, y, mask=None, out=None):
+            s = np.matmul(x, np.swapaxes(y, -1, -2), out=out)
+            if mask is not None:
+                np.copyto(s, -np.inf, where=np.logical_not(mask))
+            return s
+
+        mix, tmix = np.matmul, (lambda a, y: np.swapaxes(a, -1, -2) @ y)
+
+        def qk_grads(gs, x, y):
+            return mix(gs, y), tmix(gs, x)
     else:
         if keep.shape[-2:] != (1, q.shape[-2]) or keep.ndim > q.ndim:
             raise ValueError(f"banded attend keep must be a [..., 1, {q.shape[-2]}] key "
                              f"mask over q's batch axes {q.shape[:-2]}, got {keep.shape}")
-        dot, mix, tmix = (partial(f, half=half) for f in (_band_dot, _band_mix, _band_tmix))
-        # the band scores come masked, so the softmax takes no mask
-        a = _softmax(_band_dot(q.data, k.data, half, keep), None, scale)
+        mix, tmix = (partial(f, half=half) for f in (_band_mix, _band_tmix))
 
-    def bw(g):
-        gs = _score_grad(dot(g, v.data), a, scale)
-        if half is None:
-            gq, gk = mix(gs, k.data), tmix(gs, q.data)
-        else:  # q's and k's gradients share one lift of the band gs
+        def dot(x, y, mask=None, out=None):
+            return _band_dot(x, y, half, mask)
+
+        def qk_grads(gs, x, y):  # q's and k's gradients share one lift of gs
             lifts = list(_band_lifts(gs, half))
-            gq, gk = mix(gs, k.data, lifts=lifts), tmix(gs, q.data, lifts=lifts)
-        return (_unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape),
-                _unbroadcast(tmix(a, g), v.shape))
+            return mix(gs, y, lifts=lifts), tmix(gs, x, lifts=lifts)
 
-    return _make(mix(a, v.data), (q, k, v), bw), _make(a, (), None)
+    def place(results, side: int, shape: tuple) -> np.ndarray:
+        """The parts' results at their query (side 0) or key (side 1)
+        index, zeros elsewhere; one part over the batch is its own result."""
+        if parts[0][side] is Ellipsis:
+            return results[0]
+        whole = np.zeros(shape, dtype=results[0].dtype)
+        for part, r in zip(parts, results):
+            whole[part[side]] = r
+        return whole
 
-
-def _attend_sequences(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray,
-                      keys: np.ndarray, scale: float) -> tuple[Tensor, Tensor]:
-    """attend's dense chain run per sequence over its valid rows and keys."""
-    n_rows, n_keys = rows.sum(axis=-1), keys.sum(axis=-1)
-    flat = np.empty(int((n_rows * n_keys).sum()), dtype=np.result_type(q.data, k.data))
-    weights = [a.reshape(n, m) for a, n, m in
-               zip(np.split(flat, np.cumsum(n_rows * n_keys)[:-1]), n_rows, n_keys)]
-    z = np.zeros(q.shape[:-1] + v.shape[-1:], dtype=np.result_type(flat, v.data))
-    for b, a in enumerate(weights):
-        if a.size:
-            r, c = rows[b], keys[b]
-            np.matmul(q.data[b, r], k.data[b, c].T, out=a)
-            z[b, r] = _softmax(a, None, scale) @ v.data[b, c]
+    weights, zs = [], []
+    for qi, ki, mask, out in parts:
+        weights.append(_softmax(dot(q.data[qi], k.data[ki], mask, out), scale))
+        zs.append(mix(weights[-1], v.data[ki]))
+    z = place(zs, 0, q.shape[:-1] + v.shape[-1:])
 
     def bw(g):
-        gq, gk, gv = (np.zeros(t.shape, dtype=g.dtype) for t in (q, k, v))
-        for b, a in enumerate(weights):
-            if a.size:
-                r, c = rows[b], keys[b]
-                gb = g[b, r]
-                gs = _score_grad(gb @ v.data[b, c].T, a, scale)
-                gq[b, r] = gs @ k.data[b, c]
-                gk[b, c] = gs.T @ q.data[b, r]
-                gv[b, c] = a.T @ gb
-        return gq, gk, gv
+        grads = []
+        for (qi, ki, _, _), a in zip(parts, weights):
+            gs = _score_grad(dot(g[qi], v.data[ki]), a, scale)
+            grads.append(qk_grads(gs, q.data[qi], k.data[ki]) + (tmix(a, g[qi]),))
+        gq, gk, gv = zip(*grads)
+        return place(gq, 0, q.shape), place(gk, 1, k.shape), place(gv, 1, v.shape)
 
-    return _make(z, (q, k, v), bw), _make(flat, (), None)
+    return _make(z, (q, k, v), bw), _make(weights[0] if flat is None else flat, (), None)
 
 
 # -- log-softmax -------------------------------------------------------------

@@ -174,7 +174,7 @@ def run_oracle_suite(cases: int = 120) -> SuiteResult:
                             float(np.abs(ac.data - ac0).max()))
 
             # degenerate compression: K=1, stride 1, identity weights
-            ident = ConvParams(1, 1, Tensor(np.eye(d)[None]), Tensor(np.zeros(d)))
+            ident = ConvParams(1, Tensor(np.eye(d)[None]), Tensor(np.zeros(d)))
             iw = MHMAWeights(mw.wq, mw.wk, mw.wv, mw.wo, mw.bo, {(1, 1): ident})
             yi = mhma_forward(Tensor(x), [HeadSpec("conv", kernel=1, stride=1)] * 2,
                               iw, smask).y

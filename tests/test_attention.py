@@ -30,7 +30,7 @@ def hole_mask(rng, n):
 def _compress(x, mask):
     rng = np.random.default_rng(0)
     d = x.shape[-1]
-    params = ConvParams(kernel=3, stride=2, weights=Tensor(rng.normal(size=(3, d, d))),
+    params = ConvParams(stride=2, weights=Tensor(rng.normal(size=(3, d, d))),
                         bias=Tensor(rng.normal(size=d)))
     xc, keep_c = conv_compress(x, params, mask)
     return xc.data, keep_c
@@ -185,6 +185,9 @@ class TestFullAttention:
             full_attention(q, k, k, np.ones(4, dtype=bool))
         with pytest.raises(ValueError, match="fully masked"):
             full_attention(q, k, k, np.zeros(5, dtype=bool))
+        # batched queries over one unbatched key stream are not broadcast
+        with pytest.raises(ValueError, match=re.escape("q (2, 3, 4), k (5, 4), v (5, 4)")):
+            full_attention(Tensor(np.zeros((2, 3, 4))), k, k, np.ones(5, dtype=bool))
 
 
 class TestLocalAttention:
@@ -378,7 +381,7 @@ class TestConvCompress:
         x = rng.normal(size=(n, d))
         keep = np.ones(n, dtype=bool)
         keep[8:] = False
-        params = ConvParams(kernel=5, stride=2,
+        params = ConvParams(stride=2,
                             weights=Tensor(rng.normal(size=(5, d, d))),
                             bias=Tensor(rng.normal(size=d)))
         with using_dtype("float64"):
@@ -394,7 +397,7 @@ class TestConvCompress:
         n = 9
         keep = np.array([1, 1, 1, 1, 1, 1, 0, 0, 0], dtype=bool)
         rng = np.random.default_rng(7)
-        params = ConvParams(kernel=5, stride=2,
+        params = ConvParams(stride=2,
                             weights=Tensor(rng.normal(size=(5, 2, 2))),
                             bias=Tensor(np.zeros(2)))
         with using_dtype("float64"):
@@ -404,7 +407,7 @@ class TestConvCompress:
     @pytest.mark.parametrize("n,stride", [(8, 2), (9, 2), (10, 3), (7, 1)])
     def test_output_length_is_ceil(self, n, stride):
         rng = np.random.default_rng(8)
-        params = ConvParams(kernel=3, stride=stride,
+        params = ConvParams(stride=stride,
                             weights=Tensor(rng.normal(size=(3, 2, 2))),
                             bias=Tensor(np.zeros(2)))
         xc, keep_c = conv_compress(Tensor(rng.normal(size=(n, 2))), params)
@@ -419,7 +422,7 @@ class TestConvCompress:
         d, n_valid = 3, 8
         x_valid = rng.normal(size=(n_valid, d))
         junk = rng.normal(size=(4, d)) * 100.0
-        params = ConvParams(kernel=3, stride=2,
+        params = ConvParams(stride=2,
                             weights=Tensor(rng.normal(size=(3, d, d))),
                             bias=Tensor(rng.normal(size=d)))
         keep = np.concatenate([np.ones(n_valid, bool), np.zeros(4, bool)])
@@ -433,8 +436,9 @@ class TestConvCompress:
         assert keep_c[:m_valid].all() and not keep_c[m_valid:].any()
 
     def test_kernel_must_be_odd(self):
-        with pytest.raises(ValueError):
-            ConvParams(kernel=4, stride=2, weights=Tensor(np.zeros((4, 2, 2))),
+        """The kernel is the weights' first axis, checked at construction."""
+        with pytest.raises(ValueError, match="kernel 4"):
+            ConvParams(stride=2, weights=Tensor(np.zeros((4, 2, 2))),
                        bias=Tensor(np.zeros(2)))
 
 
@@ -448,7 +452,7 @@ def head_inputs(kind, lengths, n, seed, extra=0, d=16, d_h=8):
     rows = np.arange(n) < np.asarray(lengths)[:, None]
     stream, keys = Tensor(x), rows
     if kind == "conv":
-        params = ConvParams(3, 2, Tensor(rng.normal(size=(3, d, d)) / 4), Tensor(np.zeros(d)))
+        params = ConvParams(2, Tensor(rng.normal(size=(3, d, d)) / 4), Tensor(np.zeros(d)))
         stream, keys = conv_compress(stream, params, rows)
     wq, wk, wv = (rng.normal(size=(d, d_h)).astype(np.float32) / 4 for _ in range(3))
     q, k, v = x @ wq, stream.data @ wk, stream.data @ wv

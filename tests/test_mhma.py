@@ -292,7 +292,7 @@ class TestConvHeads:
         rng = np.random.default_rng(12)
         n, d = 10, 6
         w = init_mhma_weights(d, [HeadSpec("full")] * 2, rng)
-        ident = ConvParams(kernel=1, stride=1,
+        ident = ConvParams(stride=1,
                            weights=Tensor(np.eye(d, dtype=np.float32)[None]),
                            bias=Tensor(np.zeros(d, dtype=np.float32)))
         w_conv = MHMAWeights(w.wq, w.wk, w.wv, w.wo, w.bo, {(1, 1): ident})

@@ -2,6 +2,7 @@
 oracle, decoder causality and masking, and the loss definition."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -212,20 +213,22 @@ class TestDecoder:
             assert not np.array_equal(out.data[flip:], base.data[flip:])
 
     def test_padded_target_positions_are_inert(self):
+        """Over a batch of encoder states, one of them padded, a changed
+        token at a padded target position moves only its own logits."""
         u = 6
+        x = Tensor(self.rng.normal(size=(2, 24, self.cfg.input_feature_dim)))
+        smask = np.arange(24) < np.array([[24], [17]])
+        enc, enc_mask, _ = encode(x, smask, self.cfg, self.w)
         tokens = self.rng.integers(1, self.cfg.vocab_size, size=(2, u))
         tmask = np.ones((2, u), dtype=bool)
         tmask[:, 4:] = False
-        base = decode(tokens, tmask, self.enc + Tensor(np.zeros(1)),
-                      np.ones_like(self.enc_mask) & self.enc_mask,
-                      self.cfg, self.w)
+        base = decode(tokens, tmask, enc, enc_mask, self.cfg, self.w)
         mutated = tokens.copy()
-        mutated[:, 5] = 3
-        out = decode(mutated, tmask, self.enc + Tensor(np.zeros(1)),
-                     np.ones_like(self.enc_mask) & self.enc_mask,
-                     self.cfg, self.w)
+        mutated[:, 5] = (tokens[:, 5] + 1) % self.cfg.vocab_size
+        out = decode(mutated, tmask, enc, enc_mask, self.cfg, self.w)
         # positions before the padding cut see identical context
-        assert np.array_equal(out.data[:, :4], base.data[:, :4])
+        assert np.array_equal(out.data[:, :5], base.data[:, :5])
+        assert not np.array_equal(out.data[:, 5], base.data[:, 5])
 
     def test_target_length_limit(self):
         cfg = tiny_config([MIX], max_target_len=4)
@@ -683,6 +686,28 @@ class TestMemory:
         assert states.shape == (b, n, d)
         budget = sum(kept.values())
         assert grown <= budget * 17 // 16, grown / budget
+
+    def test_training_pass_frees_the_layer_outputs_before_the_decoder(self, monkeypatch):
+        """teacher_forced_logits keeps only encode's states and mask, so
+        every layer's y and head outputs z, which no rule reads, are freed
+        when encode returns, before the decoder runs."""
+        cfg = tiny_config([MIX, FULL], dropout=0.1)
+        w = init_model_weights(cfg, seed=4)
+        batch = make_batch(np.random.default_rng(16), cfg)
+        real_encode, real_decode, arrays = model.encode, model.decode, []
+
+        def watch(*args, **kwargs):
+            states, keep, outs = real_encode(*args, **kwargs)
+            arrays.extend(weakref.ref(t.data) for out in outs for t in [out.y, *out.z])
+            return states, keep, outs
+
+        def check(*args, **kwargs):
+            assert len(arrays) == 2 * 3 and all(ref() is None for ref in arrays)
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(model, "encode", watch)
+        monkeypatch.setattr(model, "decode", check)
+        forward_loss(batch, cfg, w, np.random.default_rng(17)).backward()
 
     def test_no_grad_nodes_keep_no_graph(self):
         rng = np.random.default_rng(13)

@@ -3,6 +3,7 @@ central finite differences, and the bookkeeping rules (accumulation,
 pruning, precision modes) that the rest of the package relies on."""
 
 import platform
+import re
 import weakref
 
 import numpy as np
@@ -382,6 +383,13 @@ class TestBanded:
             attend(x, x, Tensor(np.zeros((4, 2))), keep)
         with pytest.raises(ValueError, match="mismatch"):
             attend(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), keep, half=1)
+        # q, k and v share their batch axes; only the key mask broadcasts
+        q = Tensor(np.zeros((2, 5, 2)))
+        for kv in (x, Tensor(np.zeros((1, 5, 2))), Tensor(np.zeros((3, 5, 2)))):
+            shapes = re.escape(f"q {q.shape}, k {kv.shape}, v {kv.shape}")
+            for half in (None, 1):
+                with pytest.raises(ValueError, match=shapes):
+                    attend(q, kv, kv, keep, half=half)
 
     @pytest.mark.parametrize("n,half,shape", [(5, 2, (2, 5, 5)), (5, 1, (5, 3)),
                                               (4, 1, (4,)), (4, 1, (2, 1, 3)),
