@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import durable_write
 from .mhma import AttentionOutput, MHMAWeights, head_outputs
-from .model import ModelConfig, ModelWeights, encode
+from .model import ModelConfig, ModelWeights, check_at_least, encode
 from .tensor import no_grad
 from .training import SyntheticTaskSpec, gen_synthetic_batch
 
@@ -87,10 +87,8 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
     so the pooled multiset (and hence every median) is reproducible
     bit for bit.  Runs in inference mode (dropout off, no graph).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_at_least("samples", samples, 1)
+    check_at_least("seed", seed, 0)
     config = dataclasses.replace(config, dropout=0.0)
     rng = np.random.default_rng(seed)
     # one [tokens, H] contribution array per layer and batch

@@ -231,26 +231,32 @@ def save_checkpoint(path, config: ModelConfig, weights: ModelWeights,
     save_arrays(path, config_hash(config), arrays, meta)
 
 
+def load_matching(path, arch_hash: str,
+                  shapes: dict[str, tuple[int, ...]]) -> CheckpointData:
+    """Load a checkpoint that must hold exactly the parameters named in
+    shapes, each at its shape, under arch_hash."""
+    data = load_checkpoint(path)
+    if data.arch_hash != arch_hash:
+        raise HashMismatchError(
+            f"{path}: checkpoint arch {data.arch_hash} != expected arch {arch_hash}")
+    if set(data.arrays) != set(shapes):
+        missing = sorted(set(shapes) - set(data.arrays))[:3]
+        extra = sorted(set(data.arrays) - set(shapes))[:3]
+        raise HeaderError(
+            f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
+    for name, shape in shapes.items():
+        if data.arrays[name].shape != shape:
+            raise HeaderError(f"{path}: {name} has shape "
+                              f"{data.arrays[name].shape}, expected {shape}")
+    return data
+
+
 def load_into(path, config: ModelConfig, weights: ModelWeights) -> CheckpointData:
     """Load a checkpoint into existing model weights, in place, verifying
     the architecture hash and every shape."""
-    data = load_checkpoint(path)
-    want = config_hash(config)
-    if data.arch_hash != want:
-        raise HashMismatchError(
-            f"{path}: checkpoint arch {data.arch_hash} != model arch {want}")
     params = named_parameters(weights)
-    stored = set(data.arrays)
-    ours = {p.name for p in params}
-    if stored != ours:
-        missing = sorted(ours - stored)[:3]
-        extra = sorted(stored - ours)[:3]
-        raise HeaderError(
-            f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
+    data = load_matching(path, config_hash(config),
+                         {p.name: p.tensor.shape for p in params})
     for p in params:
-        arr = data.arrays[p.name]
-        if arr.shape != p.tensor.data.shape:
-            raise HeaderError(
-                f"{path}: {p.name} has shape {arr.shape}, model wants {p.tensor.data.shape}")
-        p.tensor.data[...] = arr
+        p.tensor.data[...] = data.arrays[p.name]
     return data

@@ -70,9 +70,6 @@ def _cmd_avg_ckpt(args) -> int:
     steps, losses = read_metrics(args.metrics)
     chosen = select_around_best(steps, losses)
     paths = [os.path.join(args.dir, CKPT_PATTERN.format(step=s)) for s in chosen]
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        raise FileNotFoundError(f"checkpoint not found: {missing[0]}")
     average_checkpoints(paths, args.out)
     print(f"averaged steps {chosen} -> {args.out}")
     return EXIT_OK

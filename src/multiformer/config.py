@@ -26,7 +26,7 @@ import re
 from importlib import resources
 
 from .mhma import HeadSpec
-from .model import ModelConfig
+from .model import ModelConfig, check_at_least
 from .training import SyntheticTaskSpec
 
 PRESET_NAMES = ("baseline", "local_attention", "conv_attention",
@@ -122,8 +122,10 @@ def parse_architecture_text(text: str, source: str = "<text>") -> ModelConfig:
             repeat = int(fields[1])
         except ValueError:
             _fail(source, lineno, f"block repeat must be an integer, got {fields[1]!r}")
-        if repeat < 1:
-            _fail(source, lineno, f"block repeat must be >= 1, got {repeat}")
+        try:
+            check_at_least("block repeat", repeat, 1)
+        except ValueError as e:
+            _fail(source, lineno, str(e))
         specs = [parse_head_spec(tok, source, lineno) for tok in specs_part.split()]
         blocks.append((repeat, specs, lineno))
 

@@ -35,6 +35,13 @@ SUBSAMPLE_STRIDE = 2
 SMOOTHING = 0.1
 
 
+def check_at_least(name: str, value, low) -> None:
+    """The one lower-bound rule.  Its message names the field first: the
+    config parsers read that name to report the line that set it."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass
 class ModelConfig:
     d_model: int
@@ -53,8 +60,7 @@ class ModelConfig:
         # reads it to report the line that set that field.
         for name in ("heads", "d_model", "decoder_layers", "ffn_dim",
                      "input_feature_dim", "max_source_len", "max_target_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_at_least(name, getattr(self, name), 1)
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
@@ -64,8 +70,7 @@ class ModelConfig:
             if len(layer) != self.heads:
                 raise ValueError(f"encoder_layers[{i}] lists {len(layer)} heads, "
                                  f"expected {self.heads}")
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        check_at_least("vocab_size", self.vocab_size, 2)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, load_into, save_arrays, save_checkpoint
+from .checkpoint import (load_checkpoint, load_into, load_matching, save_arrays,
+                         save_checkpoint)
 from .model import (SMOOTHING, ModelConfig, ModelWeights, Seq2SeqBatch,
-                    forward_loss, init_model_weights, label_smoothed_loss,
-                    named_parameters, teacher_forced_logits, token_accuracy)
+                    check_at_least, forward_loss, init_model_weights,
+                    label_smoothed_loss, named_parameters, teacher_forced_logits,
+                    token_accuracy)
 from .tensor import Tensor, default_dtype, no_grad, zero_grad
 
 PAD, BOS, EOS = 0, 1, 2
@@ -54,14 +56,12 @@ class TrainConfig:
     target_acc: float | None = None
 
     def __post_init__(self):
-        if self.warmup_updates < 1:
-            raise ValueError(f"warmup_updates must be >= 1, got {self.warmup_updates}")
+        check_at_least("warmup_updates", self.warmup_updates, 1)
         if not self.peak_lr > 0:
             raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
         for name, low in (("seed", 0), ("max_updates", 0), ("log_every", 1),
                           ("eval_sequences", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            check_at_least(name, getattr(self, name), low)
         if self.target_acc is not None and not 0 < self.target_acc <= 1:
             raise ValueError("target_acc must lie in (0, 1]")
 
@@ -82,18 +82,15 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         # Every message names the field it rejects: the task-file parser
         # reads it to report the line that set that field.
-        if self.symbol_count < 2:
-            raise ValueError(f"symbol_count {self.symbol_count}: need at least two symbols")
+        check_at_least("symbol_count", self.symbol_count, 2)
         for name in ("redundancy", "feature_dim", "target_len_min"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_at_least(name, getattr(self, name), 1)
         if self.target_len_max < self.target_len_min:
             raise ValueError(f"target_len_max must be >= target_len_min "
                              f"{self.target_len_min}, got {self.target_len_max}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
-        if self.codebook_seed < 0:
-            raise ValueError(f"codebook_seed must be >= 0, got {self.codebook_seed}")
+        check_at_least("codebook_seed", self.codebook_seed, 0)
 
     @property
     def vocab_size(self) -> int:
@@ -130,8 +127,7 @@ class SyntheticTaskSpec:
 def inv_sqrt_lr(step: int, cfg: TrainConfig) -> float:
     """peak * min(t/T_w, sqrt(T_w/t)): linear warmup, inverse-sqrt decay,
     both branches equal at t = T_w."""
-    if step < 1:
-        raise ValueError(f"schedule step must be >= 1, got {step}")
+    check_at_least("schedule step", step, 1)
     warm = cfg.warmup_updates
     return cfg.peak_lr * min(step / warm, math.sqrt(warm / step))
 
@@ -282,10 +278,9 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
             raise TrainingDiverged(f"non-finite loss at update {step} (lr {lr:.3g})")
         loss.backward()
         adam_step(params, weights.flat, state, lr)
-        finite = np.isfinite(weights.flat)
-        if not finite.all():
-            ends = np.cumsum([p.tensor.size for p in params])
-            bad = params[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+        if not np.isfinite(weights.flat).all():
+            # each parameter's .data is its view of flat, in flat order
+            bad = next(p for p in params if not np.isfinite(p.tensor.data).all())
             raise TrainingDiverged(
                 f"non-finite parameter {bad.name} after update {step} (lr {lr:.3g})")
         done = step
@@ -301,32 +296,19 @@ def train(config: ModelConfig, cfg: TrainConfig, spec: SyntheticTaskSpec,
 
 
 def average_checkpoints(paths, out_path) -> None:
-    """Elementwise mean of same-architecture checkpoints.
-
-    Accumulates in 64-bit and truncates once at the end, processing paths
-    in sorted order so the result is invariant to input ordering.
-    """
+    """Elementwise mean of checkpoints that match the first one's hash and
+    parameter shapes, accumulated in 64-bit over the paths in sorted order
+    (so invariant to input order) and truncated once by save_arrays."""
     if not paths:
         raise ValueError("no checkpoints to average")
     ordered = sorted(str(p) for p in paths)
     first = load_checkpoint(ordered[0])
     totals = {name: arr.astype(np.float64) for name, arr in first.arrays.items()}
+    shapes = {name: arr.shape for name, arr in totals.items()}
     for path in ordered[1:]:
-        data = load_checkpoint(path)
-        if data.arch_hash != first.arch_hash:
-            raise ValueError(
-                f"{path}: arch {data.arch_hash} != {first.arch_hash}")
-        if set(data.arrays) != set(totals):
-            diff = set(data.arrays) ^ set(totals)
-            raise ValueError(f"{path}: parameter set differs on {sorted(diff)[:3]}")
-        for name, arr in data.arrays.items():
-            if arr.shape != totals[name].shape:
-                raise ValueError(
-                    f"{path}: {name} shape {arr.shape} != {totals[name].shape}")
+        for name, arr in load_matching(path, first.arch_hash, shapes).arrays.items():
             totals[name] += arr
-    count = float(len(ordered))
-    averaged = {name: (total / count).astype("<f4")
-                for name, total in totals.items()}
+    averaged = {name: total / len(ordered) for name, total in totals.items()}
     meta = [kv for kv in first.meta if not kv[0].startswith("sources")]
     meta.append(("sources", ",".join(os.path.basename(p) for p in ordered)))
     save_arrays(out_path, first.arch_hash, averaged, meta)

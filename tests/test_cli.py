@@ -15,9 +15,12 @@ import pytest
 import multiformer
 import multiformer.cli as cli
 import multiformer.verify as verify
-from multiformer.checkpoint import load_checkpoint, save_arrays
+from multiformer.checkpoint import (config_hash, load_checkpoint, save_arrays,
+                                   save_checkpoint)
 from multiformer.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from multiformer.config import format_architecture, format_task, toy_model_config
+from multiformer.config import (format_architecture, format_task,
+                                parse_architecture_text, toy_model_config)
+from multiformer.model import init_model_weights
 from multiformer.training import SyntheticTaskSpec
 
 ARCH = """
@@ -309,6 +312,21 @@ class TestAvgCkpt:
         code = main(["avg-ckpt", "--metrics", str(ws / "run" / "metrics.csv"),
                      "--dir", str(ws / "run"), "--out", str(ws / "avg.mfck")])
         assert code == EXIT_IO
+
+    def test_mixed_architectures_are_validation(self, ws, capsys):
+        """A window over two architectures' checkpoints names both hashes."""
+        do_train(ws)
+        ours = parse_architecture_text(ARCH)
+        other = parse_architecture_text(ARCH.replace("local(4)", "local(2)"))
+        save_checkpoint(ws / "run" / "ckpt_000003.mfck", other,
+                        init_model_weights(other, seed=0))
+        capsys.readouterr()
+        code = main(["avg-ckpt", "--metrics", str(ws / "run" / "metrics.csv"),
+                     "--dir", str(ws / "run"), "--out", str(ws / "avg.mfck")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert config_hash(ours) in err and config_hash(other) in err, err
+        assert not (ws / "avg.mfck").exists()
 
     def test_bad_metrics_is_validation(self, ws, capsys):
         (ws / "bad.csv").write_text("wrong,header\n1,2\n")

@@ -222,7 +222,9 @@ class TestTaskFiles:
         ("wibble", "unrecognized line"),
         ("noise = soft", "bad value"),
         ("symbol_count = 4\nsymbol_count = 4", "duplicate"),
-        ("symbol_count = 1", "two symbols"),
+        pytest.param("symbol_count = 1",
+                     r"^x\.task:1: symbol_count must be >= 2, got 1$",
+                     id="symbol_count = 1-two symbols"),
         # spec errors name the line that set the rejected field
         ("symbol_count = 9\nredundancy = 0", r"^x\.task:2: redundancy must be >= 1"),
         ("symbol_count = 9\nnoise = -1", r"^x\.task:2: noise must be"),
@@ -572,7 +574,7 @@ class TestCheckpointErrors:
                             input_feature_dim=5)
         path = tmp_path / "m.mfck"
         save_checkpoint(path, other, init_model_weights(other, seed=0))
-        with pytest.raises(HashMismatchError, match="!= model arch"):
+        with pytest.raises(HashMismatchError, match="!= expected arch"):
             load_into(path, cfg, w)
 
     def test_parameter_set_mismatch_on_load_into(self, tmp_path):
@@ -591,5 +593,5 @@ class TestCheckpointErrors:
         arrays[name] = np.ones((1, 1), dtype="<f4")
         path = tmp_path / "m.mfck"
         save_arrays(path, config_hash(cfg), arrays)
-        with pytest.raises(HeaderError, match="model wants"):
+        with pytest.raises(HeaderError, match=r"has shape \(1, 1\), expected"):
             load_into(path, cfg, w)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import multiformer.model
-from multiformer.checkpoint import (load_checkpoint, load_into, save_arrays,
+from multiformer.checkpoint import (HashMismatchError, HeaderError,
+                                   load_checkpoint, load_into, save_arrays,
                                    save_checkpoint)
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec
@@ -535,21 +536,22 @@ class TestAveraging:
         arr = {"w": np.ones(2, dtype="<f4")}
         self._save(tmp_path / "a.mfck", arr)
         save_arrays(tmp_path / "b.mfck", "beef" * 4, arr)
-        with pytest.raises(ValueError, match="arch"):
+        with pytest.raises(HashMismatchError, match=f"{'beef' * 4} != expected arch"):
             average_checkpoints([tmp_path / "a.mfck", tmp_path / "b.mfck"],
                                 tmp_path / "out.mfck")
 
     def test_parameter_set_mismatch_rejected(self, tmp_path):
         self._save(tmp_path / "a.mfck", {"w": np.ones(2, dtype="<f4")})
         self._save(tmp_path / "b.mfck", {"v": np.ones(2, dtype="<f4")})
-        with pytest.raises(ValueError, match="parameter set"):
+        with pytest.raises(HeaderError, match=r"parameter set mismatch \(missing \['w'\], "
+                                              r"extra \['v'\]\)"):
             average_checkpoints([tmp_path / "a.mfck", tmp_path / "b.mfck"],
                                 tmp_path / "out.mfck")
 
     def test_shape_mismatch_rejected(self, tmp_path):
         self._save(tmp_path / "a.mfck", {"w": np.ones(2, dtype="<f4")})
         self._save(tmp_path / "b.mfck", {"w": np.ones(3, dtype="<f4")})
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(HeaderError, match=r"w has shape \(3,\), expected \(2,\)"):
             average_checkpoints([tmp_path / "a.mfck", tmp_path / "b.mfck"],
                                 tmp_path / "out.mfck")
 
