@@ -79,7 +79,9 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     lets tensor.attend run each sequence alone over its valid rows and
     keys (see SEQUENCE_PAIRS there).  z is then exactly 0 at padded rows,
     and the weights come back flat: sequence b's [n_b, m_b] block after
-    sequence b-1's, Σ n_b*m_b in all.
+    sequence b-1's, Σ n_b*m_b in all.  The backward remakes them from
+    per-row statistics, so they are freed as soon as the caller drops
+    them; a caller that needs only z should keep only z.
     """
     m = k.shape[-2]
     if np.ndim(mask) == q.ndim:

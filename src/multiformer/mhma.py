@@ -175,11 +175,11 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
                 compressed[key] = conv_compress(kv, weights.conv_params[key], mask)
             stream, keep = compressed[key]
         k, v = matmul(stream, wk), matmul(stream, wv)
+        # only z: the weights are freed before the next head runs
         if spec.mechanism == "local":
-            z, _ = local_attention(q, k, v, spec, keep, counter)
+            zs.append(local_attention(q, k, v, spec, keep, counter)[0])
         else:
-            z, _ = full_attention(q, k, v, keep, counter, rows)
-        zs.append(z)
+            zs.append(full_attention(q, k, v, keep, counter, rows)[0])
 
     zcat = concat(zs, axis=-1)
     y = matmul(zcat, weights.wo.mT) + weights.bo

@@ -544,17 +544,26 @@ def _band_tmix(band: np.ndarray, y: np.ndarray, half: int,
 SEQUENCE_PAIRS = 2 ** 17
 
 
-def _softmax(s: np.ndarray, scale: float) -> np.ndarray:
-    """Scale and softmax the scores s, -inf where masked, in place, over the last axis."""
+def _softmax(s: np.ndarray, scale: float, stats: tuple | None = None) -> tuple:
+    """Scale and softmax the scores s, -inf where masked, in place, over
+    the last axis; returns s and its row statistics (shift, divisor),
+    [..., 1] each.  Given the statistics of an earlier call on the same
+    scores, it remakes that call's weights byte for byte."""
     s *= scale
     # exp(-inf) is exactly 0, so masked pairs come out 0; an empty row's
     # max and sum are replaced by 0 and 1 so that it stays all zero
-    rowmax = s.max(axis=-1, keepdims=True)
-    s -= np.where(np.isfinite(rowmax), rowmax, 0.0)
+    if stats is None:
+        rowmax = s.max(axis=-1, keepdims=True)
+        shift = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    else:
+        shift, divisor = stats
+    s -= shift
     np.exp(s, out=s)
-    denom = s.sum(axis=-1, keepdims=True)
-    s /= np.where(denom == 0.0, 1.0, denom)
-    return s
+    if stats is None:
+        denom = s.sum(axis=-1, keepdims=True)
+        divisor = np.where(denom == 0.0, 1.0, denom)
+    s /= divisor
+    return s, (shift, divisor)
 
 
 def _score_grad(ga: np.ndarray, a: np.ndarray, scale: float) -> np.ndarray:
@@ -590,6 +599,10 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
     and keys: z is exactly 0 at padded rows, and so are q's, k's and v's
     gradients there, and the weights come back flat, each sequence's
     [n_b, m_b] block after the other.  Otherwise rows is ignored.
+    Such a part keeps only its softmax row statistics, [n_b, 1] twice, for
+    the backward, which reruns its scores and softmax to remake the same
+    weights; so the flat weights are freed once the caller drops them.  A
+    batched or band part keeps its weights.
     """
     if not isinstance(keep, np.ndarray):
         raise TypeError(f"attend keep must be a numpy bool array, got {type(keep).__name__}")
@@ -646,21 +659,29 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
             whole[part[side]] = r
         return whole
 
-    weights, zs = [], []
+    # per part, what its backward reads of the weights: the weights
+    # themselves, or, for a part made in flat, the row statistics that
+    # remake them, so that flat is freed once the caller drops it
+    kept, zs = [], []
     for qi, ki, mask, out in parts:
-        weights.append(_softmax(dot(q.data[qi], k.data[ki], mask, out), scale))
-        zs.append(mix(weights[-1], v.data[ki]))
+        a, stats = _softmax(dot(q.data[qi], k.data[ki], mask, out), scale)
+        zs.append(mix(a, v.data[ki]))
+        kept.append(a if out is None else stats)
     z = place(zs, 0, q.shape[:-1] + v.shape[-1:])
+    parts = [part[:3] for part in parts]
 
     def bw(g):
         grads = []
-        for (qi, ki, _, _), a in zip(parts, weights):
+        for (qi, ki, mask), a in zip(parts, kept):
+            if isinstance(a, tuple):  # the row statistics
+                a = _softmax(dot(q.data[qi], k.data[ki], mask), scale, a)[0]
             gs = _score_grad(dot(g[qi], v.data[ki]), a, scale)
             grads.append(qk_grads(gs, q.data[qi], k.data[ki]) + (tmix(a, g[qi]),))
+            del gs  # freed before the next part's weights are remade
         gq, gk, gv = zip(*grads)
         return place(gq, 0, q.shape), place(gk, 1, k.shape), place(gv, 1, v.shape)
 
-    return _make(z, (q, k, v), bw), _make(weights[0] if flat is None else flat, (), None)
+    return _make(z, (q, k, v), bw), _make(kept[0] if flat is None else flat, (), None)
 
 
 # -- log-softmax -------------------------------------------------------------

@@ -651,12 +651,49 @@ class TestMemory:
         out, grown = _traced(lambda: dropout(x, 0.1, np.random.default_rng(0)))
         assert grown <= out.data.nbytes * 11 // 8, grown / out.data.nbytes
 
-    def test_padded_encoder_layer_keeps_what_its_rules_read(self):
-        """After the forward of one padded full-head layer (with its
-        subsampler), the bytes left allocated are the states and the
-        arrays the backward rules read, listed here; no output a rule
-        does not read stays behind while the graph lives."""
-        b, t, feat, d, heads, hidden = 4, 1024, 8, 64, 4, 256
+    def test_per_sequence_attend_keeps_row_statistics_not_weights(self):
+        """Past SEQUENCE_PAIRS, once the caller drops the returned weights,
+        the node keeps z and each sequence's [n_b, 1] row shift and
+        divisor; no [n_b, m_b] array stays allocated."""
+        rng = np.random.default_rng(18)
+        n, d_h = 512, 16
+        q, k, v = (Tensor(rng.normal(size=(2, n, d_h)), requires_grad=True)
+                   for _ in range(3))
+        rows = np.arange(n) < np.array([[n], [n - 64]])
+        assert (rows.sum(axis=-1) ** 2).max() >= tensor.SEQUENCE_PAIRS
+        z, grown = _traced(lambda: attend(q, k, v, rows[:, None, :], rows=rows)[0])
+        statistics = 2 * int(rows.sum()) * 4
+        # one sequence's weights alone would be 16 times z
+        assert grown <= z.data.nbytes * 9 // 8 + statistics, grown / z.data.nbytes
+
+    def test_per_sequence_backward_peaks_at_three_arrays_of_one_sequence(self):
+        """The backward remakes one sequence's weights at a time, beside its
+        score gradient and one product of the two; the previous
+        sequence's arrays are freed before the next are made."""
+        rng = np.random.default_rng(19)
+        n, d_h = 512, 8
+        q, k, v = (Tensor(rng.normal(size=(2, n, d_h)), requires_grad=True)
+                   for _ in range(3))
+        rows = np.arange(n) < np.array([[n], [n - 12]])
+        z = attend(q, k, v, rows[:, None, :], rows=rows)[0]
+        g = rng.normal(size=z.shape).astype(z.data.dtype)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            z._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        block = n * n * 4  # the longest sequence's [n_b, m_b] float32 array
+        assert peak <= 3.25 * block, peak / block
+
+    @staticmethod
+    def _padded_full_layer_fits(t, softmax_kept, per_head):
+        """Forward one padded full-head layer of t source frames (with its
+        subsampler) and check the bytes left allocated against the states
+        and the arrays the backward rules read, listed here; per_head(b, n,
+        rows) counts the float32 entries each head keeps of its softmax."""
+        b, feat, d, heads, hidden = 4, 8, 64, 4, 256
         cfg = ModelConfig(d_model=d, heads=heads, encoder_layers=[FULL * 2],
                           decoder_layers=1, ffn_dim=hidden, vocab_size=5,
                           input_feature_dim=feat)
@@ -674,7 +711,7 @@ class TestMemory:
             "relu 2 mask": b * n * d,
             "projections' input, unpacked": b * n * d * f32,
             "each head's q, k, v": heads * 3 * b * n * (d // heads) * f32,
-            "each head's weights": heads * b * n * n * f32,
+            softmax_kept: heads * per_head(b, n, rows) * f32,
             "heads concatenated, for wo": b * n * d * f32,
             "layer norm 1, centred input": rows * d * f32,
             "ffn input": rows * d * f32,
@@ -686,6 +723,19 @@ class TestMemory:
         assert states.shape == (b, n, d)
         budget = sum(kept.values())
         assert grown <= budget * 17 // 16, grown / budget
+
+    def test_padded_encoder_layer_keeps_what_its_rules_read(self):
+        """After the forward of one padded full-head layer short enough to
+        stay batched, what is left allocated is the states and what the
+        rules read; no output a rule does not read stays behind while the
+        graph lives."""
+        self._padded_full_layer_fits(1024, "each head's weights", lambda b, n, rows: b * n * n)
+
+    def test_per_sequence_encoder_layer_keeps_row_statistics(self):
+        """The same past SEQUENCE_PAIRS, where each head runs per sequence:
+        it keeps two statistics per valid row in place of its weights."""
+        self._padded_full_layer_fits(2048, "each head's row statistics",
+                                     lambda b, n, rows: 2 * rows)
 
     def test_training_pass_frees_the_layer_outputs_before_the_decoder(self, monkeypatch):
         """teacher_forced_logits keeps only encode's states and mask, so

@@ -427,10 +427,12 @@ def ragged_batch(rng, lengths, n, d_h=8, extra=0):
 
 
 def attend_rows(q, k, v, keep, probe, rows=True):
-    """attend with keep as the key mask and, if rows, the valid query rows;
-    returns z, the weights and the gradients of (z * probe).sum()."""
+    """attend with keep as the key mask and rows as the valid query rows
+    (keep itself when True, none when False); returns z, the weights and
+    the gradients of (z * probe).sum()."""
     tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
-    z, a = attend(tq, tk, tv, keep[..., None, :], rows=keep if rows else None)
+    rows = keep if rows is True else None if rows is False else rows
+    z, a = attend(tq, tk, tv, keep[..., None, :], rows=rows)
     (z * Tensor(probe)).sum().backward()
     return z.data, a.data, tq.grad, tk.grad, tv.grad
 
@@ -443,24 +445,31 @@ class TestPerSequenceRows:
     LONG = int(np.ceil(np.sqrt(SEQUENCE_PAIRS))) + 3  # n_b * n_b past the rule
 
     def test_each_sequence_matches_attend_alone_bit_for_bit(self):
+        """Per sequence, over as many keys as queries (a full head) and
+        half as many (a conv head's compressed stream): z, the weights and
+        the gradients, which the backward takes from weights it remakes
+        from their row statistics, are the bytes of attend on that
+        sequence alone, which keeps its weights."""
         rng = np.random.default_rng(21)
-        lengths = [self.LONG - 40, self.LONG, 9]
-        q, k, v, keep = ragged_batch(rng, lengths, self.LONG)
-        probe = rng.normal(size=q.shape).astype(np.float32)
-        z, a, gq, gk, gv = attend_rows(q, k, v, keep, probe)
-        assert a.shape == (sum(n * n for n in lengths),)
-        start = 0
-        for b, n in enumerate(lengths):
-            zb, ab, gqb, gkb, gvb = attend_rows(q[b, :n], k[b, :n], v[b, :n],
-                                                np.ones(n, dtype=bool), probe[b, :n],
-                                                rows=False)
-            assert z[b, :n].tobytes() == zb.tobytes()
-            assert a[start:start + n * n].tobytes() == ab.tobytes()
-            for got, want in ((gq, gqb), (gk, gkb), (gv, gvb)):
-                assert got[b, :n].tobytes() == want.tobytes()
-            start += n * n
-        for x in (z, gq, gk, gv):
-            assert np.array_equal(x[~keep], np.zeros_like(x[~keep]))
+        short = [self.LONG - 40, self.LONG, 9]
+        for lengths, key_lengths in ((short, short), ([2 * n for n in short], short)):
+            q, _, _, rows = ragged_batch(rng, lengths, max(lengths))
+            _, k, v, keys = ragged_batch(rng, key_lengths, max(key_lengths))
+            probe = rng.normal(size=q.shape).astype(np.float32)
+            z, a, gq, gk, gv = attend_rows(q, k, v, keys, probe, rows=rows)
+            assert a.shape == (sum(n * m for n, m in zip(lengths, key_lengths)),)
+            start = 0
+            for b, (n, m) in enumerate(zip(lengths, key_lengths)):
+                zb, ab, gqb, gkb, gvb = attend_rows(q[b, :n], k[b, :m], v[b, :m],
+                                                    np.ones(m, dtype=bool), probe[b, :n],
+                                                    rows=False)
+                assert z[b, :n].tobytes() == zb.tobytes()
+                assert a[start:start + n * m].tobytes() == ab.tobytes()
+                for got, want, valid in ((gq, gqb, n), (gk, gkb, m), (gv, gvb, m)):
+                    assert got[b, :valid].tobytes() == want.tobytes()
+                start += n * m
+            for x, valid in ((z, rows), (gq, rows), (gk, keys), (gv, keys)):
+                assert not x[~valid].any()
 
     def test_appended_junk_rows_leave_valid_bytes_unchanged(self):
         rng = np.random.default_rng(22)
