@@ -568,8 +568,13 @@ def _softmax(s: np.ndarray, scale: float, stats: tuple | None = None) -> tuple:
 
 def _score_grad(ga: np.ndarray, a: np.ndarray, scale: float) -> np.ndarray:
     """The scores' gradient a * (ga - sum(ga * a)) * scale, built in the
-    weights' fresh gradient ga."""
-    ga -= (ga * a).sum(axis=-1, keepdims=True)
+    weights' fresh gradient ga; the products ga * a are summed
+    BAND_BLOCK rows at a time, so they never fill a whole score array."""
+    dots = np.empty(ga.shape[:-1] + (1,), dtype=np.result_type(ga, a))
+    for r0 in range(0, ga.shape[-2], BAND_BLOCK):
+        rows = (..., slice(r0, r0 + BAND_BLOCK), slice(None))
+        np.sum(ga[rows] * a[rows], axis=-1, keepdims=True, out=dots[rows])
+    ga -= dots
     ga *= a
     ga *= scale
     return ga
@@ -792,33 +797,72 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     return _make(out, (x, weights, bias), bw)
 
 
-def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Position-wise feed-forward block relu(x w1 + b1) w2 + b2.
+# Rows per FFN block (see ffn).  At least the most rows a toy FFN sees
+# (552: 23 sequences of 24 frames, packed), so a toy FFN is one block
+# with the GEMMs of an unblocked one.  At paper width (hidden 2048) a
+# block's hidden rows take 6.3 MB in float32, against 27 MB for all 3328
+# of paper_long's rows and 109 MB at n=4096.  Blocks of 768 and 1024 rows
+# ran a paper_long FFN's fwd+bwd in the same time (1.17 times that of
+# keeping every hidden row: the recompute's GEMM), so the smaller.
+FFN_BLOCK = 768
 
-    One autodiff node that keeps only the rectified hidden activation h;
-    h > 0 exactly where the rectifier's input was, so h also gives its
-    mask.  The backward takes w2's gradient and that mask from h and
-    releases h before h's own gradient is made.  It replays the matmul ->
-    add -> relu -> matmul -> add chain in reverse with that chain's own
-    ops, so gradients are bit for bit those of the generic nodes.
+
+def _accumulate(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """total + term in total's buffer; the first term is the total.  (A
+    zero-filled start would turn a -0.0 first term into +0.0.)"""
+    if total is None:
+        return term
+    total += term
+    return total
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise feed-forward block relu(x w1 + b1) w2 + b2, with 2-D
+    weights w1 [d, hidden] and w2 [hidden, d_out].
+
+    One autodiff node that keeps only x, which w1's gradient reads anyway.
+    Forward and backward run over blocks of FFN_BLOCK rows along axis -2,
+    and the backward recomputes each block's rectified hidden rows h_b
+    from x.  Per block, in block order, it adds h_bᵀ g_b to w2's gradient,
+    takes the rectifier's mask h_b > 0 (exactly where its input was),
+    makes h_b's gradient in h_b's own buffer, writes the block's rows of
+    x's gradient and adds the block's terms to w1's and b1's.  It replays
+    the matmul -> add -> relu -> matmul -> add chain in reverse with that
+    chain's own ops, so y and x's gradient, row blocks of the same GEMMs,
+    are bit for bit those of the generic nodes; the weight gradients are
+    the block-order sums of theirs, so exactly theirs for one block (every
+    toy FFN).
     """
-    h = np.matmul(x.data, w1.data)
-    h += b1.data
-    np.maximum(h, 0, out=h)
-    y = np.matmul(h, w2.data)
+    blocks = [(..., slice(r0, r0 + FFN_BLOCK), slice(None))
+              for r0 in range(0, x.shape[-2], FFN_BLOCK)]
+
+    def hidden(rows):
+        h = np.matmul(x.data[rows], w1.data)
+        h += b1.data
+        return np.maximum(h, 0, out=h)
+
+    y = np.empty(x.shape[:-1] + w2.shape[-1:], dtype=np.result_type(x.data, w1.data, w2.data))
+    for rows in blocks:
+        np.matmul(hidden(rows), w2.data, out=y[rows])
     y += b2.data
 
     def bw(g):
-        nonlocal h
-        gw2 = _unbroadcast(np.matmul(np.swapaxes(h, -1, -2), g), w2.shape)
-        live = h > 0
-        h = None  # a graph's backward runs once
-        # gh is made here, so masking it in place is safe; g may be shared.
-        gh = np.matmul(g, np.swapaxes(w2.data, -1, -2))
-        np.multiply(gh, live, out=gh)
-        return (_unbroadcast(np.matmul(gh, np.swapaxes(w1.data, -1, -2)), x.shape),
-                _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), gh), w1.shape),
-                _unbroadcast(gh, b1.shape), gw2, _unbroadcast(g, b2.shape))
+        gx = np.empty(x.shape, dtype=np.result_type(g, w1.data, w2.data))
+        gw1 = gb1 = gw2 = None
+        for rows in blocks:
+            h, g_rows = hidden(rows), g[rows]
+            gw2 = _accumulate(gw2, _unbroadcast(np.matmul(np.swapaxes(h, -1, -2), g_rows),
+                                                w2.shape))
+            live = h > 0
+            # h's gradient in h's buffer, masked in place; g may be shared
+            np.matmul(g_rows, np.swapaxes(w2.data, -1, -2), out=h)
+            np.multiply(h, live, out=h)
+            np.matmul(h, np.swapaxes(w1.data, -1, -2), out=gx[rows])
+            gw1 = _accumulate(gw1, _unbroadcast(
+                np.matmul(np.swapaxes(x.data[rows], -1, -2), h), w1.shape))
+            gb1 = _accumulate(gb1, _unbroadcast(h, b1.shape))
+            del h, live  # freed before the next block's are made
+        return gx, gw1, gb1, gw2, _unbroadcast(g, b2.shape)
 
     return _make(y, (x, w1, b1, w2, b2), bw)
 
@@ -836,7 +880,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     chain mean -> centre -> variance -> rsqrt -> scale -> shift in
     reverse, step for step and in the order generic mean and elementwise
     nodes for that chain would, so gradients, and the checkpoints trained
-    with them, are bit for bit those of that chain.
+    with them, are bit for bit those of that chain.  It works in place
+    where it can, so it peaks at two arrays of x's size, the gradient it
+    returns among them.
     """
     n = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -845,14 +891,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = v ** -0.5
 
     def bw(g):
-        gn = g * gain.data
-        gv = _unbroadcast(gn * c, inv.shape) * -0.5 * v ** -1.5
+        gc = g * gain.data
+        gv = _unbroadcast(gc * c, inv.shape) * -0.5 * v ** -1.5
+        gc *= inv
         t = gv / n * c
-        gc = gn * inv
         gc += t
         gc += t  # c*c reaches c twice; 2*t would round differently
-        gx = gc + _unbroadcast(-gc, mu.shape) / n
-        return gx, _unbroadcast(g * (c * inv), gain.shape), _unbroadcast(g, bias.shape)
+        del t
+        # the mean's share, sum(-gc)/n; IEEE rounding is sign-symmetric
+        gc -= _unbroadcast(gc, mu.shape) / n
+        normed = c * inv
+        normed *= g
+        return gc, _unbroadcast(normed, gain.shape), _unbroadcast(g, bias.shape)
 
     out = c * inv
     out *= gain.data

@@ -195,8 +195,8 @@ class TestDeterminism:
         """A paper-width encoder layer (d=256, ffn 2048, four padded
         sources of up to 4096 frames) gives the same output and parameter
         gradient bytes at 1 and 2 OpenBLAS threads, for the full and lc
-        mixes.  Its FFN weight gradients are one GEMM over the packed
-        rows of the whole batch."""
+        mixes.  Its FFN weight gradients are fixed-order sums of GEMMs
+        over blocks of the packed rows of the whole batch."""
         src = os.path.dirname(os.path.dirname(multiformer.__file__))
         digests = []
         for threads in ("1", "2"):

@@ -12,7 +12,7 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "tools", "encoder_peak.py")
 
 
-@pytest.mark.parametrize("mix", ["full", "local"])
+@pytest.mark.parametrize("mix", ["full", "local", "conv", "lc"])
 def test_prints_the_time_and_peak_of_one_pass(mix):
     run = subprocess.run([sys.executable, TOOL, "--mix", mix, "--n", "16", "--layers", "2"],
                          capture_output=True, text=True, timeout=120)

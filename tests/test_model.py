@@ -573,15 +573,17 @@ class TestMemory:
     graph passes under no_grad() do not build, as traced by tracemalloc,
     which sees NumPy's data buffers."""
 
-    def test_ffn_keeps_one_hidden_array(self):
+    def test_ffn_keeps_no_hidden_array(self):
+        """The node keeps x, which the caller holds anyway; the backward
+        recomputes the rectified hidden rows from it."""
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(4, 64, 16)), requires_grad=True)
         w = FFNWeights(*(Tensor(rng.normal(size=s), requires_grad=True)
                          for s in [(16, 256), (256,), (256, 16), (16,)]))
         hidden = 4 * 64 * 256 * 4
         out, grown = _traced(lambda: model._ffn(x, w))
-        # the rectified hidden activation, the output and a little slack
-        assert grown <= hidden + out.data.nbytes + hidden // 16, grown / hidden
+        # the output and a little slack
+        assert grown <= out.data.nbytes + hidden // 16, grown / hidden
 
     def test_dense_attend_backward_peaks_at_two_score_arrays(self):
         rng = np.random.default_rng(8)
@@ -611,27 +613,30 @@ class TestMemory:
         # the output and a little slack; the padded copy alone is one more
         assert grown <= out.data.nbytes * 9 // 8, grown / out.data.nbytes
 
-    def test_ffn_backward_releases_the_hidden_array(self):
-        """w2's gradient and the rectifier's mask are taken from h, and h is
-        freed before its own gradient exists, so the backward peaks at the
-        bool mask and small products above its start, not at h's gradient
-        beside h (1.25 hidden arrays)."""
+    def test_ffn_backward_peaks_at_one_block_of_hidden_rows(self):
+        """Over an input of several FFN_BLOCK row blocks, the backward makes
+        one block's hidden rows at a time, its gradient in the same buffer
+        beside the bool mask, and frees them before the next block's; so
+        it peaks at about 1.3 blocks of hidden rows above the gradients it
+        returns, not at the whole input's."""
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(1024, 8)), requires_grad=True)
+        n = 3 * tensor.FFN_BLOCK + 100
+        x = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
         w = [Tensor(rng.normal(size=s), requires_grad=True)
-             for s in [(8, 256), (256,), (256, 8), (8,)]]
-        g = rng.normal(size=(1024, 8)).astype(np.float32)
-        hidden = 1024 * 256 * 4
+             for s in [(8, 512), (512,), (512, 8), (8,)]]
+        g = rng.normal(size=(n, 8)).astype(np.float32)
+        block = tensor.FFN_BLOCK * 512 * 4
         tracemalloc.start()
         try:
-            out = ffn(x, *w)  # h is traced, so its release shows
+            out = ffn(x, *w)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            out._backward(g)
+            grads = out._backward(g)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < hidden / 2, peak / hidden
+        returned = sum(a.nbytes for a in grads[:4])  # x's and the weights' gradients
+        assert peak <= 1.3 * block + returned, (peak - returned) / block
 
     def test_layer_norm_keeps_one_row_array(self):
         """Besides its output the node keeps the centred input and [.., 1]
@@ -642,6 +647,26 @@ class TestMemory:
         gain, bias = (Tensor(rng.normal(size=64), requires_grad=True) for _ in range(2))
         out, grown = _traced(lambda: layer_norm(x, gain, bias))
         assert grown <= out.data.nbytes * 17 // 8, grown / out.data.nbytes
+
+    def test_layer_norm_backward_peaks_at_two_row_arrays(self):
+        """The backward builds x's gradient in place in one fresh buffer
+        and frees each other row-sized temporary before the next exists,
+        so it peaks at two arrays of x's size, the returned gradient one
+        of them (five before it worked in place)."""
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
+        gain, bias = (Tensor(rng.normal(size=256), requires_grad=True) for _ in range(2))
+        g = rng.normal(size=x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = layer_norm(x, gain, bias)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.data.nbytes * 9 // 4, peak / x.data.nbytes
 
     def test_dropout_keeps_a_bool_mask(self):
         """Besides its output the node keeps one byte per element, its bool
@@ -715,7 +740,6 @@ class TestMemory:
             "heads concatenated, for wo": b * n * d * f32,
             "layer norm 1, centred input": rows * d * f32,
             "ffn input": rows * d * f32,
-            "ffn hidden": rows * hidden * f32,
             "layer norm 2, centred input": rows * d * f32,
             "states": b * n * d * f32,
         }

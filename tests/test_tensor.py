@@ -11,7 +11,7 @@ import pytest
 
 from multiformer.oracles import naive_attention, naive_conv1d
 from multiformer import tensor
-from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Parameter, Tensor, attend,
+from multiformer.tensor import (BAND_BLOCK, FFN_BLOCK, SEQUENCE_PAIRS, Parameter, Tensor, attend,
                                 band_to_dense, concat, conv1d, dropout,
                                 embedding, ffn, gather_last, grad_check,
                                 layer_norm, log_softmax, matmul, mul, pack, relu,
@@ -609,6 +609,58 @@ class TestFFN:
         for got, want in zip(*results):
             assert got.dtype == np.float32
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lead", [(2, 2 * FFN_BLOCK + 37), (2 * FFN_BLOCK + 37,)],
+                             ids=["batched", "2d"])
+    def test_row_blocks_are_row_blocks_of_the_generic_chain(self, lead):
+        """Past FFN_BLOCK rows, y and x's gradient are still bit for bit the
+        generic chain's, being row blocks of its GEMMs; the w1, b1 and w2
+        gradients are the block-order sums of the generic chain's per
+        block, and b2's is the generic chain's."""
+        blocks = [slice(r0, r0 + FFN_BLOCK) for r0 in range(0, lead[-1], FFN_BLOCK)]
+        assert len(blocks) == 3
+        rng = np.random.default_rng(24)
+        arrays = ffn_leaves(rng, lead)
+        r = rng.normal(size=lead + (8,)).astype(np.float32)
+
+        def run(op, rows=slice(None)):
+            leaves = [Tensor(a, requires_grad=True)
+                      for a in [arrays[0][..., rows, :], *arrays[1:]]]
+            out = op(*leaves)
+            (out * r[..., rows, :]).sum().backward()
+            return [out.data] + [t.grad for t in leaves]
+
+        got, whole = run(ffn), run(generic_ffn)
+        for i in (0, 1, 5):  # y, x's gradient, b2's gradient
+            assert np.array_equal(got[i], whole[i]), i
+        summed = None
+        for rows in blocks:
+            part = run(generic_ffn, rows)[2:5]
+            if summed is None:
+                summed = part
+            else:
+                for total, term in zip(summed, part):
+                    total += term
+        for i, want in zip((2, 3, 4), summed):
+            assert got[i].dtype == np.float32
+            assert np.array_equal(got[i], want), i
+            np.testing.assert_allclose(got[i], whole[i], rtol=1e-4, atol=1e-3)
+
+    def test_gradient_across_row_blocks(self):
+        # each hidden unit is on, or off, at every row: a step of w1 moves
+        # thousands of pre-activations, and none may cross the kink
+        rng = np.random.default_rng(25)
+        arrays = [rng.normal(size=s) for s in
+                  [(2 * FFN_BLOCK + 37, 4), (4, 8), (8,), (8, 3), (3,)]]
+        arrays[1] *= 0.05
+        arrays[2] = np.tile([2.0, -2.0], 4)
+        r = rng.normal(size=(2 * FFN_BLOCK + 37, 3))
+        with using_dtype("float64"):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            report = grad_check(lambda: (ffn(*leaves) * r).sum(),
+                                [Parameter(n, t) for n, t in
+                                 zip(("x", "w1", "b1", "w2", "b2"), leaves)], max_samples=64)
+        assert report.ok, report.failures()
 
     def test_leaves_incoming_gradient_untouched(self):
         """add hands one gradient array to both parents, so the node must

@@ -1,11 +1,12 @@
 """Time one forward and backward pass of a paper-width encoder and report
 the process's peak resident memory.
 
-    python3 tools/encoder_peak.py --mix {full,local} --n N --layers L
+    python3 tools/encoder_peak.py --mix {conv,full,lc,local} --n N --layers L
 
 The encoder has d=256, 4 heads, ffn_dim 2048 and 80 input features, as
-perfbench's paper_long layer, with L identical layers whose heads are all
-full or all local(64).  Its input is 4 sources of 4N frames with 4N,
+perfbench's paper_long layer, with L identical layers of that layer's
+heads per mix: all full, all local(64), all conv(5,2), or lc, which is
+local(64) local(64) conv(5,2) conv(5,2).  Its input is 4 sources of 4N frames with 4N,
 3.5N, 3N and 2.5N valid, so the layers see N, 7N/8, 3N/4 and 5N/8 valid
 frames; N must be a multiple of 8.  The pass is `model.encode` plus the
 backward of a fixed random probe of the states, at one BLAS thread.  It
@@ -32,11 +33,15 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from multiformer.mhma import HeadSpec  # noqa: E402
+from multiformer.config import parse_head_spec  # noqa: E402
 from multiformer.model import ModelConfig, encode, init_model_weights  # noqa: E402
 from multiformer.tensor import Tensor  # noqa: E402
 
-MIXES = {"full": HeadSpec("full"), "local": HeadSpec("local", window=64)}
+MIXES = {mix: [parse_head_spec(token) for token in layer.split()] for mix, layer in (
+    ("full", "full full full full"),
+    ("local", "local(64) local(64) local(64) local(64)"),
+    ("conv", "conv(5,2) conv(5,2) conv(5,2) conv(5,2)"),
+    ("lc", "local(64) local(64) conv(5,2) conv(5,2)"))}
 HEADS, D_MODEL, FFN_DIM, FEATURES = 4, 256, 2048, 80
 
 
@@ -53,7 +58,7 @@ def main(argv: list[str]) -> int:
         parser.error(f"--layers must be >= 1, got {args.layers}")
     frames = 4 * args.n
     config = ModelConfig(d_model=D_MODEL, heads=HEADS,
-                         encoder_layers=[[MIXES[args.mix]] * HEADS] * args.layers,
+                         encoder_layers=[MIXES[args.mix]] * args.layers,
                          decoder_layers=1, ffn_dim=FFN_DIM, vocab_size=35,
                          input_feature_dim=FEATURES, max_source_len=frames)
     weights = init_model_weights(config, seed=1)
