@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import durable_write
-from .mhma import AttentionOutput, MHMAWeights, head_outputs
+from .mhma import MHMAWeights, head_outputs
 from .model import ModelConfig, ModelWeights, check_at_least, encode
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 from .training import SyntheticTaskSpec, gen_synthetic_batch
 
 CSV_HEADER = "layer,head,mechanism,median_contribution,normalized_share"
@@ -71,9 +71,10 @@ class ContributionReport:
         return -terms.sum(axis=1)
 
 
-def head_contribution(out: AttentionOutput, weights: MHMAWeights) -> np.ndarray:
-    """c_{i,h} = ||xi_i^h||_2 -> array [..., n, H]."""
-    norms = [np.linalg.norm(xi, axis=-1) for xi in head_outputs(out, weights)]
+def head_contribution(z: list[Tensor], weights: MHMAWeights) -> np.ndarray:
+    """c_{i,h} = ||xi_i^h||_2 -> array [..., n, H], from one layer's head
+    outputs z (a list of H)."""
+    norms = [np.linalg.norm(xi, axis=-1) for xi in head_outputs(z, weights)]
     return np.stack(norms, axis=-1)
 
 
@@ -100,12 +101,12 @@ def aggregate_contributions(config: ModelConfig, weights: ModelWeights,
         remaining -= b
         batch = gen_synthetic_batch(spec, b, rng)
         with no_grad():
-            _, keep, outs = encode(batch.source_features, batch.source_mask,
-                                   config, weights)
+            _, keep, heads = encode(batch.source_features, batch.source_mask,
+                                    config, weights)
         valid = np.asarray(keep, bool)
         token_count += int(valid.sum())
-        for pool, out, layer in zip(pools, outs, weights.encoder):
-            pool.append(head_contribution(out, layer.mhma)[valid])
+        for pool, z, layer in zip(pools, heads, weights.encoder):
+            pool.append(head_contribution(z, layer.mhma)[valid])
     if token_count == 0:
         raise ValueError("no valid tokens across all samples")
     medians = np.stack([np.median(np.concatenate(pool), axis=0) for pool in pools])

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import Tensor, attend, check_conv, conv1d, mul, windows
+from .tensor import Tensor, attend, check_conv, conv1d, windows
 
 if TYPE_CHECKING:
     from .mhma import HeadSpec
@@ -127,14 +127,14 @@ def conv_compress(x: Tensor, params: ConvParams, mask=None
     """Shorten a sequence by the stride factor with a strided conv.
 
     x: [..., n, d] -> [..., ceil(n/stride), d].  Padded input positions
-    are zeroed before the conv so padding content never leaks into valid
-    compressed frames.  The compressed mask takes validity from the
-    center of each receptive field: mask_c[j] = mask[min(j*stride, n-1)].
+    are zeroed as conv1d fills its padded copy of x (its keep argument),
+    so padding content never leaks into valid compressed frames and no
+    masked copy of x is kept.  The compressed mask takes validity from
+    the center of each receptive field: mask_c[j] = mask[min(j*stride, n-1)].
     """
     n = x.shape[-2]
     keep = _key_mask(mask, x.shape[:-1])
-    xm = mul(x, keep[..., None].astype(x.data.dtype))
-    xc = conv1d(xm, params.weights, params.bias, stride=params.stride)
+    xc = conv1d(x, params.weights, params.bias, stride=params.stride, keep=keep)
     m = xc.shape[-2]
     centers = np.minimum(np.arange(m) * params.stride, n - 1)
     return xc, keep[..., centers]

@@ -4,7 +4,9 @@ mhma_forward is the one multi-head entry point: encoder self-attention,
 and decoder self- and cross-attention as all-full layers.
 
 Every pass returns each head's output z^h beside y; the kernels'
-attention weights are not kept.  With Wo split into per-head column
+attention weights are not kept.  Each z^h is a view of its column block
+of zcat, the concatenation the output projection's gradient keeps, so
+the head outputs add no bytes.  With Wo split into per-head column
 blocks Wo^h, the layer output satisfies
 
     y_i = Wo zcat_i + b_o = sum_h Wo^h z_i^h + b_o
@@ -150,7 +152,8 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     valid query rows of full and conv heads, which then run per sequence
     at paper scale (tensor.SEQUENCE_PAIRS), with z exactly 0 at padded
     rows.  Conv heads sharing a (kernel, stride) reuse one compressed
-    stream per call.  Returns y with every head's z.
+    stream per call.  Returns y with every head's z, each a view of its
+    column block of the heads' concatenation.
     """
     h_count = len(specs)
     if h_count != weights.heads:
@@ -182,22 +185,26 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
             zs.append(full_attention(q, k, v, keep, counter, rows)[0])
 
     zcat = concat(zs, axis=-1)
+    # each z becomes a view of its column block of zcat, which wo's
+    # gradient keeps, so the head outputs hold no bytes of their own
+    for h, z in enumerate(zs):
+        z.data = zcat.data[..., h * d_h:(h + 1) * d_h]
     y = matmul(zcat, weights.wo.mT) + weights.bo
     return AttentionOutput(y=y, z=zs)
 
 
-def head_outputs(out: AttentionOutput, weights: MHMAWeights) -> list[np.ndarray]:
-    """Per-head contributions xi^h = z^h (Wo^h)^T, each [..., n, d],
-    computed outside the graph."""
+def head_outputs(z: list[Tensor], weights: MHMAWeights) -> list[np.ndarray]:
+    """Per-head contributions xi^h = z^h (Wo^h)^T, each [..., n, d], of
+    one layer's head outputs z (a list of H), computed outside the graph."""
     d_h = weights.head_dim
-    return [z.data @ weights.wo.data[:, h * d_h:(h + 1) * d_h].T
-            for h, z in enumerate(out.z)]
+    return [zh.data @ weights.wo.data[:, h * d_h:(h + 1) * d_h].T
+            for h, zh in enumerate(z)]
 
 
 def recompose_check(out: AttentionOutput, weights: MHMAWeights) -> float:
     """Max absolute gap between y and sum_h xi^h + b_o (Eq. 2 vs Eq. 3)."""
     total = np.zeros_like(out.y.data)
-    for xi in head_outputs(out, weights):
+    for xi in head_outputs(out.z, weights):
         total = total + xi
     total = total + weights.bo.data
     return float(np.abs(out.y.data - total).max())

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ConvParams, OpCounter, conv_compress
-from .mhma import (AttentionOutput, HeadSpec, MHMAWeights, glorot,
-                   init_mhma_weights, mhma_forward, mhma_parameters)
+from .mhma import (HeadSpec, MHMAWeights, glorot, init_mhma_weights, mhma_forward,
+                   mhma_parameters)
 from .tensor import (Parameter, Tensor, default_dtype, dropout, embedding, ffn,
                      gather_last, layer_norm, log_softmax, matmul, mul, pack,
                      relu, unpack)
@@ -228,9 +228,10 @@ def subsample(x: Tensor, mask: np.ndarray | None,
               weights: list[ConvParams]) -> tuple[Tensor, np.ndarray]:
     """Two stride-2 convs with rectifiers over [.., T, F] frames.
 
-    Each conv is a conv_compress step: masked frames are zeroed before it
-    so appended padding cannot alter valid output frames, and the mask
-    downsamples by the center rule.  Returns the valid output frames
+    Each conv is a conv_compress step: masked frames are zeroed as the
+    conv reads them, so appended padding cannot alter valid output frames
+    and no masked copy of the source is kept, and the mask downsamples
+    by the center rule.  Returns the valid output frames
     packed into rows [N, d] and their mask [.., ceil(ceil(T/2)/2)].
     """
     h, keep = x, mask
@@ -247,14 +248,15 @@ def _ffn(x: Tensor, w: FFNWeights) -> Tensor:
 def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
            weights: ModelWeights, counter: OpCounter | None = None,
            rng: np.random.Generator | None = None
-           ) -> tuple[Tensor, np.ndarray, list[AttentionOutput]]:
+           ) -> tuple[Tensor, np.ndarray, list[list[Tensor]]]:
     """Subsample, add positions, run the MHMA encoder stack.
 
     The position-wise work (position add, residual adds, dropout, layer
     norms and FFN) runs on the valid frames packed into rows [N, d]; each
     MHMA attends over them unpacked to [.., T', d].  Returns (states
-    [.., T', d] with padded frames exactly 0, frame mask [.., T'],
-    per-layer attention outputs).
+    [.., T', d] with padded frames exactly 0, frame mask [.., T'], and
+    per layer its head outputs [z^h], views of the concatenation wo's
+    gradient keeps).  Each layer's MHMA output y is freed once packed.
     """
     if source.shape[-2] > config.max_source_len:
         raise ValueError(
@@ -263,15 +265,16 @@ def encode(source: Tensor, source_mask: np.ndarray | None, config: ModelConfig,
     h, keep = subsample(source, source_mask, weights.subsampler)
     positions = sinusoidal_positions(keep.shape[-1], config.d_model)
     h = dropout(h + positions[np.nonzero(keep)[-1]], p, rng)
-    outs: list[AttentionOutput] = []
+    heads: list[list[Tensor]] = []
     for specs, layer in zip(config.encoder_layers, weights.encoder):
         out = mhma_forward(unpack(h, keep), specs, layer.mhma, keep, counter)
+        heads.append(out.z)
         y = dropout(pack(out.y, keep), p, rng)
+        del out  # the unpacked y: only pack read it
         h = layer_norm(h + y, layer.ln1.gain, layer.ln1.bias)
         f = dropout(_ffn(h, layer.ffn), p, rng)
         h = layer_norm(h + f, layer.ln2.gain, layer.ln2.bias)
-        outs.append(out)
-    return unpack(h, keep), keep, outs
+    return unpack(h, keep), keep, heads
 
 
 def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,

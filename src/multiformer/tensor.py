@@ -454,12 +454,17 @@ def _band_blocks(n: int, half: int):
         yield r0, r1, max(0, r0 - half), min(n, r1 + half)
 
 
-def windows(x: np.ndarray, half: int) -> np.ndarray:
+def windows(x: np.ndarray, half: int, scale: np.ndarray | None = None) -> np.ndarray:
     """View [..., n, d] as [..., n, d, 2*half+1]: [..., i, :, c] is row
-    i + c - half of x, zero (or False) outside the sequence."""
+    i + c - half of x, zero (or False) outside the sequence.  Given scale,
+    broadcastable to x, the rows are those of x * scale, multiplied as
+    the padded copy is filled."""
     n = x.shape[-2]
     p = np.zeros(x.shape[:-2] + (n + 2 * half, x.shape[-1]), dtype=x.dtype)
-    p[..., half:half + n, :] = x
+    if scale is None:
+        p[..., half:half + n, :] = x
+    else:
+        np.multiply(x, scale, out=p[..., half:half + n, :])
     return np.lib.stride_tricks.sliding_window_view(p, 2 * half + 1, axis=-2)
 
 
@@ -749,7 +754,8 @@ def check_conv(kernel: int, stride: int) -> None:
                          f"got kernel {kernel}, stride {stride}")
 
 
-def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1,
+           keep: np.ndarray | None = None) -> Tensor:
     """1-D convolution over the time axis, centred: an odd kernel K sees
     K//2 frames on each side, zero outside the sequence.
 
@@ -757,6 +763,11 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     Output frame j is centred on input frame j*stride; length ceil(T/stride).
     One GEMM over im2col columns, a strided view of a zero-padded copy of
     x; the node keeps neither, and its backward rebuilds them from x.
+
+    keep, a bool frame mask broadcastable to [..., T], makes this the conv
+    of x * keep: the padded copy is filled with that product, and x's
+    gradient is multiplied by keep in place.  So no masked copy of x is
+    kept, and the bytes are those of a conv over mul(x, keep).
     """
     if weights.ndim != 3:
         raise ValueError(f"conv1d weights must be [K, D_in, D_out], got {weights.shape}")
@@ -769,11 +780,12 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     lead = x.shape[:-2]
     d_in, d_out = weights.shape[1], weights.shape[2]
     w2 = weights.data.reshape(k_size * d_in, d_out)
+    scale = None if keep is None else np.asarray(keep, bool)[..., None].astype(x.data.dtype)
 
     def im2col():
         # output frame j reads input frames j*stride-pad .. j*stride+pad,
         # laid out [K, D_in] to match the weights
-        return np.swapaxes(windows(x.data, pad)[..., ::stride, :, :], -1, -2).reshape(
+        return np.swapaxes(windows(x.data, pad, scale)[..., ::stride, :, :], -1, -2).reshape(
             lead + (t_out, k_size * d_in))
 
     def bw(g):
@@ -788,6 +800,8 @@ def conv1d(x: Tensor, weights: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             for k in range(k_size):
                 gxp[..., k:k + stride * (t_out - 1) + 1:stride, :] += gcols[..., k, :]
             gx = gxp[..., pad:pad + t, :]
+            if scale is not None:
+                gx *= scale
         if bias.requires_grad:
             gb = g2.sum(axis=0)
         return gx, gw, gb

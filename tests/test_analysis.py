@@ -47,7 +47,7 @@ class TestHeadContribution:
         w = init_mhma_weights(6, SPECS, rng)
         x = Tensor(rng.normal(size=(5, 6)))
         out = mhma_forward(x, SPECS, w)
-        c = head_contribution(out, w)
+        c = head_contribution(out.z, w)
         assert c.shape == (5, 3)
         d_h = w.head_dim
         for h in range(3):
@@ -124,10 +124,10 @@ class TestAggregate:
         pools = {}
         for b in (ANALYSIS_BATCH, 7):
             batch = gen_synthetic_batch(spec, b, rng)
-            _, keep, outs = encode(batch.source_features, batch.source_mask,
-                                   config, weights)
-            for li, (out, layer) in enumerate(zip(outs, weights.encoder)):
-                c = head_contribution(out, layer.mhma)
+            _, keep, heads = encode(batch.source_features, batch.source_mask,
+                                    config, weights)
+            for li, (z, layer) in enumerate(zip(heads, weights.encoder)):
+                c = head_contribution(z, layer.mhma)
                 for h in range(config.heads):
                     pools.setdefault((li, h), []).append(c[..., h][keep])
         expect = np.zeros((2, 3))

@@ -114,7 +114,7 @@ class TestForward:
             x = Tensor(rng.normal(size=(7, d)))
             out = mhma_forward(x, MIXED, w)
             err = recompose_check(out, w)
-            total = sum(head_outputs(out, w)) + w.bo.data
+            total = sum(head_outputs(out.z, w)) + w.bo.data
         assert err < 1e-10
         np.testing.assert_allclose(out.y.data, total, atol=1e-10)
 
@@ -133,12 +133,26 @@ class TestForward:
         d_h = d // len(MIXED)
         w = init_mhma_weights(d, MIXED, rng)
         out = mhma_forward(Tensor(rng.normal(size=(3, 5, d))), MIXED, w)
-        xi = head_outputs(out, w)
+        xi = head_outputs(out.z, w)
         assert len(xi) == len(out.z) == len(MIXED)
         for h, z in enumerate(out.z):
             assert xi[h].shape == (3, 5, d)
             assert np.array_equal(
                 xi[h], z.data @ w.wo.data[:, h * d_h:(h + 1) * d_h].T)
+
+    def test_head_outputs_add_no_bytes_beyond_their_concatenation(self):
+        """With the output held, every z is a view of its column block of
+        one [..., n, H*d_h] array, the concatenation wo's gradient reads;
+        the head outputs own no bytes of their own."""
+        rng = np.random.default_rng(9)
+        d = 8
+        w = init_mhma_weights(d, MIXED, rng)
+        out = mhma_forward(Tensor(rng.normal(size=(3, 5, d)), requires_grad=True), MIXED, w)
+        zcat = out.z[0].data.base
+        assert zcat is not None and zcat.shape == (3, 5, d)
+        assert all(z.data.base is zcat and z.data.size for z in out.z)
+        assert zcat.nbytes == sum(z.data.nbytes for z in out.z)
+        np.testing.assert_array_equal(zcat, np.concatenate([z.data for z in out.z], axis=-1))
 
     def test_score_product_accounting(self):
         rng = np.random.default_rng(8)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from multiformer import analysis, model, tensor, training
-from multiformer.attention import OpCounter
+from multiformer.attention import ConvParams, OpCounter, conv_compress
 from multiformer.config import toy_model_config
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
 from multiformer.model import (FFNWeights, ModelConfig, Seq2SeqBatch, decode,
@@ -613,6 +613,19 @@ class TestMemory:
         # the output and a little slack; the padded copy alone is one more
         assert grown <= out.data.nbytes * 9 // 8, grown / out.data.nbytes
 
+    def test_masked_conv_compress_keeps_no_masked_input(self):
+        """Given a frame mask, conv_compress keeps no masked copy of its
+        input: conv1d masks the frames as it fills its padded copy, so
+        what stays allocated is the output and the [.., T, 1] multiplier."""
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(4, 256, 32)), requires_grad=True)
+        params = ConvParams(2, *(Tensor(rng.normal(size=s), requires_grad=True)
+                                 for s in [(5, 32, 32), (32,)]))
+        mask = np.arange(256) < np.array([256, 200, 128, 9])[:, None]
+        (out, _), grown = _traced(lambda: conv_compress(x, params, mask))
+        # a masked copy of x alone would be twice the output
+        assert grown <= out.data.nbytes * 9 // 8, grown / out.data.nbytes
+
     def test_ffn_backward_peaks_at_one_block_of_hidden_rows(self):
         """Over an input of several FFN_BLOCK row blocks, the backward makes
         one block's hidden rows at a time, its gradient in the same buffer
@@ -717,7 +730,8 @@ class TestMemory:
         """Forward one padded full-head layer of t source frames (with its
         subsampler) and check the bytes left allocated against the states
         and the arrays the backward rules read, listed here; per_head(b, n,
-        rows) counts the float32 entries each head keeps of its softmax."""
+        rows) counts the float32 entries each head keeps of its softmax.
+        The first conv reads the caller's source, so keeps no bytes."""
         b, feat, d, heads, hidden = 4, 8, 64, 4, 256
         cfg = ModelConfig(d_model=d, heads=heads, encoder_layers=[FULL * 2],
                           decoder_layers=1, ffn_dim=hidden, vocab_size=5,
@@ -730,9 +744,8 @@ class TestMemory:
         rows = int(mask[:, ::4].sum())  # valid ones, packed
         f32 = 4
         kept = {
-            "conv 1 input, masked source": b * t * feat * f32,
             "relu 1 mask": b * (t // 2) * d,
-            "conv 2 input, masked": b * (t // 2) * d * f32,
+            "conv 2 input, relu 1's output": b * (t // 2) * d * f32,
             "relu 2 mask": b * n * d,
             "projections' input, unpacked": b * n * d * f32,
             "each head's q, k, v": heads * 3 * b * n * (d // heads) * f32,
@@ -763,25 +776,48 @@ class TestMemory:
 
     def test_training_pass_frees_the_layer_outputs_before_the_decoder(self, monkeypatch):
         """teacher_forced_logits keeps only encode's states and mask, so
-        every layer's y and head outputs z, which no rule reads, are freed
-        when encode returns, before the decoder runs."""
+        every layer's head outputs z are freed when encode returns, before
+        the decoder runs; the concatenation they view, which wo's gradient
+        reads, is freed by the backward."""
         cfg = tiny_config([MIX, FULL], dropout=0.1)
         w = init_model_weights(cfg, seed=4)
         batch = make_batch(np.random.default_rng(16), cfg)
-        real_encode, real_decode, arrays = model.encode, model.decode, []
+        real_encode, real_decode, arrays, concats = model.encode, model.decode, [], []
 
         def watch(*args, **kwargs):
-            states, keep, outs = real_encode(*args, **kwargs)
-            arrays.extend(weakref.ref(t.data) for out in outs for t in [out.y, *out.z])
-            return states, keep, outs
+            states, keep, heads = real_encode(*args, **kwargs)
+            arrays.extend(weakref.ref(z.data) for layer in heads for z in layer)
+            concats.extend(weakref.ref(layer[0].data.base) for layer in heads)
+            return states, keep, heads
 
         def check(*args, **kwargs):
-            assert len(arrays) == 2 * 3 and all(ref() is None for ref in arrays)
+            assert len(arrays) == 2 * 2 and all(ref() is None for ref in arrays)
             return real_decode(*args, **kwargs)
 
         monkeypatch.setattr(model, "encode", watch)
         monkeypatch.setattr(model, "decode", check)
         forward_loss(batch, cfg, w, np.random.default_rng(17)).backward()
+        assert len(concats) == 2 and all(ref() is None for ref in concats)
+
+    def test_encode_keeps_no_layer_output_y(self, monkeypatch):
+        """encode returns each layer's head outputs and frees the layer's
+        MHMA output y once it is packed, while the graph lives."""
+        cfg = tiny_config([MIX, FULL])
+        w = init_model_weights(cfg, seed=5)
+        batch = make_batch(np.random.default_rng(22), cfg)
+        real_forward, ys = model.mhma_forward, []
+
+        def watch(*args, **kwargs):
+            out = real_forward(*args, **kwargs)
+            ys.append(weakref.ref(out.y.data))
+            return out
+
+        monkeypatch.setattr(model, "mhma_forward", watch)
+        states, _, heads = encode(batch.source_features, batch.source_mask, cfg, w)
+        assert states.requires_grad and len(ys) == 2
+        assert all(ref() is None for ref in ys)
+        assert [len(layer) for layer in heads] == [2, 2]
+        assert all(isinstance(z, Tensor) for layer in heads for z in layer)
 
     def test_no_grad_nodes_keep_no_graph(self):
         rng = np.random.default_rng(13)
@@ -817,9 +853,9 @@ class TestMemory:
         tracked, real_encode = [], model.encode
 
         def spy(*args, **kwargs):
-            states, keep, outs = real_encode(*args, **kwargs)
+            states, keep, heads = real_encode(*args, **kwargs)
             tracked.append(states.requires_grad)
-            return states, keep, outs
+            return states, keep, heads
 
         monkeypatch.setattr(model, "encode", spy)
         monkeypatch.setattr(analysis, "encode", spy)
@@ -833,8 +869,8 @@ class TestMemory:
                                                  model.SMOOTHING).data)
         assert acc == token_accuracy(logits.data, labels, label_mask)
         sampled = gen_synthetic_batch(spec, 5, np.random.default_rng(2))
-        _, keep, outs = encode(sampled.source_features, sampled.source_mask, config, weights)
-        assert outs[0].y.requires_grad
-        medians = [np.median(analysis.head_contribution(out, layer.mhma)[keep], axis=0)
-                   for out, layer in zip(outs, weights.encoder)]
+        _, keep, heads = encode(sampled.source_features, sampled.source_mask, config, weights)
+        assert heads[0][0].requires_grad
+        medians = [np.median(analysis.head_contribution(z, layer.mhma)[keep], axis=0)
+                   for z, layer in zip(heads, weights.encoder)]
         assert np.array_equal(report.medians, np.stack(medians))

@@ -573,6 +573,48 @@ class TestConv1d:
                     f, [Parameter("x", x), Parameter("w", w), Parameter("b", b)])
             assert report.ok, (k, stride, report.failures())
 
+    @pytest.mark.parametrize("lead,t,d_in,d_out,k,stride", [
+        ((2,), 9, 3, 4, 5, 2),  # toy
+        ((4,), 1024, 80, 256, 5, 2),  # paper-width subsampler, many GEMM blocks
+    ])
+    def test_keep_is_a_conv_over_the_masked_input(self, lead, t, d_in, d_out, k, stride):
+        """conv1d(x, w, b, s, keep) gives the output and the x, w and b
+        gradients of conv1d over mul(x, keep) byte for byte, the signs of
+        the -0.0s at masked frames included."""
+        rng = np.random.default_rng(14 + t)
+        arrays = [rng.normal(size=lead + (t, d_in)), rng.normal(size=(k, d_in, d_out)),
+                  rng.normal(size=d_out)]
+        keep = np.arange(t) < rng.integers(1, t, size=lead)[..., None]
+        probe = rng.normal(size=lead + (-(-t // stride), d_out)).astype(np.float32)
+        got = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            if fused:
+                y = conv1d(x, w, b, stride, keep)
+            else:
+                y = conv1d(mul(x, keep[..., None].astype(np.float32)), w, b, stride)
+            (y * probe).sum().backward()
+            got.append([a.tobytes() for a in (y.data, x.grad, w.grad, b.grad)])
+        assert got[0] == got[1]
+        assert np.signbit(np.frombuffer(got[0][1], np.float32)).any()
+
+    def test_gradients_with_keep(self):
+        rng = np.random.default_rng(15)
+        keep = np.array([[True] * 6, [True] * 4 + [False] * 2])
+        with using_dtype("float64"):
+            x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+            w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+            b = Tensor(rng.normal(size=2), requires_grad=True)
+
+            def f():
+                y = conv1d(x, w, b, 2, keep)
+                return (y * y).sum()
+
+            report = grad_check(f, [Parameter("x", x), Parameter("w", w), Parameter("b", b)])
+            f().backward()
+        assert report.ok, report.failures()
+        assert not x.grad[1, 4:].any()  # masked frames reach nothing
+
 
 def generic_ffn(x, w1, b1, w2, b2):
     """The feed-forward block as a chain of generic nodes."""

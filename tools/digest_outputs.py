@@ -140,12 +140,12 @@ def paper_digests():
             "decoder_layers = 1\nvocab_size = 35\nencoder_layers = 1\n"
             f"max_source_len = {PAPER_FRAMES}\nblock 1 : {layer}\n", source=f"paper_{mix}")
         weights = init_model_weights(config, seed=1)
-        states, _, outputs = encode(source, mask, config, weights)
+        states, _, heads = encode(source, mask, config, weights)
         if probe is None:
             probe = Tensor(rng.normal(size=states.shape).astype(np.float32))
         (states * probe).sum().backward()
         z = hashlib.sha256()
-        for head in outputs[0].z:
+        for head in heads[0]:
             z.update(head.data.tobytes())
         grads = hashlib.sha256()
         for p in named_parameters(weights):
