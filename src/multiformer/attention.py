@@ -48,10 +48,10 @@ class ConvParams:
 
 
 def _key_mask(mask, positions: tuple[int, ...]) -> np.ndarray:
-    """A bool mask broadcast over `positions`, the [..., m] batch axes and
-    length of a stream; None is all-valid.  Raises ValueError when the
-    last axis does not cover m or the leading axes do not broadcast, so a
-    per-query mask passed as a key mask is rejected."""
+    """A key mask, the one mask form every kernel takes, broadcast over
+    `positions`, the [..., m] batch axes and length of a stream; None is
+    all-valid.  Raises ValueError when the last axis does not cover m or
+    the leading axes do not broadcast, so a per-query mask is rejected."""
     if mask is None:
         return np.ones(positions, dtype=bool)
     keep = np.asarray(mask, dtype=bool)
@@ -65,17 +65,17 @@ def _key_mask(mask, positions: tuple[int, ...]) -> np.ndarray:
 
 
 def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
-                   counter: OpCounter | None = None, rows=None) -> tuple[Tensor, Tensor]:
+                   counter: OpCounter | None = None, rows=None,
+                   causal: bool = False) -> tuple[Tensor, Tensor]:
     """softmax(q kᵀ / sqrt(d_h)) v over all key positions.
 
     q: [..., n, d_h], k/v: [..., m, d_h].  The bool mask marks valid keys,
-    [m] or [..., m] with leading axes that broadcast to q's batch axes.  A
-    mask of q's rank, [..., n, m], is per-query instead (causal masking,
-    say); so with batched q an [n, m] mask is B key masks and needs
-    n == B.  A query with no valid key raises.  Counts the n*m score
-    products of each sequence.
+    [m] or [..., m] with leading axes that broadcast to q's batch axes.
+    causal also hides key j from query i when j > i (the decoder's
+    self-attention).  A query with no valid key raises.  Counts the n*m
+    score products of each sequence.
 
-    rows, a bool [B, n] mask of q's valid rows beside a [B, m] key mask,
+    rows, a bool mask of q's valid rows that broadcasts to q's [..., n],
     lets tensor.attend run each sequence alone over its valid rows and
     keys (see SEQUENCE_PAIRS there).  z is then exactly 0 at padded rows,
     and the weights come back flat: sequence b's [n_b, m_b] block after
@@ -84,15 +84,14 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     them; a caller that needs only z should keep only z.
     """
     m = k.shape[-2]
-    if np.ndim(mask) == q.ndim:
-        keep = _key_mask(mask, q.shape[:-1] + (m,))
-    else:
-        keep = _key_mask(mask, q.shape[:-2] + (m,))[..., None, :]
+    keep = _key_mask(mask, q.shape[:-2] + (m,))[..., None, :]
+    if causal:
+        keep = keep & np.tri(q.shape[-2], m, dtype=bool)
     empty = ~np.broadcast_to(keep.any(axis=-1), q.shape[:-1])
     if empty.any():
         where = np.argwhere(empty)[:5]
         raise ValueError(f"softmax row(s) fully masked at index {where.tolist()}")
-    z, a = attend(q, k, v, keep, rows=None if rows is None else np.asarray(rows, dtype=bool))
+    z, a = attend(q, k, v, keep, rows=rows)
     if counter is not None:
         counter.add(math.prod(z.shape[:-1]) * m)
     return z, a

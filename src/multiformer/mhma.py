@@ -140,20 +140,19 @@ def init_mhma_weights(d: int, specs: list[HeadSpec],
 
 def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
                  mask=None, counter: OpCounter | None = None,
-                 kv_in: Tensor | None = None) -> AttentionOutput:
+                 kv_in: Tensor | None = None, causal: bool = False) -> AttentionOutput:
     """Run every head's mechanism over x: [..., n, d] -> y: [..., n, d].
 
     Queries come from x; keys and values from kv_in ([..., m, d]), or
-    from x when kv_in is None.  mask marks valid key positions: [m] or
-    [..., m] for every mechanism.  Full heads also take a per-query mask
-    such as a causal one; it carries x's batch axes ([..., n, m] of x's
-    rank), since an unbatched [n, m] mask with batched x is a key mask,
-    read as [B, m].  In self-attention a [B, n] mask also marks the
-    valid query rows of full and conv heads, which then run per sequence
-    at paper scale (tensor.SEQUENCE_PAIRS), with z exactly 0 at padded
-    rows.  Conv heads sharing a (kernel, stride) reuse one compressed
-    stream per call.  Returns y with every head's z, each a view of its
-    column block of the heads' concatenation.
+    from x when kv_in is None.  mask marks valid key positions, [m] or
+    [..., m], for every mechanism.  causal (full heads only, else
+    ValueError) also hides later keys from each query.  In self-attention
+    that is not causal the key mask is also the query mask: full and conv
+    heads get it as their valid rows, so they run per sequence at paper
+    scale (tensor.SEQUENCE_PAIRS), with z exactly 0 at padded rows.  Conv
+    heads sharing a (kernel, stride) reuse one compressed stream per
+    call.  Returns y with every head's z, each a view of its column block
+    of the heads' concatenation.
     """
     h_count = len(specs)
     if h_count != weights.heads:
@@ -162,10 +161,12 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
     d_h = weights.head_dim
     if d != h_count * d_h:
         raise ValueError(f"input width {d} != heads*head_dim {h_count * d_h}")
+    for h, spec in enumerate(specs):
+        if causal and spec.mechanism != "full":
+            raise ValueError(f"causal attention takes full heads only; "
+                             f"head {h} is {spec.label()}")
     kv = x if kv_in is None else kv_in
-    # self-attention over a padded batch: full and conv heads get the frame
-    # mask as their valid query rows (see full_attention)
-    rows = mask if kv_in is None and x.ndim == 3 and np.shape(mask) == x.shape[:-1] else None
+    rows = mask if kv_in is None and not causal else None
 
     compressed: dict[tuple[int, int], tuple[Tensor, np.ndarray]] = {}
     zs: list[Tensor] = []
@@ -182,7 +183,7 @@ def mhma_forward(x: Tensor, specs: list[HeadSpec], weights: MHMAWeights,
         if spec.mechanism == "local":
             zs.append(local_attention(q, k, v, spec, keep, counter)[0])
         else:
-            zs.append(full_attention(q, k, v, keep, counter, rows)[0])
+            zs.append(full_attention(q, k, v, keep, counter, rows, causal)[0])
 
     zcat = concat(zs, axis=-1)
     # each z becomes a view of its column block of zcat, which wo's

@@ -282,24 +282,21 @@ def decode(target_in: np.ndarray, target_in_mask: np.ndarray | None,
            weights: ModelWeights, rng: np.random.Generator | None = None) -> Tensor:
     """Teacher-forced decoder: token ids [.., U] -> logits [.., U, V].
 
-    Self-attention is causal (token u sees <= u); cross-attention reads
-    the encoder states under the source frame mask.  Both are MHMA
-    layers whose heads are all full.
+    Self-attention is causal (token u sees valid tokens <= u) under the
+    target mask; cross-attention reads the encoder states under the
+    source frame mask.  Both are MHMA layers whose heads are all full,
+    and both masks are key masks.
     """
     u = target_in.shape[-1]
     if u > config.max_target_len:
         raise ValueError(f"target length {u} exceeds max {config.max_target_len}")
     p = config.dropout
-    tmask = (np.ones(target_in.shape, dtype=bool) if target_in_mask is None
-             else np.asarray(target_in_mask, bool))
-    causal = np.tril(np.ones((u, u), dtype=bool))
-    self_keep = np.logical_and(causal, tmask[..., None, :])
     h = mul(embedding(weights.embed, target_in), math.sqrt(config.d_model))
     h = dropout(h + sinusoidal_positions(u, config.d_model), p, rng)
     full_specs = [HeadSpec("full")] * config.heads
     for layer in weights.decoder:
-        a = dropout(mhma_forward(h, full_specs, layer.self_attn, self_keep).y,
-                    p, rng)
+        a = dropout(mhma_forward(h, full_specs, layer.self_attn, target_in_mask,
+                                 causal=True).y, p, rng)
         h = layer_norm(h + a, layer.ln1.gain, layer.ln1.bias)
         c = dropout(mhma_forward(h, full_specs, layer.cross_attn, enc_mask,
                                  kv_in=enc_states).y, p, rng)

@@ -14,13 +14,14 @@ import numpy as np
 
 def naive_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                     valid: np.ndarray | None = None,
-                    band_half: int | None = None):
+                    band_half: int | None = None, causal: bool = False):
     """Dense scaled-dot-product attention with explicit loops over (i, j).
 
     q: [n, d_h], k/v: [m, d_h], valid: bool [m] or None.
     band_half restricts token i to keys j with |i - j| <= band_half
-    (self-attention layout, n == m).  Rows with no admissible key come
-    back as all zeros.  Returns (z [n, d_h], a [n, m]) in float64.
+    (self-attention layout, n == m), and causal to keys j <= i.  Rows
+    with no admissible key come back as all zeros.  Returns
+    (z [n, d_h], a [n, m]) in float64.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -36,6 +37,8 @@ def naive_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             if valid is not None and not valid[j]:
                 continue
             if band_half is not None and abs(i - j) > band_half:
+                continue
+            if causal and j > i:
                 continue
             scores[j] = scale * float(np.dot(q[i], k[j]))
         if not scores:

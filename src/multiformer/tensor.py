@@ -603,10 +603,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
     dense or band, supplies the products x yᵀ (-inf where the mask masks),
     a y and aᵀ y.  A batched or band head is one part.
 
-    rows (dense only) marks the valid query rows of a [B, n, d_h] batch
-    whose keep is a [B, 1, m] key mask.  When the rule of SEQUENCE_PAIRS
-    holds, each sequence with valid pairs is a part over its valid rows
-    and keys: z is exactly 0 at padded rows, and so are q's, k's and v's
+    rows (dense only) marks the valid query rows; it broadcasts to q's
+    [..., n] rows, and keep must be a [..., 1, m] key mask.  When the rule
+    of SEQUENCE_PAIRS holds, each sequence (each index of the leading
+    axes) with valid pairs is a part over its valid rows and keys: z is
+    exactly 0 at padded rows, and so are q's, k's and v's
     gradients there, and the weights come back flat, each sequence's
     [n_b, m_b] block after the other.  Otherwise rows is ignored.
     Such a part keeps only its softmax row statistics, [n_b, 1] twice, for
@@ -623,18 +624,18 @@ def attend(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray,
     scale = 1.0 / math.sqrt(q.shape[-1])
     parts, flat = [(..., ..., keep, None)], None
     if rows is not None:
-        if half is not None or q.ndim != 3 or rows.shape != q.shape[:-1] or (
-                rows.dtype != bool or keep.ndim < 2 or keep.shape[-2] != 1):
-            raise ValueError(f"attend rows {rows.shape} need dense queries and keys "
-                             f"[B, n, d_h] and [B, m, d_h] (got {q.shape}, {k.shape}) "
-                             f"and a [B, 1, m] key mask (got {keep.shape})")
-        pairs = rows.sum(axis=-1) * keep.sum(axis=-1)[..., 0]
+        if half is not None or keep.ndim < 2 or keep.shape[-2] != 1:
+            raise ValueError(f"attend rows need a dense head and a [..., 1, m] key "
+                             f"mask, got keep {keep.shape} and half {half}")
+        rows = np.broadcast_to(np.asarray(rows, dtype=bool), q.shape[:-1])
+        keys = np.broadcast_to(keep, k.shape[:-2] + (1, k.shape[-2]))[..., 0, :]
+        pairs = rows.sum(axis=-1) * keys.sum(axis=-1)
         if pairs.max(initial=0) >= SEQUENCE_PAIRS:
-            keys = np.broadcast_to(keep, k.shape[:-2] + (1, k.shape[-2]))[:, 0, :]
             flat = np.empty(int(pairs.sum()), dtype=np.result_type(q.data, k.data))
-            parts = [((b, rows[b]), (b, keys[b]), None,
+            parts = [(b + (rows[b],), b + (keys[b],), None,
                       flat[end - p:end].reshape(-1, keys[b].sum()))
-                     for b, (p, end) in enumerate(zip(pairs, np.cumsum(pairs))) if p]
+                     for b, p, end in zip(np.ndindex(pairs.shape), pairs.flat,
+                                          np.cumsum(pairs)) if p]
     if half is None:
         def dot(x, y, mask=None, out=None):
             s = np.matmul(x, np.swapaxes(y, -1, -2), out=out)

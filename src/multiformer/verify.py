@@ -98,6 +98,21 @@ def _batched_rows_case(rng, long: bool) -> tuple[float, bool]:
     return worst, per_sequence
 
 
+def _batched_causal_case(rng) -> float:
+    """Causal full attention over a batch whose keys are padded at the
+    end, as the decoder's targets are, per sequence against the oracle."""
+    n, batch, d_h = int(rng.integers(1, 49)), int(rng.integers(2, 4)), int(rng.integers(1, 9))
+    q, k, v = (rng.normal(size=(batch, n, d_h)) for _ in range(3))
+    keys = np.stack([_suffix_mask(rng, n) for _ in range(batch)])
+    z, a = full_attention(Tensor(q), Tensor(k), Tensor(v), keys, causal=True)
+    worst = 0.0
+    for b in range(batch):
+        z0, a0 = orc.naive_attention(q[b], k[b], v[b], keys[b], causal=True)
+        worst = max(worst, float(np.abs(z.data[b] - z0).max()),
+                    float(np.abs(a.data[b] - a0).max()))
+    return worst
+
+
 @no_grad()
 def run_oracle_suite(cases: int = 120) -> SuiteResult:
     """full/local/conv against the explicit-loop references."""
@@ -108,12 +123,14 @@ def run_oracle_suite(cases: int = 120) -> SuiteResult:
     with using_dtype("float64"):
         rng = np.random.default_rng(2024)
         rows_rng = np.random.default_rng(2025)
+        causal_rng = np.random.default_rng(2026)
         for case in range(cases):
             # every twentieth case a padded batch given its valid rows,
-            # alternately below and past SEQUENCE_PAIRS
+            # alternately below and past SEQUENCE_PAIRS, and a causal
+            # padded batch
             if case % 20 == 0:
                 dev, per_sequence = _batched_rows_case(rows_rng, long=case % 40 == 20)
-                worst = max(worst, dev)
+                worst = max(worst, dev, _batched_causal_case(causal_rng))
                 dense_paths[per_sequence] += 1
             n = int(rng.integers(1, 65))
             d_h = int(rng.integers(1, 9))
@@ -126,6 +143,15 @@ def run_oracle_suite(cases: int = 120) -> SuiteResult:
             z0, a0 = orc.naive_attention(q.data, k.data, v.data, mask)
             worst = max(worst, float(np.abs(z.data - z0).max()),
                         float(np.abs(a.data - a0).max()))
+
+            # causal, as the decoder's self-attention; the first key is
+            # valid so that no query is left without one
+            cmask = mask.copy()
+            cmask[0] = True
+            zk, ak = full_attention(q, k, v, cmask, causal=True)
+            zk0, ak0 = orc.naive_attention(q.data, k.data, v.data, cmask, causal=True)
+            worst = max(worst, float(np.abs(zk.data - zk0).max()),
+                        float(np.abs(ak.data - ak0).max()))
 
             w = 2 * int(rng.integers(1, max(2, n // 2 + 1)))
             zl, al = local_attention(q, k, v, HeadSpec("local", window=w), mask)
@@ -182,13 +208,15 @@ def run_oracle_suite(cases: int = 120) -> SuiteResult:
             worst = max(worst, float(np.abs(yi.data - yf.data).max()))
             ran += 1
     # the drawn lengths must reach both one band block and several, and
-    # both the batched and the per-sequence dense path
+    # both the batched and the per-sequence dense path; every case and
+    # every padded batch also ran causal
     passed = worst < ORACLE_TOL and all(band_blocks.values()) and all(dense_paths.values())
     return SuiteResult("oracle-equivalence", passed, ran,
                        f"max deviation {worst:.3e} (tol {ORACLE_TOL:g}); local cases "
                        f"{band_blocks[True]} in one band block, {band_blocks[False]} in several; "
                        f"batched full cases {dense_paths[False]} batched, "
-                       f"{dense_paths[True]} per sequence")
+                       f"{dense_paths[True]} per sequence; causal cases {ran} unbatched, "
+                       f"{sum(dense_paths.values())} batched")
 
 
 @no_grad()

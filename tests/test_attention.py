@@ -11,8 +11,8 @@ from multiformer.attention import (ConvParams, OpCounter, conv_compress,
                                    full_attention, local_attention)
 from multiformer.mhma import HeadSpec, init_mhma_weights, mhma_forward
 from multiformer.oracles import naive_attention, naive_conv1d
-from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Tensor, band_to_dense,
-                                using_dtype)
+from multiformer.tensor import (BAND_BLOCK, SEQUENCE_PAIRS, Tensor, attend,
+                                band_to_dense, using_dtype)
 
 
 def local(window):
@@ -67,9 +67,12 @@ class TestKeyMaskRule:
             KERNELS[kernel](self.stream(), np.ones(self.N - 1, dtype=bool))
 
     def test_per_query_mask_raises(self, kernel):
+        """Neither an [n, m] mask nor one of q's rank, [B, n, m], is a key
+        mask; causality is full_attention's causal argument."""
         causal = np.tril(np.ones((self.N, self.N), dtype=bool))
-        with pytest.raises(ValueError, match="does not broadcast"):
-            KERNELS[kernel](self.stream(), causal)
+        for mask in (causal, np.broadcast_to(causal, (self.B, self.N, self.N))):
+            with pytest.raises(ValueError, match="does not broadcast"):
+                KERNELS[kernel](self.stream(), mask)
 
     def test_batch_axes_must_broadcast(self, kernel):
         keep = np.ones((3, self.N), dtype=bool)
@@ -119,11 +122,11 @@ class TestFullAttention:
         np.testing.assert_allclose(a.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_per_query_causal_mask(self):
+        """causal=True hides key j from query i when j > i."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 4))
-        causal = np.tril(np.ones((5, 5), dtype=bool))
         with using_dtype("float64"):
-            _, a = full_attention(Tensor(x), Tensor(x), Tensor(x), causal)
+            _, a = full_attention(Tensor(x), Tensor(x), Tensor(x), causal=True)
         assert (np.triu(a.data, 1) == 0.0).all()
 
     @pytest.mark.parametrize("batch", [4, 3])
@@ -144,18 +147,37 @@ class TestFullAttention:
             np.testing.assert_allclose(a.data[b], ar, atol=1e-12)
 
     def test_batched_per_query_causal_mask(self):
-        """A [B, n, m] mask has q's rank, so it is per-query."""
+        """causal=True over a batch is causal=True on each sequence, also
+        when B equals n."""
         rng = np.random.default_rng(5)
         b, n = 4, 4
         x = rng.normal(size=(b, n, 3))
-        causal = np.tril(np.ones((n, n), dtype=bool))
         with using_dtype("float64"):
-            _, a = full_attention(Tensor(x), Tensor(x), Tensor(x),
-                                  np.broadcast_to(causal, (b, n, n)))
+            _, a = full_attention(Tensor(x), Tensor(x), Tensor(x), causal=True)
             for i in range(b):
-                _, ai = full_attention(Tensor(x[i]), Tensor(x[i]), Tensor(x[i]), causal)
+                _, ai = full_attention(Tensor(x[i]), Tensor(x[i]), Tensor(x[i]),
+                                       causal=True)
                 np.testing.assert_allclose(a.data[i], ai.data, atol=1e-12)
         assert (np.triu(a.data, 1) == 0.0).all()
+
+    def test_causal_is_the_explicit_causal_and_key_mask(self):
+        """causal=True under a padded [B, U] key mask gives the bytes of
+        attend under tri & key mask: z, weights and q/k/v gradients."""
+        rng = np.random.default_rng(6)
+        u = 7
+        q, k, v = (rng.normal(size=(3, u, 4)).astype(np.float32) for _ in range(3))
+        probe = rng.normal(size=q.shape).astype(np.float32)
+        tmask = np.arange(u) < np.array([[u], [4], [1]])
+
+        def run(call):
+            tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+            z, a = call(tq, tk, tv)
+            (z * Tensor(probe)).sum().backward()
+            return [x.tobytes() for x in (z.data, a.data, tq.grad, tk.grad, tv.grad)]
+
+        explicit = np.tri(u, u, dtype=bool) & tmask[:, None, :]
+        assert run(lambda q, k, v: full_attention(q, k, v, tmask, causal=True)) == run(
+            lambda q, k, v: attend(q, k, v, explicit))
 
     def test_unbatched_square_mask_with_batched_q_must_fit_the_batch(self):
         """With batched q, an [n, m] mask is a key mask over the batch axis,
@@ -531,7 +553,8 @@ class TestPerSequenceHeads:
     def test_self_attention_layer_passes_its_frame_mask_as_rows(self, kind):
         """mhma_forward runs a head past the rule per sequence in
         self-attention (z is 0 at padded rows) and batched for
-        cross-attention over the same frames."""
+        cross-attention over the same frames and for causal
+        self-attention (full heads only)."""
         n = self.long(kind)
         rng = np.random.default_rng(7)
         spec = [HeadSpec("full") if kind == "full" else HeadSpec("conv", kernel=3, stride=2)]
@@ -542,3 +565,21 @@ class TestPerSequenceHeads:
         assert not z_self[~mask].any() and z_self[mask].all()
         z_cross = mhma_forward(x, spec, weights, mask, kv_in=x).z[0].data
         assert z_cross[~mask].all()
+        if kind == "full":
+            z_causal = mhma_forward(x, spec, weights, mask, causal=True).z[0].data
+            assert z_causal[~mask].all()
+
+    def test_unbatched_self_attention_runs_per_sequence(self, kind):
+        """An unbatched [n, d] layer under an [n] frame mask gets its mask
+        as rows too: z is exactly 0 at padded rows, and its valid rows are
+        the bytes of the same layer called as a batch of one."""
+        n = self.long(kind)
+        rng = np.random.default_rng(8)
+        spec = [HeadSpec("full") if kind == "full" else HeadSpec("conv", kernel=3, stride=2)]
+        weights = init_mhma_weights(8, spec, rng)
+        x = rng.normal(size=(n + 5, 8)).astype(np.float32)
+        mask = np.arange(n + 5) < n
+        z = mhma_forward(Tensor(x), spec, weights, mask).z[0].data
+        z1 = mhma_forward(Tensor(x[None]), spec, weights, mask[None]).z[0].data[0]
+        assert not z[~mask].any()
+        assert z[mask].tobytes() == z1[mask].tobytes()

@@ -1,6 +1,8 @@
 """Mixed-mechanism multi-head attention: head spec validation, the output
 recomposition identity, weight sharing, and gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ class TestForward:
             padded = mhma_forward(Tensor(np.concatenate([x, junk])), MIXED, w,
                                   keep)
         assert np.array_equal(padded.y.data[:n], alone.y.data)
+
+    @pytest.mark.parametrize("head", [1, 2])
+    def test_causal_rejects_local_and_conv_heads(self, head):
+        """A causal tri over a band or a compressed stream would mask the
+        wrong keys, so causal=True with a local or conv head raises,
+        naming the head, before any head runs."""
+        rng = np.random.default_rng(12)
+        w = init_mhma_weights(8, MIXED, rng)
+        specs = [HeadSpec("full")] * 4
+        specs[head] = MIXED[head]
+        msg = f"head {head} is {MIXED[head].label()}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            mhma_forward(Tensor(rng.normal(size=(2, 6, 8))), specs, w,
+                         np.ones((2, 6), dtype=bool), causal=True)
 
     def test_gradients_through_all_mechanisms(self):
         rng = np.random.default_rng(11)

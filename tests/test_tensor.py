@@ -516,7 +516,7 @@ class TestPerSequenceRows:
         assert report.ok, report.failures()
         assert [e.checked for e in report.entries] == [q.size, k.size, v.size]
 
-    def test_rows_need_batched_dense_heads_and_a_key_mask(self):
+    def test_rows_need_a_dense_head_and_a_key_mask(self):
         x = Tensor(np.zeros((2, 5, 3)))
         rows = np.ones((2, 5), dtype=bool)
         with pytest.raises(ValueError, match="rows"):
@@ -524,9 +524,36 @@ class TestPerSequenceRows:
         with pytest.raises(ValueError, match="rows"):
             attend(x, x, x, np.ones((2, 5, 3), dtype=bool), half=1, rows=rows)
         with pytest.raises(ValueError, match="rows"):
-            attend(x, x, x, np.ones((2, 1, 5), dtype=bool), rows=rows[:, :4])
-        with pytest.raises(ValueError, match="rows"):
             attend(x, x, x, np.ones(5, dtype=bool), rows=rows)
+        with pytest.raises(ValueError, match="broadcast"):
+            attend(x, x, x, np.ones((2, 1, 5), dtype=bool), rows=rows[:, :4])
+
+    def test_rows_broadcast_over_any_leading_axes(self, monkeypatch):
+        """rows broadcasts to q's rows, and the parts are cut over every
+        leading axis: a [2, 3] batch gives the bytes of the same six
+        sequences as a [6] batch, one [n] sequence those of a batch of
+        one, and [n] rows over a batch those of the rows repeated."""
+        monkeypatch.setattr(tensor, "SEQUENCE_PAIRS", 6)
+        rng = np.random.default_rng(25)
+        q, k, v = (x.reshape(2, 3, 5, 4) for x in ragged_batch(rng, [5] * 6, 5, d_h=4)[:3])
+        rows = rng.random((2, 3, 5)) > 0.3
+        keys = rng.random((2, 3, 5)) > 0.3
+        keys[..., 0] = True
+        rows[0, 0] = keys[0, 0] = True  # 25 pairs: past the lowered rule alone
+        probe = rng.normal(size=q.shape).astype(np.float32)
+        got = attend_rows(q, k, v, keys, probe, rows=rows)
+        flat = attend_rows(*(x.reshape((6,) + x.shape[2:]) for x in (q, k, v, keys, probe)),
+                           rows=rows.reshape(6, 5))
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in flat]
+        one = attend_rows(q[0, 0], k[0, 0], v[0, 0], keys[0, 0], probe[0, 0], rows=rows[0, 0])
+        batch_of_one = attend_rows(q[0, :1], k[0, :1], v[0, :1], keys[0, :1], probe[0, :1],
+                                   rows=rows[0, :1])
+        assert [x.tobytes() for x in one] == [x.tobytes() for x in batch_of_one]
+        assert got[1].ndim == one[1].ndim == 1  # per sequence, flat weights
+        shared = attend_rows(q[0], k[0], v[0], keys[0], probe[0], rows=rows[0, 0])
+        repeated = attend_rows(q[0], k[0], v[0], keys[0], probe[0],
+                               rows=np.repeat(rows[0, :1], 3, axis=0))
+        assert [x.tobytes() for x in shared] == [x.tobytes() for x in repeated]
 
 
 class TestConv1d:
